@@ -30,11 +30,13 @@ from .core import (
     is_cross_t_intersecting,
     is_maximal_pair,
     is_maximal_t_intersecting,
-    is_t_intersecting,
     mask_of,
-    _star_masks,
+    select,
+    subsets,
 )
 from .canon import canonical_form
+from .constructions import _a_members, _b_members, _c1_members, _c2_members, _h_members
+from .enumeration import _bits, _compat_rows, _sweep_fixed_points
 
 TUPLE_SWEEP_BUDGET = 4_000_000
 
@@ -59,48 +61,8 @@ def _no_match() -> TemplateMatch:
 
 
 # ---------------------------------------------------------------------------
-# concrete template instances at arbitrary anchors
-
-
-def _filter_family(n: int, k: int, pred) -> tuple[int, ...]:
-    return tuple(
-        sorted(m for m in (mask_of(c) for c in combinations(range(1, n + 1), k)) if pred(m))
-    )
-
-
-def _a_members(n: int, k: int, t: int, M0: int) -> tuple[int, ...]:
-    return _filter_family(n, k, lambda f: (f & M0).bit_count() >= t + 1)
-
-
-def _h_members(n: int, k: int, t: int, Tm: int, Xm: int, Ym: int) -> tuple[int, ...]:
-    specials = {Xm | (Tm ^ (1 << (e - 1))) for e in elements_of(Tm)}
-    return tuple(
-        sorted(
-            set(_filter_family(n, k, lambda f: Tm & ~f == 0 and f & Ym != 0)) | specials
-        )
-    )
-
-
-def _c1_members(n: int, l: int, t: int, Pm: int, Lm: int) -> tuple[int, ...]:
-    specials = {Lm ^ (1 << (e - 1)) for e in elements_of(Pm)}
-    return tuple(sorted(set(anchored_family(n, l, Pm).members) | specials))
-
-
-def _c2_members(n: int, k: int, t: int, Pm: int, Lm: int) -> tuple[int, ...]:
-    window = Lm & ~Pm
-
-    def pred(f: int) -> bool:
-        if Pm & ~f == 0:
-            return True
-        return (f & Pm).bit_count() == t and f & window != 0
-
-    return _filter_family(n, k, pred)
-
-
-def _b_members(n: int, k: int, quad: tuple[int, int, int, int]) -> tuple[int, ...]:
-    a1, a2, a3, a4 = quad
-    anchors = (mask_of((a1, a2)), mask_of((a2, a3)), mask_of((a3, a4)))
-    return _filter_family(n, k, lambda f: any(a & ~f == 0 for a in anchors))
+# concrete template instances at arbitrary anchors (the shapes shared with the
+# constructions are built by their member builders)
 
 
 def _iii_members(n: int, k: int, t: int, M: int, residuals: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
@@ -115,7 +77,7 @@ def _iii_members(n: int, k: int, t: int, M: int, residuals: tuple[tuple[int, ...
 def _iv_members(
     n: int, k: int, t: int, Tm: int, Mm: int, A: tuple[int, ...], B: tuple[int, ...]
 ) -> tuple[int, ...]:
-    out = set(_filter_family(n, k, lambda f: Tm & ~f == 0 and (f & Mm).bit_count() >= t + 1))
+    out = {f for f in subsets(full_mask(n), k).masks if Tm & ~f == 0 and (f & Mm).bit_count() >= t + 1}
     out |= {Tm | a for a in A}
     for e in elements_of(Tm):
         drop = Mm ^ (1 << (e - 1))
@@ -127,52 +89,15 @@ def _iv_members(
 # maximal pairwise cross-intersecting tuples over a reduced universe
 
 
-def _compat_rows(verts: list[int], other: list[int], t: int) -> list[int]:
-    rows = []
-    for a in verts:
-        row = 0
-        for j, b in enumerate(other):
-            if (a & b).bit_count() >= t:
-                row |= 1 << j
-        rows.append(row)
-    return rows
-
-
 def maximal_cross_pairs(
     n: int, universe: int, size1: int, size2: int, t: int = 1, include_empty: bool = True
 ) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
     """All maximal cross-t-intersecting pairs (as member-mask tuples) over the
     subsets of `universe`; the sweep over one side is exhaustive."""
-    els = elements_of(universe)
-    verts1 = [mask_of(c) for c in combinations(els, size1)]
-    verts2 = [mask_of(c) for c in combinations(els, size2)]
+    verts1 = subsets(universe, size1).masks
     if (1 << len(verts1)) > TUPLE_SWEEP_BUDGET:
         raise ValueError(f"sweep over 2^{len(verts1)} subsets exceeds the budget")
-    rows12 = _compat_rows(verts1, verts2, t)
-    rows21 = _compat_rows(verts2, verts1, t)
-    full1, full2 = (1 << len(verts1)) - 1, (1 << len(verts2)) - 1
-    out = []
-    for fmask in range(1 << len(verts1)):
-        g = full2
-        m = fmask
-        while m:
-            low = m & -m
-            g &= rows12[low.bit_length() - 1]
-            m ^= low
-        f2 = full1
-        m = g
-        while m:
-            low = m & -m
-            f2 &= rows21[low.bit_length() - 1]
-            m ^= low
-        if f2 == fmask and (include_empty or (fmask and g)):
-            out.append(
-                (
-                    tuple(verts1[i] for i in _bits(fmask)),
-                    tuple(verts2[j] for j in _bits(g)),
-                )
-            )
-    return out
+    return _sweep_fixed_points(verts1, subsets(universe, size2).masks, t, include_empty)
 
 
 def maximal_cross_tuples(
@@ -182,8 +107,7 @@ def maximal_cross_tuples(
     `size`-subsets of `universe` (ordered tuples; empty components allowed).
     Fixed points of the round-robin star map, swept over the first r-1
     components, which determine the last."""
-    els = elements_of(universe)
-    verts = [mask_of(c) for c in combinations(els, size)]
+    verts = subsets(universe, size).masks
     V = len(verts)
     if (1 << V) ** (r - 1) > TUPLE_SWEEP_BUDGET:
         raise ValueError(f"sweep over 2^{V * (r - 1)} tuples exceeds the budget")
@@ -213,19 +137,12 @@ def maximal_cross_tuples(
     return out
 
 
-def _bits(mask: int):
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
 def _is_maximal_residual_tuple(n: int, universe: int, size_each: list[int], tup: list[tuple[int, ...]]) -> bool:
     """Star fixed-point test for pairwise cross-intersecting residual tuples
     over a reduced universe (empty components star to the complete family)."""
     for i, members in enumerate(tup):
         others = [m for j, other in enumerate(tup) if j != i for m in other]
-        expect = _star_masks(others, n, size_each[i], 1, universe)
+        expect = select(subsets(universe, size_each[i]), others, 1)
         if tuple(sorted(members)) != expect:
             return False
     return True
@@ -371,8 +288,6 @@ def classify_theorem_1_2(F: Family, t: int) -> TemplateMatch:
     """Match a maximal t-intersecting family with covering number t+1 against
     the four structure templates; returns every template that reconstructs
     the family exactly."""
-    if not is_t_intersecting(F, t):
-        raise ValueError("family is not t-intersecting")
     if not is_maximal_t_intersecting(F, t):
         raise ValueError("family is not maximal")
     cov = covering_number(F, t)

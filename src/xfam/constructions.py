@@ -1,9 +1,11 @@
 """Generators for the explicit extremal families and their self-verification.
 
-Each generator filters the complete k-uniform family through the defining
-predicate (anchored at the low indices of [n] by default, relabelable via a
-permutation argument); closed-form sizes live in `formulas` and the test
-suite cross-checks both paths against inclusion-exclusion counts.
+Each shape has one member builder that takes its anchors as masks and reads
+the k-subsets of [n] from the shared table in `core`; the template matchers
+in `classify` call the same builders at anchors recovered from covers. The
+generators here place the anchors at the low indices of [n]; closed-form
+sizes live in `formulas` and the test suite cross-checks both paths against
+inclusion-exclusion counts.
 
 Kinds:
   A  - everything meeting a fixed (t+2)-set in at least t+1 elements;
@@ -20,23 +22,65 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
-
 from .core import (
     CoverStructure,
     Family,
+    anchored_family,
     covering_number,
+    elements_of,
     full_mask,
     is_cross_t_intersecting,
     is_maximal_pair,
     mask_of,
+    select,
+    subsets,
 )
 from .formulas import binom, eval_a, eval_c1, eval_c2, eval_h
 
 
-def _filtered(n: int, k: int, pred) -> Family:
-    masks = [mask_of(c) for c in combinations(range(1, n + 1), k) if pred(mask_of(c))]
-    return Family.from_masks(n, k, masks)
+# ---------------------------------------------------------------------------
+# member builders at arbitrary anchors (masks), shared with `classify`
+
+
+def _a_members(n: int, k: int, t: int, M0: int) -> tuple[int, ...]:
+    """k-sets meeting M0 in at least t+1 elements."""
+    return select(subsets(full_mask(n), k), (M0,), t + 1)
+
+
+def _b_members(n: int, k: int, quad: tuple[int, int, int, int]) -> tuple[int, ...]:
+    """k-sets containing {a1,a2}, {a2,a3} or {a3,a4}."""
+    a1, a2, a3, a4 = quad
+    anchors = (mask_of((a1, a2)), mask_of((a2, a3)), mask_of((a3, a4)))
+    return tuple(f for f in subsets(full_mask(n), k).masks if any(a & ~f == 0 for a in anchors))
+
+
+def _c1_members(n: int, l: int, t: int, Pm: int, Lm: int) -> tuple[int, ...]:
+    """l-sets containing P, plus L minus one element of P."""
+    specials = {Lm ^ (1 << (e - 1)) for e in elements_of(Pm)}
+    return tuple(sorted(set(anchored_family(n, l, Pm).members) | specials))
+
+
+def _c2_members(n: int, k: int, t: int, Pm: int, Lm: int) -> tuple[int, ...]:
+    """k-sets containing P, or meeting P in exactly t with a hit in L minus P."""
+    window = Lm & ~Pm
+
+    def pred(f: int) -> bool:
+        if Pm & ~f == 0:
+            return True
+        return (f & Pm).bit_count() == t and f & window != 0
+
+    return tuple(f for f in subsets(full_mask(n), k).masks if pred(f))
+
+
+def _h_members(n: int, k: int, t: int, Tm: int, Xm: int, Ym: int) -> tuple[int, ...]:
+    """k-sets containing T and meeting Y, plus X cup T minus one element of T."""
+    specials = {Xm | (Tm ^ (1 << (e - 1))) for e in elements_of(Tm)}
+    anchored = {f for f in subsets(full_mask(n), k).masks if Tm & ~f == 0 and f & Ym != 0}
+    return tuple(sorted(anchored | specials))
+
+
+# ---------------------------------------------------------------------------
+# the generators at default anchors
 
 
 @lru_cache(maxsize=4096)
@@ -44,8 +88,7 @@ def construct_A(n: int, k: int, t: int) -> Family:
     """All k-sets meeting [t+2] in at least t+1 elements."""
     if not (t + 1 <= k <= n) or n < t + 2:
         raise ValueError(f"need t+1 <= k <= n and n >= t+2, got n={n} k={k} t={t}")
-    anchor = full_mask(t + 2)
-    return _filtered(n, k, lambda f: (f & anchor).bit_count() >= t + 1)
+    return Family(n, k, _a_members(n, k, t, full_mask(t + 2)))
 
 
 @lru_cache(maxsize=4096)
@@ -55,9 +98,7 @@ def construct_B(n: int, k: int, quad: tuple[int, int, int, int]) -> Family:
         raise ValueError(f"quad must be four distinct elements of [n], got {quad}")
     if k < 2:
         raise ValueError("need k >= 2")
-    a1, a2, a3, a4 = quad
-    anchors = (mask_of((a1, a2)), mask_of((a2, a3)), mask_of((a3, a4)))
-    return _filtered(n, k, lambda f: any(a & ~f == 0 for a in anchors))
+    return Family(n, k, _b_members(n, k, quad))
 
 
 @lru_cache(maxsize=4096)
@@ -65,9 +106,7 @@ def construct_C1(n: int, l: int, t: int) -> Family:
     """The t+1 sets [l+1] minus one of [t+1], plus all l-sets containing [t+1]."""
     if not (t + 1 <= l) or n < l + 1:
         raise ValueError(f"need l >= t+1 and n >= l+1, got n={n} l={l} t={t}")
-    head = full_mask(t + 1)
-    specials = {full_mask(l + 1) ^ (1 << (i - 1)) for i in range(1, t + 2)}
-    return _filtered(n, l, lambda f: head & ~f == 0 or f in specials)
+    return Family(n, l, _c1_members(n, l, t, full_mask(t + 1), full_mask(l + 1)))
 
 
 @lru_cache(maxsize=4096)
@@ -76,15 +115,7 @@ def construct_C2(n: int, k: int, t: int, l: int) -> Family:
     [t+1]-anchored interval."""
     if not (t + 1 <= k <= n) or not (t + 1 <= l) or n < l + 1:
         raise ValueError(f"need k, l >= t+1 and n >= l+1, got n={n} k={k} l={l} t={t}")
-    head = full_mask(t + 1)
-    window = mask_of(range(t + 2, l + 2))
-
-    def pred(f: int) -> bool:
-        if head & ~f == 0:
-            return True
-        return (f & head).bit_count() == t and f & window != 0
-
-    return _filtered(n, k, pred)
+    return Family(n, k, _c2_members(n, k, t, full_mask(t + 1), full_mask(l + 1)))
 
 
 @lru_cache(maxsize=4096)
@@ -102,8 +133,7 @@ def construct_H(n: int, k: int, t: int, X: tuple[int, ...], Y: tuple[int, ...]) 
     need = 1 if t == 1 else 2
     if (xm & ym).bit_count() < need:
         raise ValueError(f"need |X ∩ Y| >= {need}")
-    specials = {xm | head ^ (1 << (i - 1)) for i in range(1, t + 1)}
-    return _filtered(n, k, lambda f: (head & ~f == 0 and f & ym != 0) or f in specials)
+    return Family(n, k, _h_members(n, k, t, head, xm, ym))
 
 
 @lru_cache(maxsize=4096)
@@ -129,7 +159,7 @@ def construct_D(n: int, k: int, t: int, T: tuple[int, ...], xs: tuple[int, int, 
             return True
         return b1 & ~f == 0 or b2 & ~f == 0 or c1 & ~f == 0
 
-    return _filtered(n, k, pred)
+    return Family(n, k, tuple(f for f in subsets(full_mask(n), k).masks if pred(f)))
 
 
 def default_D_anchors(t: int) -> tuple[tuple[int, ...], tuple[int, int, int, int]]:

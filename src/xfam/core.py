@@ -6,6 +6,13 @@ one machine word (Python ints are unbounded, but the cap keeps kernels cheap
 and file formats unambiguous). A Family is an immutable k-uniform collection
 of such masks in strictly increasing mask order.
 
+Every family of "the size-subsets of a universe that meet every member of a
+given family in >= t elements" is built from two pieces here: the cached
+table `subsets(universe, size)` of all size-subsets in increasing mask order,
+and the kernel `select(table, members, t)` that keeps the candidates meeting
+every member in >= t elements. Covers, stars, cross checks, the
+constructions and the template reconstructions all go through them.
+
 On top of the raw masks this module provides the intersection predicates,
 exact t-covering-number computation (all minimum covers, not just one), the
 star operator (largest m-uniform family cross-t-intersecting a given one),
@@ -17,16 +24,20 @@ from __future__ import annotations
 
 import io
 import os
+from bisect import bisect_left
 from dataclasses import dataclass
+from functools import lru_cache, reduce
 from itertools import combinations
 from math import comb
-from typing import Iterable, Iterator, Sequence
+from operator import or_
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
 MAX_GROUND_SET = 64
 
-# numpy pairwise kernels beat pure loops only past this many (f, g) pairs
+# the numpy branch of `select` beats the pure loop only past this many
+# (candidate, member) pairs
 _NP_PAIR_CUTOFF = 20_000
 # exhaustive cover sweep is used while C(|union|, s) stays below this
 _COVER_SWEEP_CAP = 30_000
@@ -61,6 +72,44 @@ def popcount(mask: int) -> int:
 def intersection_size(a: int, b: int) -> int:
     """|a ∩ b| for two subset masks over the same ground set."""
     return (a & b).bit_count()
+
+
+class SubsetTable(NamedTuple):
+    """Masks in increasing order, as a tuple and as a read-only uint64 array."""
+
+    masks: tuple[int, ...]
+    array: np.ndarray
+
+    @classmethod
+    def of(cls, masks: Iterable[int]) -> "SubsetTable":
+        masks = tuple(masks)
+        array = np.array(masks, dtype=np.uint64)
+        array.flags.writeable = False
+        return cls(masks, array)
+
+
+@lru_cache(maxsize=1024)
+def subsets(universe: int, size: int) -> SubsetTable:
+    """All `size`-subsets of the mask `universe` in increasing mask order,
+    built once per (universe, size)."""
+    bits = [1 << (e - 1) for e in elements_of(universe)]
+    return SubsetTable.of(sorted(sum(c) for c in combinations(bits, size)))
+
+
+def select(cands: SubsetTable, members: Sequence[int], t: int) -> tuple[int, ...]:
+    """The candidates meeting every member in >= t elements, in table order
+    (all of them when `members` is empty)."""
+    masks = cands.masks
+    if len(masks) * len(members) < _NP_PAIR_CUTOFF:
+        return tuple(c for c in masks if all((c & m).bit_count() >= t for m in members))
+    mem = np.array(members, dtype=np.uint64)
+    # chunk the outer product to bound memory at a few MB
+    step = max(1, _NP_PAIR_CUTOFF // len(mem))
+    keep: list[int] = []
+    for i in range(0, len(masks), step):
+        counts = np.bitwise_count(cands.array[i : i + step, None] & mem[None, :])
+        keep.extend(i + np.flatnonzero((counts >= t).all(axis=1)))
+    return tuple(masks[j] for j in keep)
 
 
 def validate_params(n: int, k: int, t: int) -> None:
@@ -113,7 +162,7 @@ class Family:
     @classmethod
     def complete(cls, n: int, k: int) -> "Family":
         """All k-subsets of [n]."""
-        return cls(n, k, tuple(sorted(mask_of(c) for c in combinations(range(1, n + 1), k))))
+        return cls(n, k, subsets(full_mask(n), k).masks)
 
     def __len__(self) -> int:
         return len(self.members)
@@ -122,7 +171,8 @@ class Family:
         return iter(self.members)
 
     def __contains__(self, mask: int) -> bool:
-        return mask in set(self.members)
+        i = bisect_left(self.members, mask)
+        return i < len(self.members) and self.members[i] == mask
 
     def to_sets(self) -> tuple[tuple[int, ...], ...]:
         return tuple(elements_of(m) for m in self.members)
@@ -159,9 +209,7 @@ def interval_family(n: int, k: int, S: int, M: int) -> Family:
     s, mm = S.bit_count(), M.bit_count()
     if not (s <= k <= mm):
         raise ValueError(f"need |S| <= k <= |M|, got |S|={s} k={k} |M|={mm}")
-    free = elements_of(M & ~S)
-    masks = [S | mask_of(c) for c in combinations(free, k - s)]
-    return Family.from_masks(n, k, masks)
+    return Family(n, k, tuple(S | m for m in subsets(M & ~S, k - s).masks))
 
 
 def anchored_family(n: int, k: int, S: int) -> Family:
@@ -174,35 +222,11 @@ def restrict(family: Family, S: int) -> Family:
     return Family(family.n, family.k, tuple(m for m in family.members if S & ~m == 0))
 
 
-def _min_pairwise_intersection(fs: Sequence[int], gs: Sequence[int]) -> int:
-    a = np.array(fs, dtype=np.uint64)
-    b = np.array(gs, dtype=np.uint64)
-    best = 64
-    # chunk the outer product to bound memory at a few MB
-    step = max(1, _NP_PAIR_CUTOFF // max(1, len(b)))
-    for i in range(0, len(a), step):
-        counts = np.bitwise_count(a[i : i + step, None] & b[None, :])
-        best = min(best, int(counts.min()))
-        if best == 0:
-            break
-    return best
-
-
 def is_cross_t_intersecting(F: Family, G: Family, t: int) -> bool:
     """True iff |f ∩ g| >= t for every f in F, g in G (vacuously true if empty)."""
     if F.n != G.n:
         raise ValueError("families live over different ground sets")
-    if not F.members or not G.members:
-        return True
-    if min(F.k, G.k) < t:
-        return False
-    if len(F.members) * len(G.members) >= _NP_PAIR_CUTOFF:
-        return _min_pairwise_intersection(F.members, G.members) >= t
-    for f in F.members:
-        for g in G.members:
-            if (f & g).bit_count() < t:
-                return False
-    return True
+    return len(select(SubsetTable.of(F.members), G.members, t)) == len(F.members)
 
 
 def is_t_intersecting(F: Family, t: int) -> bool:
@@ -223,22 +247,6 @@ class CoverStructure:
     tau: int
     covers: tuple[int, ...]
     union: int
-
-
-def _covers_by_sweep(members: Sequence[int], t: int, size: int, universe: int) -> list[int]:
-    elems = elements_of(universe)
-    cands = [mask_of(c) for c in combinations(elems, size)]
-    if not cands:
-        return []
-    mem = np.array(members, dtype=np.uint64)
-    ca = np.array(cands, dtype=np.uint64)
-    ok = []
-    step = max(1, _NP_PAIR_CUTOFF // max(1, len(mem)))
-    for i in range(0, len(ca), step):
-        counts = np.bitwise_count(ca[i : i + step, None] & mem[None, :])
-        good = np.where((counts >= t).all(axis=1))[0]
-        ok.extend(cands[i + int(j)] for j in good)
-    return ok
 
 
 def _covers_by_branching(members: Sequence[int], t: int, size: int) -> list[int]:
@@ -290,48 +298,20 @@ def covering_number(family: Family, t: int) -> CoverStructure:
         raise ValueError(f"no t-cover can exist for t={t} > k={family.k}")
     common = family.common_mask()
     if common.bit_count() >= t:
-        covers = sorted(mask_of(c) for c in combinations(elements_of(common), t))
-        union = 0
-        for c in covers:
-            union |= c
-        return CoverStructure(t, tuple(covers), union)
-    universe = family.union_mask()
-    u = universe.bit_count()
-    for size in range(t + 1, u + 1):
-        if comb(u, size) <= _COVER_SWEEP_CAP:
-            covers = _covers_by_sweep(family.members, t, size, universe)
+        size, covers = t, subsets(common, t).masks
+    else:
+        universe = family.union_mask()
+        u = universe.bit_count()
+        for size in range(t + 1, u + 1):
+            if comb(u, size) <= _COVER_SWEEP_CAP:
+                covers = select(subsets(universe, size), family.members, t)
+            else:
+                covers = tuple(_covers_by_branching(family.members, t, size))
+            if covers:
+                break
         else:
-            covers = _covers_by_branching(family.members, t, size)
-        if covers:
-            union = 0
-            for c in covers:
-                union |= c
-            return CoverStructure(size, tuple(sorted(covers)), union)
-    raise AssertionError("unreachable: the union of the family covers it")
-
-
-def _star_masks(members: Sequence[int], n: int, m: int, t: int, universe: int) -> tuple[int, ...]:
-    cand_elems = elements_of(universe)
-    if m > len(cand_elems):
-        return ()
-    total = comb(len(cand_elems), m)
-    if members and total * len(members) >= _NP_PAIR_CUTOFF:
-        cands = [mask_of(c) for c in combinations(cand_elems, m)]
-        mem = np.array(members, dtype=np.uint64)
-        ca = np.array(cands, dtype=np.uint64)
-        keep: list[int] = []
-        step = max(1, _NP_PAIR_CUTOFF // max(1, len(mem)))
-        for i in range(0, len(ca), step):
-            counts = np.bitwise_count(ca[i : i + step, None] & mem[None, :])
-            good = np.where((counts >= t).all(axis=1))[0]
-            keep.extend(cands[i + int(j)] for j in good)
-        return tuple(sorted(keep))
-    out = []
-    for c in combinations(cand_elems, m):
-        g = mask_of(c)
-        if all((g & f).bit_count() >= t for f in members):
-            out.append(g)
-    return tuple(sorted(out))
+            raise AssertionError("unreachable: the union of the family covers it")
+    return CoverStructure(size, covers, reduce(or_, covers, 0))
 
 
 def star(family: Family, m: int, t: int, universe: int | None = None) -> Family:
@@ -342,7 +322,7 @@ def star(family: Family, m: int, t: int, universe: int | None = None) -> Family:
     """
     if universe is None:
         universe = full_mask(family.n)
-    return Family(family.n, m, _star_masks(family.members, family.n, m, t, universe))
+    return Family(family.n, m, select(subsets(universe, m), family.members, t))
 
 
 def closure_pair(F: Family, G: Family, t: int) -> tuple[Family, Family]:
@@ -379,7 +359,7 @@ def closure_tuple(families: Sequence[Family], t: int) -> tuple[Family, ...]:
         changed = False
         for i in order:
             others = [m for j, f in enumerate(fams) if j != i for m in f.members]
-            new = Family(n, fams[i].k, _star_masks(others, n, fams[i].k, t, full_mask(n)))
+            new = Family(n, fams[i].k, select(subsets(full_mask(n), fams[i].k), others, t))
             if new.members != fams[i].members:
                 fams[i] = new
                 changed = True

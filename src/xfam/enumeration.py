@@ -12,11 +12,10 @@ counts. Exceeding a cap is an error, never silent truncation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from math import comb
 
 from .canon import canonical_form_tuple
-from .core import Family, covering_number, mask_of
+from .core import Family, covering_number, full_mask, subsets
 from .formulas import n_threshold
 
 VERTEX_CAP = 70
@@ -38,15 +37,29 @@ def build_intersection_graph(n: int, k: int, t: int, vertex_cap: int = VERTEX_CA
     total = comb(n, k)
     if total > vertex_cap:
         raise ValueError(f"C({n},{k}) = {total} exceeds the vertex cap {vertex_cap}")
-    verts = tuple(sorted(mask_of(c) for c in combinations(range(1, n + 1), k)))
+    verts = subsets(full_mask(n), k).masks
+    rows = tuple(row & ~(1 << i) for i, row in enumerate(_compat_rows(verts, verts, t)))
+    return IntersectionGraph(n, k, t, verts, rows)
+
+
+def _compat_rows(verts, other, t: int) -> list[int]:
+    """Row i: the bitmask of the indices j with |verts[i] ∩ other[j]| >= t."""
     rows = []
-    for i, a in enumerate(verts):
+    for a in verts:
         row = 0
-        for j, b in enumerate(verts):
-            if i != j and (a & b).bit_count() >= t:
+        for j, b in enumerate(other):
+            if (a & b).bit_count() >= t:
                 row |= 1 << j
         rows.append(row)
-    return IntersectionGraph(n, k, t, verts, tuple(rows))
+    return rows
+
+
+def _bits(mask: int):
+    """Indices of the set bits of `mask`, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 def _bron_kerbosch(rows: tuple[int, ...], nverts: int) -> list[int]:
@@ -85,41 +98,19 @@ def enumerate_maximal_t_intersecting(n: int, k: int, t: int, vertex_cap: int = V
     """Every maximal t-intersecting k-uniform family over [n], exactly once."""
     graph = build_intersection_graph(n, k, t, vertex_cap)
     cliques = _bron_kerbosch(graph.rows, len(graph.vertices))
-    fams = []
-    for cm in cliques:
-        members = []
-        m = cm
-        while m:
-            low = m & -m
-            members.append(graph.vertices[low.bit_length() - 1])
-            m ^= low
-        fams.append(Family.from_masks(n, k, members))
+    fams = [Family(n, k, tuple(graph.vertices[i] for i in _bits(cm))) for cm in cliques]
     fams.sort(key=lambda f: f.members)
     return fams
 
 
-def _cross_rows(verts1: tuple[int, ...], verts2: tuple[int, ...], t: int) -> tuple[list[int], list[int]]:
-    rows12 = []
-    for a in verts1:
-        row = 0
-        for j, b in enumerate(verts2):
-            if (a & b).bit_count() >= t:
-                row |= 1 << j
-        rows12.append(row)
-    rows21 = []
-    for b in verts2:
-        row = 0
-        for i, a in enumerate(verts1):
-            if (a & b).bit_count() >= t:
-                row |= 1 << i
-        rows21.append(row)
-    return rows12, rows21
-
-
-def _sweep_fixed_points(rows12: list[int], rows21: list[int], include_empty: bool = False) -> list[tuple[int, int]]:
-    """All (F, G) with G the star of F and F the star of G, as vertex masks.
-    The sweep over every subset of side 1 is exhaustive: a maximal pair is
-    determined by either side."""
+def _sweep_fixed_points(
+    verts1, verts2, t: int, include_empty: bool = False
+) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """All (F, G) over verts1 x verts2 with G the star of F and F the star of
+    G, as member tuples, ordered by the vertex mask of F. The sweep over
+    every subset of side 1 is exhaustive: a maximal pair is determined by
+    either side. Each caller bounds len(verts1) by its own cap."""
+    rows12, rows21 = _compat_rows(verts1, verts2, t), _compat_rows(verts2, verts1, t)
     v1, v2 = len(rows12), len(rows21)
     full1, full2 = (1 << v1) - 1, (1 << v2) - 1
     pairs = []
@@ -136,9 +127,8 @@ def _sweep_fixed_points(rows12: list[int], rows21: list[int], include_empty: boo
             low = m & -m
             f2 &= rows21[low.bit_length() - 1]
             m ^= low
-        if f2 == fmask:
-            if include_empty or (fmask and g):
-                pairs.append((fmask, g))
+        if f2 == fmask and (include_empty or (fmask and g)):
+            pairs.append((tuple(verts1[i] for i in _bits(fmask)), tuple(verts2[j] for j in _bits(g))))
     return pairs
 
 
@@ -150,23 +140,10 @@ def enumerate_maximal_pairs(
     v1 = comb(n, k1)
     if v1 > subset_cap:
         raise ValueError(f"C({n},{k1}) = {v1} exceeds the subset cap {subset_cap}")
-    verts1 = tuple(sorted(mask_of(c) for c in combinations(range(1, n + 1), k1)))
-    verts2 = tuple(sorted(mask_of(c) for c in combinations(range(1, n + 1), k2)))
-    rows12, rows21 = _cross_rows(verts1, verts2, t)
-    out = []
-    for fmask, gmask in _sweep_fixed_points(rows12, rows21):
-        f = Family.from_masks(n, k1, (verts1[i] for i in _bits(fmask)))
-        g = Family.from_masks(n, k2, (verts2[j] for j in _bits(gmask)))
-        out.append((f, g))
+    verts1, verts2 = subsets(full_mask(n), k1).masks, subsets(full_mask(n), k2).masks
+    out = [(Family(n, k1, f), Family(n, k2, g)) for f, g in _sweep_fixed_points(verts1, verts2, t)]
     out.sort(key=lambda fg: (fg[0].members, fg[1].members))
     return out
-
-
-def _bits(mask: int):
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
 
 
 @dataclass

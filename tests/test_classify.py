@@ -112,11 +112,11 @@ def test_residual_sweeps():
     tuples = maximal_cross_tuples(6, mask_of([3, 4, 5, 6]), 2, 3)
     for tup in tuples:
         # round-robin fixed point: each component is the star of the others
-        from xfam.core import _star_masks
+        from xfam.core import select, subsets
 
         for i, members in enumerate(tup):
             others = [m for j, o in enumerate(tup) if j != i for m in o]
-            assert tuple(sorted(members)) == _star_masks(others, 6, 2, 1, mask_of([3, 4, 5, 6]))
+            assert tuple(sorted(members)) == select(subsets(mask_of([3, 4, 5, 6]), 2), others, 1)
 
 
 def test_unmatched_returns_none_template():
