@@ -150,6 +150,9 @@ def _is_maximal_residual_tuple(n: int, universe: int, size_each: list[int], tup:
 
 # ---------------------------------------------------------------------------
 # the classifiers
+#
+# Anchor searches walk element tuples from `combinations`, not the mask-ordered
+# table in `core`: their order is the order in which witnesses are reported.
 
 
 def classify_fact_2_1(F: Family, t: int) -> TemplateMatch:

@@ -13,7 +13,6 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys
 from fractions import Fraction
 
@@ -22,7 +21,6 @@ from . import (
     classify_fact_2_1,
     classify_pair_theorem_1_1,
     classify_theorem_1_2,
-    construction_pair,
     covering_number,
     enumerate_maximal_t_intersecting,
     extremal_product_search,
@@ -30,7 +28,7 @@ from . import (
     leading_constant_check,
     n_threshold,
     read_family,
-    verify_construction,
+    verify_grid,
 )
 from .constructions import PAIR_KINDS, default_grid as construction_grid
 from .formulas import (
@@ -44,7 +42,10 @@ from .formulas import (
     eval_g,
     eval_h,
     eval_tau_bound,
-    eval_tilde,
+    tilde_a,
+    tilde_c1c2,
+    tilde_g,
+    tilde_h,
 )
 
 
@@ -107,6 +108,9 @@ def _parse_grid(text: str | None, default):
     for chunk in text.split(";"):
         name, _, expr = chunk.partition("=")
         dims[name.strip()] = expr.strip()
+    missing = [name for name in "tkln" if name not in dims]
+    if missing:
+        raise ValueError(f"grid spec {text!r} lacks {', '.join(missing)}")
     pts = []
     for t in parse_range(dims["t"], {}):
         for k in parse_range(dims["k"], {"t": t}):
@@ -150,18 +154,8 @@ def _cmd_construct(args) -> int:
 def _cmd_verify_constructions(args) -> int:
     pts = _parse_grid(args.grid, construction_grid)
     kinds = args.kinds.split(",") if args.kinds else list(PAIR_KINDS)
-    reports = []
-    ok = True
-    for kind in sorted(kinds):
-        for t, k, l, n in pts:
-            if kind == "BB" and t != 1:
-                continue
-            spec, partner = construction_pair(kind, n, k, l, t)
-            rep = verify_construction(spec, partner, check_maximal=args.maximal)
-            rep["pair_kind"] = kind
-            rep["point"] = {"t": t, "k": k, "l": l, "n": n}
-            ok = ok and rep["pass"]
-            reports.append(rep)
+    reports = verify_grid(kinds, pts, check_maximal=args.maximal)
+    ok = all(rep["pass"] for rep in reports)
     _emit(_report("verify-constructions", {"grid": args.grid or "default", "kinds": kinds}, reports, ok), args.out)
     return 0 if ok else 1
 
@@ -209,8 +203,12 @@ def _cmd_search(args) -> int:
 
 
 def _cmd_classify(args) -> int:
+    if args.theorem == "1.1" and not args.infile2:
+        sys.stderr.write("--theorem 1.1 needs --in2 with the partner family\n")
+        return 2
     try:
         fam = read_family(args.infile)
+        partner = read_family(args.infile2) if args.theorem == "1.1" else None
     except OSError as exc:
         sys.stderr.write(f"cannot read family file: {exc}\n")
         return 2
@@ -218,13 +216,8 @@ def _cmd_classify(args) -> int:
         match = classify_theorem_1_2(fam, args.t)
     elif args.theorem == "fact2.1":
         match = classify_fact_2_1(fam, args.t)
-    elif args.theorem == "1.1":
-        if not args.infile2:
-            sys.stderr.write("--theorem 1.1 needs --in2 with the partner family\n")
-            return 2
-        match = classify_pair_theorem_1_1(fam, read_family(args.infile2), args.t)
     else:
-        raise AssertionError
+        match = classify_pair_theorem_1_1(fam, partner, args.t)
     payload = _report(
         "classify",
         {"in": args.infile, "theorem": args.theorem, "t": args.t},
@@ -320,6 +313,11 @@ _FORMULAS = {
     "c2": (eval_c2, ("x", "y", "t", "n")),
     "h": (eval_h, ("x", "y", "t", "n")),
     "f": (eval_f, ("m", "k", "l", "n", "t")),
+    "tilde-a": (tilde_a, ("x", "t", "n")),
+    "tilde-h": (tilde_h, ("x", "y", "t", "n")),
+    "tilde-g": (tilde_g, ("m", "x", "y", "t", "n")),
+    "tilde-c1c2": (tilde_c1c2, ("x", "y", "t", "n")),
+    "tau-bound": (eval_tau_bound, ("side", "tau_f", "tau_g", "k", "l", "n", "t")),
 }
 
 
@@ -328,23 +326,17 @@ def _cmd_eval(args) -> int:
     for item in args.args:
         name, _, val = item.partition("=")
         kv[name] = int(val)
-    if args.formula in _FORMULAS:
-        fn, names = _FORMULAS[args.formula]
-        missing = [x for x in names if x not in kv]
-        if missing:
-            sys.stderr.write(f"missing arguments: {', '.join(missing)}\n")
-            return 2
-        value = fn(*(kv[x] for x in names))
-    elif args.formula.startswith("tilde-"):
-        kind = args.formula[len("tilde-") :]
-        n = kv.pop("n")
-        value = eval_tilde(kind, n, **kv)
-    elif args.formula == "tau-bound":
-        side = "F" if kv.pop("side", 0) == 0 else "G"
-        value = eval_tau_bound(side, kv["tau_f"], kv["tau_g"], kv["k"], kv["l"], kv["n"], kv["t"])
-    else:
+    if args.formula not in _FORMULAS:
         sys.stderr.write(f"unknown formula {args.formula!r}\n")
         return 2
+    if args.formula == "tau-bound":
+        kv["side"] = "F" if kv.get("side", 0) == 0 else "G"
+    fn, names = _FORMULAS[args.formula]
+    missing = [x for x in names if x not in kv]
+    if missing:
+        sys.stderr.write(f"missing arguments: {', '.join(missing)}\n")
+        return 2
+    value = fn(*(kv[x] for x in names))
     if isinstance(value, Fraction):
         sys.stdout.write(f"{value.numerator}/{value.denominator}\n")
     else:
@@ -377,12 +369,6 @@ def _cmd_leading_term(args) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="xfam", description=__doc__)
-    parser.add_argument(
-        "--jobs",
-        type=int,
-        default=int(os.environ.get("XFAM_JOBS", "1")),
-        help="worker bound for grid runs (grids here are small; kept for interface stability)",
-    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("construct", help="emit one construction in the family text format")

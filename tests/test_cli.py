@@ -110,3 +110,19 @@ def test_leading_term(capsys):
 def test_bad_construct_args(capsys):
     code, _, err = run(capsys, "construct", "--kind", "B", "--n", "6", "--k", "2", "--t", "1", "--quad", "1 2 2 4")
     assert code == 2 and "error" in err
+
+
+def test_usage_errors_exit_2(capsys):
+    code, _, err = run(capsys, "verify-constructions", "--grid", "t=1")
+    assert code == 2 and "lacks k, l, n" in err
+    code, _, err = run(capsys, "eval", "--formula", "tilde-a", "--args", "x=2", "t=1")
+    assert code == 2 and "missing arguments: n" in err
+    code, _, err = run(capsys, "eval", "--formula", "tau-bound", "--args", "tau_f=2", "tau_g=3")
+    assert code == 2 and "missing arguments: k, l, n, t" in err
+
+
+def test_classify_missing_partner_file(capsys, tmp_path):
+    path = tmp_path / "fam.txt"
+    run(capsys, "construct", "--kind", "A", "--n", "6", "--k", "3", "--t", "1", "--out", str(path))
+    code, _, err = run(capsys, "classify", "--in", str(path), "--in2", "/nonexistent/fam.txt", "--theorem", "1.1", "--t", "1")
+    assert code == 2 and "cannot read" in err

@@ -1,3 +1,5 @@
+from itertools import combinations
+
 import pytest
 
 from xfam import (
@@ -60,6 +62,31 @@ def test_family_validation():
     # constructor sorts through from_masks, raw tuple must already be sorted
     with pytest.raises(ValueError):
         Family(4, 2, (mask_of([1, 3]), mask_of([1, 2])))
+
+
+def test_membership():
+    f = Family.from_sets(5, 2, [(1, 2), (2, 4), (3, 5)])
+    members = set(f.members)
+    assert all((m in f) == (m in members) for m in range(1 << 5))
+    assert 0 not in Family(5, 2, ())
+
+
+def test_subsets_and_select_match_loops():
+    import random
+
+    from xfam.core import _NP_PAIR_CUTOFF, select, subsets
+
+    universe = mask_of([1, 3, 4, 6, 7, 9, 10, 11, 12, 14])
+    table = subsets(universe, 4)
+    assert table.masks == tuple(sorted(mask_of(c) for c in combinations(elements_of(universe), 4)))
+    assert table.array.tolist() == list(table.masks)
+    rng = random.Random(5)
+    for count in (3, 200):  # one input below the numpy cutoff, one above
+        members = [mask_of(rng.sample(range(1, 15), 6)) for _ in range(count)]
+        assert (len(table.masks) * count >= _NP_PAIR_CUTOFF) == (count == 200)
+        for t in (1, 2):
+            expect = tuple(c for c in table.masks if all((c & m).bit_count() >= t for m in members))
+            assert select(table, members, t) == expect
 
 
 def test_interval_family():
