@@ -98,7 +98,8 @@ def subsets(universe: int, size: int) -> SubsetTable:
 
 def select(cands: SubsetTable, members: Sequence[int], t: int) -> tuple[int, ...]:
     """The candidates meeting every member in >= t elements, in table order
-    (all of them when `members` is empty)."""
+    (all of them when `members` is empty). A pure loop below _NP_PAIR_CUTOFF
+    (candidate, member) pairs, chunked np.bitwise_count from there on."""
     masks = cands.masks
     if len(masks) * len(members) < _NP_PAIR_CUTOFF:
         return tuple(c for c in masks if all((c & m).bit_count() >= t for m in members))

@@ -42,7 +42,7 @@ def build_intersection_graph(n: int, k: int, t: int, vertex_cap: int = VERTEX_CA
     return IntersectionGraph(n, k, t, verts, rows)
 
 
-def _compat_rows(verts, other, t: int) -> list[int]:
+def _compat_rows(verts: tuple[int, ...], other: tuple[int, ...], t: int) -> list[int]:
     """Row i: the bitmask of the indices j with |verts[i] ∩ other[j]| >= t."""
     rows = []
     for a in verts:
@@ -104,7 +104,7 @@ def enumerate_maximal_t_intersecting(n: int, k: int, t: int, vertex_cap: int = V
 
 
 def _sweep_fixed_points(
-    verts1, verts2, t: int, include_empty: bool = False
+    verts1: tuple[int, ...], verts2: tuple[int, ...], t: int, include_empty: bool = False
 ) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
     """All (F, G) over verts1 x verts2 with G the star of F and F the star of
     G, as member tuples, ordered by the vertex mask of F. The sweep over

@@ -1,3 +1,4 @@
+import random
 from itertools import combinations
 
 import pytest
@@ -23,6 +24,7 @@ from xfam import (
     restrict,
     star,
 )
+from xfam.core import _NP_PAIR_CUTOFF, select, subsets
 from helpers import brute_covers
 
 
@@ -72,10 +74,6 @@ def test_membership():
 
 
 def test_subsets_and_select_match_loops():
-    import random
-
-    from xfam.core import _NP_PAIR_CUTOFF, select, subsets
-
     universe = mask_of([1, 3, 4, 6, 7, 9, 10, 11, 12, 14])
     table = subsets(universe, 4)
     assert table.masks == tuple(sorted(mask_of(c) for c in combinations(elements_of(universe), 4)))
