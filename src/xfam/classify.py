@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 from itertools import combinations, permutations, product
 
 from .core import (
+    CoverStructure,
     Family,
     anchored_family,
     covering_number,
@@ -65,7 +66,7 @@ def _no_match() -> TemplateMatch:
 # constructions are built by their member builders)
 
 
-def _iii_members(n: int, k: int, t: int, M: int, residuals: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
+def _iii_members(n: int, k: int, M: int, residuals: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
     mels = elements_of(M)
     out = set(anchored_family(n, k, M).members)
     for i, e in enumerate(mels):
@@ -137,7 +138,7 @@ def maximal_cross_tuples(
     return out
 
 
-def _is_maximal_residual_tuple(n: int, universe: int, size_each: list[int], tup: list[tuple[int, ...]]) -> bool:
+def _is_maximal_residual_tuple(universe: int, size_each: list[int], tup: list[tuple[int, ...]]) -> bool:
     """Star fixed-point test for pairwise cross-intersecting residual tuples
     over a reduced universe (empty components star to the complete family)."""
     for i, members in enumerate(tup):
@@ -167,16 +168,17 @@ def classify_fact_2_1(F: Family, t: int) -> TemplateMatch:
     for m in F.members:
         for e in elements_of(m):
             degrees[e] += 1
+    form = canonical_form(F)
     if len(F) == t + 2 and max(degrees[1:]) <= t + 1:
         template = interval_family(n, t + 1, 0, full_mask(t + 2))
-        if canonical_form(F) == canonical_form(template):
+        if form == canonical_form(template):
             return TemplateMatch(
                 "F2.1-simplex", {"M": elements_of(F.union_mask())}, (("F2.1-simplex", {}),)
             )
     common = F.common_mask()
     if common.bit_count() >= t:
         template = anchored_family(n, t + 1, full_mask(t))
-        if canonical_form(F) == canonical_form(template):
+        if form == canonical_form(template):
             return TemplateMatch("F2.1-star", {"T": elements_of(common)}, (("F2.1-star", {}),))
     return _no_match()
 
@@ -225,9 +227,9 @@ def _match_iii(F: Family, t: int, covers: tuple[int, ...]) -> list[tuple[str, di
         if sum(1 for r in tup if r) < 2:
             continue
         universe = full_mask(n) & ~M
-        if not _is_maximal_residual_tuple(n, universe, [k - t] * len(tup), tup):
+        if not _is_maximal_residual_tuple(universe, [k - t] * len(tup), tup):
             continue
-        if _iii_members(n, k, t, M, tuple(tup)) == F.members:
+        if _iii_members(n, k, M, tuple(tup)) == F.members:
             witness = {"M": mels, "residual_sizes": tuple(len(r) for r in tup)}
             out.append(("T1.2-iii", witness))
     return out
@@ -272,7 +274,7 @@ def _match_iv(F: Family, t: int, covers: tuple[int, ...], cover_union: int) -> l
                     continue
                 At = tuple(sorted(A))
                 universe = full_mask(n) & ~Mm
-                if not _is_maximal_residual_tuple(n, universe, [k - t, k - m + 1], [At, B]):
+                if not _is_maximal_residual_tuple(universe, [k - t, k - m + 1], [At, B]):
                     continue
                 if _iv_members(n, k, t, Tm, Mm, At, B) == F.members:
                     witness = {
@@ -290,12 +292,19 @@ def _match_iv(F: Family, t: int, covers: tuple[int, ...], cover_union: int) -> l
 def classify_theorem_1_2(F: Family, t: int) -> TemplateMatch:
     """Match a maximal t-intersecting family with covering number t+1 against
     the four structure templates; returns every template that reconstructs
-    the family exactly."""
+    the family exactly. Checks both preconditions, then `match_theorem_1_2`."""
     if not is_maximal_t_intersecting(F, t):
         raise ValueError("family is not maximal")
     cov = covering_number(F, t)
     if cov.tau != t + 1:
         raise ValueError(f"covering number is {cov.tau}, need t+1 = {t + 1}")
+    return match_theorem_1_2(F, t, cov)
+
+
+def match_theorem_1_2(F: Family, t: int, cov: CoverStructure) -> TemplateMatch:
+    """The matching step of `classify_theorem_1_2`, unchecked: the caller
+    guarantees that F is maximal t-intersecting, `cov == covering_number(F, t)`
+    and `cov.tau == t + 1`; on other input the result is meaningless."""
     matches: list[tuple[str, dict]] = []
     matches += _match_i(F, t, cov.union)
     matches += _match_ii(F, t, cov.union)
@@ -351,7 +360,7 @@ def classify_pair_theorem_1_1(F1: Family, F2: Family, t: int) -> TemplateMatch:
             for Lx in combinations(rest, fam_c1.k - t):
                 Lm = Pm | mask_of(Lx)
                 if (
-                    _c1_members(n, fam_c1.k, t, Pm, Lm) == fam_c1.members
+                    _c1_members(n, fam_c1.k, Pm, Lm) == fam_c1.members
                     and _c2_members(n, fam_c2.k, t, Pm, Lm) == fam_c2.members
                 ):
                     witness = {
@@ -369,17 +378,10 @@ def classify_pair_theorem_1_1(F1: Family, F2: Family, t: int) -> TemplateMatch:
             ) == F2.members:
                 matches.append(("T1.1-BB", {"quad": quad}))
 
-    # dedupe identical (template, witness) entries found via several routes
-    seen = set()
-    unique = []
-    for name, wit in matches:
-        key = (name, tuple(sorted((k, str(v)) for k, v in wit.items())))
-        if key not in seen:
-            seen.add(key)
-            unique.append((name, wit))
-    if not unique:
+    # each route enumerates its full anchor tuple once, so no entry repeats
+    if not matches:
         return _no_match()
-    return TemplateMatch(unique[0][0], unique[0][1], tuple(unique))
+    return TemplateMatch(matches[0][0], matches[0][1], tuple(matches))
 
 
 # ---------------------------------------------------------------------------
@@ -409,7 +411,7 @@ def theorem_1_2_instances(n: int, k: int, t: int) -> list[tuple[Family, str, dic
     for tup in maximal_cross_tuples(n, universe, k - t, t + 1):
         if sum(1 for r in tup if r) < 2:
             continue
-        fam = Family(n, k, _iii_members(n, k, t, M, tup))
+        fam = Family(n, k, _iii_members(n, k, M, tup))
         out.append((fam, "T1.2-iii", {"M": tuple(range(1, t + 2)), "residual_sizes": tuple(len(r) for r in tup)}))
     for m in range(t + 2, k + 1):
         Mm = full_mask(m)

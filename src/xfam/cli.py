@@ -13,6 +13,7 @@ import argparse
 import csv
 import io
 import json
+import re
 import sys
 from fractions import Fraction
 
@@ -26,11 +27,12 @@ from . import (
     extremal_product_search,
     family_to_text,
     leading_constant_check,
+    match_theorem_1_2,
     n_threshold,
     read_family,
     verify_grid,
 )
-from .constructions import PAIR_KINDS, default_grid as construction_grid
+from .constructions import PAIR_KINDS, default_D_anchors, default_grid as construction_grid
 from .formulas import (
     ALL_LEMMAS,
     audit_lemma,
@@ -61,13 +63,17 @@ def _jsonable(value):
     return value
 
 
-def _emit(payload: dict, out: str | None) -> None:
-    text = json.dumps(_jsonable(payload), indent=2, sort_keys=True) + "\n"
+def _write(text: str, out: str | None) -> None:
+    """Write to the --out file, or to stdout without one."""
     if out:
         with io.open(out, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
+
+
+def _emit(payload: dict, out: str | None) -> None:
+    _write(json.dumps(_jsonable(payload), indent=2, sort_keys=True) + "\n", out)
 
 
 def _report(command: str, params: dict, results, verdict: bool) -> dict:
@@ -83,9 +89,22 @@ def _parse_ints(text: str) -> tuple[int, ...]:
     return tuple(int(x) for x in text.replace(",", " ").split())
 
 
+def _grid_value(expr: str, env: dict[str, int]) -> int:
+    """Value of a grid bound: integers and names from `env` joined by + or -."""
+    parts = re.split(r"([+-])", "+" + expr)
+    total = 0
+    for sign, term in zip(parts[1::2], parts[2::2]):
+        term = term.strip()
+        if not (term.isdigit() or term in env):
+            raise ValueError(f"bad grid bound {expr!r}: join integers and names ({', '.join(env) or 'none here'}) by + or -")
+        total += (env[term] if term in env else int(term)) * (1 if sign == "+" else -1)
+    return total
+
+
 def _parse_grid(text: str | None, default):
-    """Grid spec 't=1,2;k=2..4;l=2..5;n=8..12' -> sorted (t,k,l,n) points;
-    k and l ranges may reference t (e.g. k=t+1..t+4) and n may reference l."""
+    """Grid spec 't=1,2;k=2..4;l=2..5;n=8..12' -> sorted (t,k,l,n) points.
+    A bound is integers and names joined by + or -; k may name t, l may name
+    t and k, and n may name t, k and l (e.g. k=t+1..t+4, n=l+2..12)."""
     if text is None or text == "default":
         return default()
 
@@ -93,16 +112,11 @@ def _parse_grid(text: str | None, default):
         vals: list[int] = []
         for part in expr.split(","):
             if ".." in part:
-                lo, hi = part.split("..")
-                vals.extend(range(_eval(lo, env), _eval(hi, env) + 1))
+                lo, _, hi = part.partition("..")
+                vals.extend(range(_grid_value(lo, env), _grid_value(hi, env) + 1))
             else:
-                vals.append(_eval(part, env))
+                vals.append(_grid_value(part, env))
         return vals
-
-    def _eval(expr: str, env: dict[str, int]) -> int:
-        allowed = {"__builtins__": {}}
-        allowed.update(env)
-        return int(eval(expr, allowed))  # tiny arithmetic like t+1; no builtins
 
     dims: dict[str, str] = {}
     for chunk in text.split(";"):
@@ -129,25 +143,21 @@ def _family_json(fam) -> dict:
 
 
 def _cmd_construct(args) -> int:
+    quad = _parse_ints(args.quad) if args.quad else None
+    T, xs = default_D_anchors(args.t) if args.kind == "D" else (None, None)
     spec = ConstructionSpec(
         kind=args.kind,
         n=args.n,
         k=args.k,
         t=args.t,
         l=args.l,
-        quad=_parse_ints(args.quad) if args.quad else None,
+        quad=quad,
         X=_parse_ints(args.x) if args.x else None,
         Y=_parse_ints(args.y) if args.y else None,
-        T=_parse_ints(args.anchor) if args.anchor else (tuple(range(1, args.t)) if args.kind == "D" else None),
-        xs=_parse_ints(args.quad) if (args.kind == "D" and args.quad) else ((args.t, args.t + 1, args.t + 2, args.t + 3) if args.kind == "D" else None),
+        T=_parse_ints(args.anchor) if args.anchor else T,
+        xs=quad if xs and quad is not None else xs,
     )
-    fam = spec.build()
-    text = family_to_text(fam)
-    if args.out:
-        with io.open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write(family_to_text(spec.build()), args.out)
     return 0
 
 
@@ -171,13 +181,7 @@ def _cmd_enumerate(args) -> int:
         )
         _emit(payload, args.out)
         return 0
-    blocks = [family_to_text(f) for f in fams]
-    text = "\n".join(blocks)
-    if args.out:
-        with io.open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write("\n".join(family_to_text(f) for f in fams), args.out)
     sys.stderr.write(f"{len(fams)} maximal families\n")
     return 0
 
@@ -237,11 +241,13 @@ def _cmd_classify_all(args) -> int:
     counts: dict[str, int] = {}
     unmatched = []
     examined = 0
+    # each Bron-Kerbosch clique is maximal t-intersecting; only tau is checked
     for fam in fams:
-        if covering_number(fam, args.t).tau != args.t + 1:
+        cov = covering_number(fam, args.t)
+        if cov.tau != args.t + 1:
             continue
         examined += 1
-        match = classify_theorem_1_2(fam, args.t)
+        match = match_theorem_1_2(fam, args.t, cov)
         if not match.matched:
             unmatched.append(_family_json(fam))
             continue
@@ -279,11 +285,7 @@ def _cmd_audit(args) -> int:
                 rows.append([rep.lemma, p.verdict, p.lhs, p.rhs, p.note, json.dumps(p.params, sort_keys=True)])
         buf = io.StringIO()
         csv.writer(buf).writerows(rows)
-        if args.out:
-            with io.open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(buf.getvalue())
-        else:
-            sys.stdout.write(buf.getvalue())
+        _write(buf.getvalue(), args.out)
         return 0 if ok else 1
     payload = _report(
         "audit",
@@ -321,7 +323,7 @@ _FORMULAS = {
 }
 
 
-def _cmd_eval(args) -> int:
+def _cmd_evaluate(args) -> int:
     kv = {}
     for item in args.args:
         name, _, val = item.partition("=")
@@ -436,7 +438,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="print one exact formula value")
     p.add_argument("--formula", required=True, help="g|a|c1|c2|h|f|tilde-a|tilde-h|tilde-g|tilde-c1c2|tau-bound")
     p.add_argument("--args", nargs="*", default=[], help="name=value pairs")
-    p.set_defaults(fn=_cmd_eval)
+    p.set_defaults(fn=_cmd_evaluate)
 
     p = sub.add_parser("threshold", help="ground-set size where the extremal classification is proved")
     p.add_argument("--k", type=int, required=True)

@@ -55,7 +55,7 @@ def _b_members(n: int, k: int, quad: tuple[int, int, int, int]) -> tuple[int, ..
     return tuple(f for f in subsets(full_mask(n), k).masks if any(a & ~f == 0 for a in anchors))
 
 
-def _c1_members(n: int, l: int, t: int, Pm: int, Lm: int) -> tuple[int, ...]:
+def _c1_members(n: int, l: int, Pm: int, Lm: int) -> tuple[int, ...]:
     """l-sets containing P, plus L minus one element of P."""
     specials = {Lm ^ (1 << (e - 1)) for e in elements_of(Pm)}
     return tuple(sorted(set(anchored_family(n, l, Pm).members) | specials))
@@ -107,7 +107,7 @@ def construct_C1(n: int, l: int, t: int) -> Family:
     """The t+1 sets [l+1] minus one of [t+1], plus all l-sets containing [t+1]."""
     if not (t + 1 <= l) or n < l + 1:
         raise ValueError(f"need l >= t+1 and n >= l+1, got n={n} l={l} t={t}")
-    return Family(n, l, _c1_members(n, l, t, full_mask(t + 1), full_mask(l + 1)))
+    return Family(n, l, _c1_members(n, l, full_mask(t + 1), full_mask(l + 1)))
 
 
 @lru_cache(maxsize=4096)

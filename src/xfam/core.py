@@ -329,16 +329,7 @@ def star(family: Family, m: int, t: int, universe: int | None = None) -> Family:
 def closure_pair(F: Family, G: Family, t: int) -> tuple[Family, Family]:
     """Alternate star applications until a fixed point: the unique maximal
     cross-t-intersecting pair containing (F, G). Rejects invalid input."""
-    if not F.members or not G.members:
-        raise ValueError("closure of an empty-sided pair is degenerate; both sides must be nonempty")
-    if not is_cross_t_intersecting(F, G, t):
-        raise ValueError("input pair is not cross t-intersecting")
-    while True:
-        G2 = star(F, G.k, t)
-        F2 = star(G2, F.k, t)
-        if F2.members == F.members and G2.members == G.members:
-            return F, G
-        F, G = F2, G2
+    return closure_tuple((F, G), t)
 
 
 def closure_tuple(families: Sequence[Family], t: int) -> tuple[Family, ...]:
@@ -352,8 +343,8 @@ def closure_tuple(families: Sequence[Family], t: int) -> tuple[Family, ...]:
             if not is_cross_t_intersecting(fams[i], fams[j], t):
                 raise ValueError(f"families {i} and {j} are not cross t-intersecting")
     n = fams[0].n
-    # update order 2..r then 1, so the two-component case coincides with
-    # closure_pair (whose first star application grows the second side)
+    # update order 2..r then 1: for a pair, the first star application grows
+    # the second side, which is the alternation closure_pair documents
     order = list(range(1, len(fams))) + [0]
     changed = True
     while changed:

@@ -420,11 +420,12 @@ def audit_lemma(lemma: str, grid: Sequence[tuple[int, int, int, int]] | None = N
 # ---------------------------------------------------------------------------
 # leading-term convergence
 
+# the audit's pair products, keyed (t, k, l, n); BB has the sizes of AA at t = 1
 _PAIR_PRODUCTS: dict[str, Callable[[int, int, int, int], int]] = {
-    "AA": lambda k, l, t, n: eval_a(k, t, n) * eval_a(l, t, n),
-    "HH": lambda k, l, t, n: eval_h(k, l, t, n) * eval_h(l, k, t, n),
-    "CC": lambda k, l, t, n: eval_c1(l, t, n) * eval_c2(k, l, t, n),
-    "BB": lambda k, l, t, n: eval_a(k, 1, n) * eval_a(l, 1, n),
+    "AA": _aa,
+    "HH": _hh,
+    "CC": _cc,
+    "BB": lambda t, k, l, n: _aa(1, k, l, n),
 }
 
 
@@ -461,7 +462,7 @@ def leading_constant_check(
     c = leading_constant(pair_kind, k, l, t)
     rows = []
     for n in sorted(n_sequence):
-        product = _PAIR_PRODUCTS[pair_kind](k, l, t, n)
+        product = _PAIR_PRODUCTS[pair_kind](t, k, l, n)
         ratio = Fraction(product * scale, n**exponent)
         rows.append({"n": n, "product": str(product), "ratio": ratio})
     final_gap = abs(rows[-1]["ratio"] - c) / c

@@ -11,8 +11,10 @@ from xfam import (
     construct_C1,
     construct_C2,
     construct_H,
+    covering_number,
     enumerate_maximal_t_intersecting,
     mask_of,
+    match_theorem_1_2,
     maximal_cross_pairs,
     maximal_cross_tuples,
     theorem_1_2_instances,
@@ -55,6 +57,14 @@ def test_generated_instances_match_their_template():
         for family, name, _ in theorem_1_2_instances(n, k, t):
             m = classify_theorem_1_2(family, t)
             assert name in {x[0] for x in m.all_matches}, (n, k, t, name)
+
+
+def test_matcher_agrees_with_checked_entry():
+    for (n, k, t) in [(6, 3, 1), (7, 4, 2)]:
+        for family in enumerate_maximal_t_intersecting(n, k, t):
+            cov = covering_number(family, t)
+            if cov.tau == t + 1:
+                assert match_theorem_1_2(family, t, cov) == classify_theorem_1_2(family, t), (n, k, t)
 
 
 def test_fact_2_1_examples():

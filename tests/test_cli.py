@@ -119,6 +119,10 @@ def test_usage_errors_exit_2(capsys):
     assert code == 2 and "missing arguments: n" in err
     code, _, err = run(capsys, "eval", "--formula", "tau-bound", "--args", "tau_f=2", "tau_g=3")
     assert code == 2 and "missing arguments: k, l, n, t" in err
+    # grid bounds are integer terms, never code
+    for grid in ("t=1;k=y;l=2;n=5", "t=(1).__class__.__name__.__len__();k=2;l=2;n=5", "t=1;k=2;l=2;n=l+2.."):
+        code, out, err = run(capsys, "verify-constructions", "--grid", grid)
+        assert code == 2 and out == "" and "Traceback" not in err and "bad grid bound" in err, grid
 
 
 def test_classify_missing_partner_file(capsys, tmp_path):
@@ -126,3 +130,24 @@ def test_classify_missing_partner_file(capsys, tmp_path):
     run(capsys, "construct", "--kind", "A", "--n", "6", "--k", "3", "--t", "1", "--out", str(path))
     code, _, err = run(capsys, "classify", "--in", str(path), "--in2", "/nonexistent/fam.txt", "--theorem", "1.1", "--t", "1")
     assert code == 2 and "cannot read" in err
+
+
+def test_grid_points():
+    from xfam.cli import _parse_grid
+
+    assert _parse_grid("t=1,2;k=t+1..t+2;l=t+1..t+2;n=l+2..8", None) == [
+        (t, k, l, n)
+        for t in (1, 2)
+        for k in range(t + 1, t + 3)
+        for l in range(t + 1, t + 3)
+        for n in range(l + 2, 9)
+    ]
+    assert _parse_grid("t=1;k=2,3;l=2,3;n=l+2..10", None) == [
+        (1, k, l, n) for k in (2, 3) for l in (2, 3) for n in range(l + 2, 11)
+    ]
+    assert _parse_grid("t=1;k=4;l=4;n=12", None) == [(1, 4, 4, 12)]
+    assert _parse_grid("t=1;k=2;l=2,3;n=259,260", None) == [(1, 2, l, n) for l in (2, 3) for n in (259, 260)]
+    assert _parse_grid("t = 2 ; k=t + 1..5 - t ; l=k-1 ; n=10, l+k", None) == [
+        (2, 3, 2, 5),
+        (2, 3, 2, 10),
+    ]
