@@ -37,7 +37,7 @@ from .core import (
 )
 from .canon import canonical_form
 from .constructions import _a_members, _b_members, _c1_members, _c2_members, _h_members
-from .enumeration import _bits, _compat_rows, _sweep_fixed_points
+from .enumeration import _bits, _closed_pairs, _compat_rows
 
 TUPLE_SWEEP_BUDGET = 4_000_000
 
@@ -91,18 +91,18 @@ def _iv_members(
 
 
 def maximal_cross_pairs(
-    n: int, universe: int, size1: int, size2: int, t: int = 1, include_empty: bool = True
+    universe: int, size1: int, size2: int, t: int = 1, include_empty: bool = True
 ) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
     """All maximal cross-t-intersecting pairs (as member-mask tuples) over the
-    subsets of `universe`; the sweep over one side is exhaustive."""
+    subsets of `universe`, by Close-by-One over one side."""
     verts1 = subsets(universe, size1).masks
     if (1 << len(verts1)) > TUPLE_SWEEP_BUDGET:
         raise ValueError(f"sweep over 2^{len(verts1)} subsets exceeds the budget")
-    return _sweep_fixed_points(verts1, subsets(universe, size2).masks, t, include_empty)
+    return _closed_pairs(verts1, subsets(universe, size2).masks, t, include_empty)
 
 
 def maximal_cross_tuples(
-    n: int, universe: int, size: int, r: int, t: int = 1
+    universe: int, size: int, r: int, t: int = 1
 ) -> list[tuple[tuple[int, ...], ...]]:
     """All maximal r-tuples of pairwise cross-t-intersecting families of
     `size`-subsets of `universe` (ordered tuples; empty components allowed).
@@ -408,7 +408,7 @@ def theorem_1_2_instances(n: int, k: int, t: int) -> list[tuple[Family, str, dic
     )
     M = full_mask(t + 1)
     universe = full_mask(n) & ~M
-    for tup in maximal_cross_tuples(n, universe, k - t, t + 1):
+    for tup in maximal_cross_tuples(universe, k - t, t + 1):
         if sum(1 for r in tup if r) < 2:
             continue
         fam = Family(n, k, _iii_members(n, k, M, tup))
@@ -416,7 +416,7 @@ def theorem_1_2_instances(n: int, k: int, t: int) -> list[tuple[Family, str, dic
     for m in range(t + 2, k + 1):
         Mm = full_mask(m)
         universe = full_mask(n) & ~Mm
-        for A, B in maximal_cross_pairs(n, universe, k - t, k - m + 1):
+        for A, B in maximal_cross_pairs(universe, k - t, k - m + 1):
             if not B:
                 continue
             fam = Family(n, k, _iv_members(n, k, t, full_mask(t), Mm, A, B))

@@ -33,6 +33,7 @@ from . import (
     verify_grid,
 )
 from .constructions import PAIR_KINDS, default_D_anchors, default_grid as construction_grid
+from .enumeration import SUBSET_CAP, VERTEX_CAP
 from .formulas import (
     ALL_LEMMAS,
     audit_lemma,
@@ -397,7 +398,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--t", type=int, required=True)
-    p.add_argument("--vertex-cap", type=int, default=70)
+    p.add_argument("--vertex-cap", type=int, default=VERTEX_CAP)
     p.add_argument("--json", action="store_true")
     p.add_argument("--out")
     p.set_defaults(fn=_cmd_enumerate)
@@ -408,7 +409,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k2", type=int, required=True)
     p.add_argument("--t", type=int, required=True)
     p.add_argument("--min-tau", type=int, required=True)
-    p.add_argument("--subset-cap", type=int, default=22)
+    p.add_argument("--subset-cap", type=int, default=SUBSET_CAP)
     p.add_argument("--out")
     p.set_defaults(fn=_cmd_search)
 
@@ -424,7 +425,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--t", type=int, required=True)
-    p.add_argument("--vertex-cap", type=int, default=70)
+    p.add_argument("--vertex-cap", type=int, default=VERTEX_CAP)
     p.add_argument("--out")
     p.set_defaults(fn=_cmd_classify_all)
 
@@ -463,7 +464,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except ValueError as exc:
+    except (ValueError, ZeroDivisionError) as exc:  # bad parameters, or a value undefined at them
         sys.stderr.write(f"error: {exc}\n")
         return 2
 

@@ -35,6 +35,7 @@ from .core import (
     mask_of,
     select,
     subsets,
+    validate_params,
 )
 from .formulas import binom, eval_a, eval_c1, eval_c2, eval_h
 
@@ -183,6 +184,9 @@ class ConstructionSpec:
     Y: tuple[int, ...] | None = None
     T: tuple[int, ...] | None = None
     xs: tuple[int, int, int, int] | None = None
+
+    def __post_init__(self) -> None:
+        validate_params(self.n, self.k, self.t)
 
     def _need(self, **fields) -> None:
         missing = [name for name, value in fields.items() if value is None]

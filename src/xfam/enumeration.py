@@ -3,10 +3,13 @@
 Maximal t-intersecting families are the maximal cliques of the intersection
 graph on all k-subsets (edges between t-intersecting pairs), found by
 pivoting Bron-Kerbosch over bitset rows. Maximal cross-t-intersecting pairs
-are the fixed points F = star(star(F)) of the double star map, found by a
-full sweep over subfamilies of the complete k1-uniform family; this is
-correct-by-construction exhaustive and therefore capped at small vertex
-counts. Exceeding a cap is an error, never silent truncation.
+are the fixed points F = star(star(F)) of the double star map, i.e. the
+formal concepts of the relation "meets in >= t elements" between k1- and
+k2-subsets. Close-by-One (Kuznetsov 1993) lists each of them exactly once,
+in time linear in their number. The product search walks the pairs by
+decreasing |F| |G| and computes covering numbers only while a pair can still
+tie the best product. Both enumerations are capped at small vertex counts;
+exceeding a cap is an error, never silent truncation.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from dataclasses import dataclass
 from math import comb
 
 from .canon import canonical_form_tuple
-from .core import Family, covering_number, full_mask, subsets
+from .core import Family, covering_number, full_mask, subsets, validate_params
 from .formulas import n_threshold
 
 VERTEX_CAP = 70
@@ -96,6 +99,7 @@ def _bron_kerbosch(rows: tuple[int, ...], nverts: int) -> list[int]:
 
 def enumerate_maximal_t_intersecting(n: int, k: int, t: int, vertex_cap: int = VERTEX_CAP) -> list[Family]:
     """Every maximal t-intersecting k-uniform family over [n], exactly once."""
+    validate_params(n, k, t)
     graph = build_intersection_graph(n, k, t, vertex_cap)
     cliques = _bron_kerbosch(graph.rows, len(graph.vertices))
     fams = [Family(n, k, tuple(graph.vertices[i] for i in _bits(cm))) for cm in cliques]
@@ -103,47 +107,77 @@ def enumerate_maximal_t_intersecting(n: int, k: int, t: int, vertex_cap: int = V
     return fams
 
 
-def _sweep_fixed_points(
+_CHUNK = 4  # index bits per table: 16 entries per 4 rows, so table size stays linear in the rows
+
+
+def _and_tables(rows: list[int], full: int) -> list[list[int]]:
+    """One table per _CHUNK-bit chunk of an index mask: entry b of table c
+    is the AND of `full` and rows[_CHUNK * c + i] over the set bits i of b."""
+    tables = []
+    for c in range(0, len(rows), _CHUNK):
+        chunk = rows[c : c + _CHUNK]
+        table = [full] * (1 << len(chunk))
+        for b in range(1, len(table)):
+            top = b.bit_length() - 1
+            table[b] = table[b ^ (1 << top)] & chunk[top]
+        tables.append(table)
+    return tables
+
+
+def _closed_pairs(
     verts1: tuple[int, ...], verts2: tuple[int, ...], t: int, include_empty: bool = False
 ) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
     """All (F, G) over verts1 x verts2 with G the star of F and F the star of
-    G, as member tuples, ordered by the vertex mask of F. The sweep over
-    every subset of side 1 is exhaustive: a maximal pair is determined by
-    either side. Each caller bounds len(verts1) by its own cap."""
-    rows12, rows21 = _compat_rows(verts1, verts2, t), _compat_rows(verts2, verts1, t)
-    v1, v2 = len(rows12), len(rows21)
-    full1, full2 = (1 << v1) - 1, (1 << v2) - 1
-    pairs = []
-    for fmask in range(1 << v1):
-        g = full2
-        m = fmask
-        while m:
-            low = m & -m
-            g &= rows12[low.bit_length() - 1]
-            m ^= low
-        f2 = full1
-        m = g
-        while m:
-            low = m & -m
-            f2 &= rows21[low.bit_length() - 1]
-            m ^= low
-        if f2 == fmask and (include_empty or (fmask and g)):
-            pairs.append((tuple(verts1[i] for i in _bits(fmask)), tuple(verts2[j] for j in _bits(g))))
-    return pairs
+    G, as member tuples, ordered by the vertex mask of F. Close-by-One over
+    side 1: from the closure of the empty family, add one vertex j above the
+    last one added, close, and keep the result only if the closure gained no
+    vertex below j, so each closed F is reached from exactly one parent. Each
+    caller bounds len(verts1) by its own cap."""
+    rows12 = _compat_rows(verts1, verts2, t)
+    full1, full2 = (1 << len(verts1)) - 1, (1 << len(verts2)) - 1
+    star21 = _and_tables(_compat_rows(verts2, verts1, t), full1)
+    low_bits = (1 << _CHUNK) - 1
+
+    def close(g: int) -> int:
+        f = full1
+        for table in star21:
+            f &= table[g & low_bits]
+            g >>= _CHUNK
+        return f
+
+    found = []
+    stack = [(close(full2), full2, 0)]
+    while stack:
+        f, g, low = stack.pop()
+        found.append((f, g))
+        cand = full1 & ~f & -(1 << low)  # vertices from `low` up, not in F
+        while cand:
+            bit = cand & -cand
+            cand ^= bit
+            g2 = g & rows12[bit.bit_length() - 1]
+            f2 = close(g2)
+            if (f2 ^ f) & (bit - 1) == 0:
+                stack.append((f2, g2, bit.bit_length()))
+    found.sort()
+    for pos, (f, g) in enumerate(found):  # in place, so the masks go as the tuples come
+        found[pos] = (tuple([verts1[i] for i in _bits(f)]), tuple([verts2[j] for j in _bits(g)]))
+    return [fg for fg in found if include_empty or (fg[0] and fg[1])]
 
 
 def enumerate_maximal_pairs(
     n: int, k1: int, k2: int, t: int, subset_cap: int = SUBSET_CAP
 ) -> list[tuple[Family, Family]]:
     """Every maximal cross-t-intersecting pair (F, G) with F k1-uniform and G
-    k2-uniform, both nonempty, via the full subset sweep."""
+    k2-uniform, both nonempty, by Close-by-One."""
+    validate_params(n, k1, t)
+    validate_params(n, k2, t)
     v1 = comb(n, k1)
     if v1 > subset_cap:
         raise ValueError(f"C({n},{k1}) = {v1} exceeds the subset cap {subset_cap}")
     verts1, verts2 = subsets(full_mask(n), k1).masks, subsets(full_mask(n), k2).masks
-    out = [(Family(n, k1, f), Family(n, k2, g)) for f, g in _sweep_fixed_points(verts1, verts2, t)]
-    out.sort(key=lambda fg: (fg[0].members, fg[1].members))
-    return out
+    pairs = _closed_pairs(verts1, verts2, t)
+    pairs.sort(key=lambda fg: fg[0])  # by the members of F, which determines G
+    return [(Family(n, k1, f), Family(n, k2, g)) for f, g in pairs]
 
 
 @dataclass
@@ -168,17 +202,20 @@ def extremal_product_search(
     covering numbers at least min_tau; witnesses are deduplicated by the joint
     canonical form of the ordered pair. The `at_proved_threshold` flag records
     whether n reaches the regime where the extremal structure is actually
-    characterized; below it the winner is reported as a measurement."""
+    characterized; below it the winner is reported as a measurement.
+
+    The pairs are walked by decreasing product, stably, so covering numbers
+    are computed only until the first product below the best qualifying one,
+    and the winners keep their enumeration order."""
     pairs = enumerate_maximal_pairs(n, k1, k2, t, subset_cap)
     best = 0
     winners: list[tuple[Family, Family]] = []
-    for f, g in pairs:
-        if covering_number(f, t).tau < min_tau or covering_number(g, t).tau < min_tau:
-            continue
+    for f, g in sorted(pairs, key=lambda fg: -(len(fg[0]) * len(fg[1]))):
         product = len(f) * len(g)
-        if product > best:
-            best, winners = product, [(f, g)]
-        elif product == best and best > 0:
+        if product < best:
+            break
+        if covering_number(f, t).tau >= min_tau and covering_number(g, t).tau >= min_tau:
+            best = product
             winners.append((f, g))
     seen: set[bytes] = set()
     unique = []

@@ -457,6 +457,8 @@ def leading_constant_check(
         raise ValueError("the three-interval pair only exists at t = 1")
     if min(k, l) < t + 2:
         raise ValueError("need k, l >= t+2 for a meaningful leading exponent")
+    if not n_sequence or min(n_sequence) < 1:
+        raise ValueError("need at least one ground-set size, each n >= 1")
     exponent = k + l - 2 * t - 2
     scale = math.factorial(k - t - 1) * math.factorial(l - t - 1)
     c = leading_constant(pair_kind, k, l, t)

@@ -3,8 +3,9 @@
 These deliberately avoid the library's search strategies: covers are found by
 enumerating every subset of the union by size, maximal families by sweeping
 every subfamily of the complete family, and maximal pairs straight from the
-definition (no single member can be added to either side). Slow but
-unarguable at tiny scale.
+definition (no single member can be added to either side) or by sweeping
+every subfamily of one side for fixed points of the double star map. Slow
+but unarguable at tiny scale.
 """
 
 from __future__ import annotations
@@ -71,6 +72,47 @@ def brute_maximal_pairs(n: int, k1: int, k2: int, t: int) -> list[tuple[tuple[in
                 continue
             out.append((tuple(f), tuple(g)))
     return sorted(out)
+
+
+def _rows(verts: tuple[int, ...], other: tuple[int, ...], t: int) -> list[int]:
+    """Row i: the bitmask of the indices j with |verts[i] & other[j]| >= t."""
+    return [sum(1 << j for j, b in enumerate(other) if (a & b).bit_count() >= t) for a in verts]
+
+
+def _bits(mask: int):
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def sweep_maximal_pairs(
+    verts1: tuple[int, ...], verts2: tuple[int, ...], t: int, include_empty: bool = False
+) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """All (F, G) over verts1 x verts2 with G the star of F and F the star of
+    G, as member tuples, ordered by the vertex mask of F. The sweep over
+    every subset of side 1 is exhaustive: a maximal pair is determined by
+    either side. Time 2^len(verts1)."""
+    rows12, rows21 = _rows(verts1, verts2, t), _rows(verts2, verts1, t)
+    v1, v2 = len(rows12), len(rows21)
+    full1, full2 = (1 << v1) - 1, (1 << v2) - 1
+    pairs = []
+    for fmask in range(1 << v1):
+        g = full2
+        m = fmask
+        while m:
+            low = m & -m
+            g &= rows12[low.bit_length() - 1]
+            m ^= low
+        f2 = full1
+        m = g
+        while m:
+            low = m & -m
+            f2 &= rows21[low.bit_length() - 1]
+            m ^= low
+        if f2 == fmask and (include_empty or (fmask and g)):
+            pairs.append((tuple(verts1[i] for i in _bits(fmask)), tuple(verts2[j] for j in _bits(g))))
+    return pairs
 
 
 def random_family(rng: random.Random, n: int, k: int, max_members: int) -> Family:

@@ -115,11 +115,11 @@ def test_residual_sweeps():
     # the isomorphic ground set [4] (same counts, nonempty sides)
     from helpers import brute_maximal_pairs
 
-    pairs = maximal_cross_pairs(6, mask_of([3, 4, 5, 6]), 2, 2)
+    pairs = maximal_cross_pairs(mask_of([3, 4, 5, 6]), 2, 2)
     nonempty = [p for p in pairs if p[0] and p[1]]
     assert len(nonempty) == len(brute_maximal_pairs(4, 2, 2, 1))
     assert len(pairs) == len(nonempty) + 2  # plus the two empty-sided sweeps
-    tuples = maximal_cross_tuples(6, mask_of([3, 4, 5, 6]), 2, 3)
+    tuples = maximal_cross_tuples(mask_of([3, 4, 5, 6]), 2, 3)
     for tup in tuples:
         # round-robin fixed point: each component is the star of the others
         from xfam.core import select, subsets

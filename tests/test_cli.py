@@ -123,6 +123,23 @@ def test_usage_errors_exit_2(capsys):
     for grid in ("t=1;k=y;l=2;n=5", "t=(1).__class__.__name__.__len__();k=2;l=2;n=5", "t=1;k=2;l=2;n=l+2.."):
         code, out, err = run(capsys, "verify-constructions", "--grid", grid)
         assert code == 2 and out == "" and "Traceback" not in err and "bad grid bound" in err, grid
+    # invalid (n, k, t) is refused before any enumeration
+    for argv in (
+        ("search", "--n", "65", "--k1", "1", "--k2", "1", "--t", "1", "--min-tau", "1", "--subset-cap", "100"),
+        ("search", "--n", "4", "--k1", "2", "--k2", "2", "--t", "3", "--min-tau", "1"),
+        ("enumerate-maximal", "--n", "4", "--k", "2", "--t", "0"),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "" and "need 1 <= t <= k <= n" in err, argv
+    # values undefined at the given parameters are usage errors, not tracebacks
+    for argv in (
+        ("verify-constructions", "--grid", "t=1;k=2;l=2;n=65"),
+        ("leading-term", "--pair", "AA", "--k", "3", "--l", "3", "--t", "1", "--n-seq", "100", "--tol", "1/0"),
+        ("leading-term", "--pair", "AA", "--k", "3", "--l", "3", "--t", "1", "--n-seq", "0"),
+        ("eval", "--formula", "tilde-a", "--args", "x=1", "t=1", "n=5"),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "" and err.startswith("error: "), argv
 
 
 def test_classify_missing_partner_file(capsys, tmp_path):

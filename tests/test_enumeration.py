@@ -15,8 +15,11 @@ from xfam import (
     is_t_intersecting,
     mask_of,
 )
+from xfam.canon import canonical_form_tuple
+from xfam.core import full_mask, subsets
+from xfam.enumeration import _closed_pairs
 from xfam.formulas import eval_g
-from helpers import brute_maximal_families, brute_maximal_pairs
+from helpers import brute_maximal_families, brute_maximal_pairs, sweep_maximal_pairs
 
 
 def test_intersection_graph():
@@ -89,6 +92,19 @@ def test_maximal_pairs_are_fixed_points():
     for f, g in enumerate_maximal_pairs(5, 2, 3, 1):
         assert is_cross_t_intersecting(f, g, 1)
         assert is_maximal_pair(f, g, 1)
+
+
+def test_close_by_one_matches_subset_sweep():
+    # same pairs in the same order (by the vertex mask of F) as the sweep
+    # over every subfamily of side 1
+    for (n, k1, k2, t) in [(5, 2, 3, 1), (6, 2, 3, 1), (6, 2, 2, 2), (6, 1, 3, 1), (6, 2, 4, 2)]:
+        verts1, verts2 = subsets(full_mask(n), k1).masks, subsets(full_mask(n), k2).masks
+        assert _closed_pairs(verts1, verts2, t) == sweep_maximal_pairs(verts1, verts2, t), (n, k1, k2, t)
+    for universe in (mask_of([3, 4, 5, 6]), full_mask(8) & ~full_mask(3)):
+        for (s1, s2, t) in [(2, 2, 1), (2, 3, 1), (3, 2, 1), (1, 2, 1), (2, 2, 2)]:
+            verts1, verts2 = subsets(universe, s1).masks, subsets(universe, s2).masks
+            got = _closed_pairs(verts1, verts2, t, include_empty=True)
+            assert got == sweep_maximal_pairs(verts1, verts2, t, include_empty=True), (universe, s1, s2, t)
 
 
 def test_pair_cap():
@@ -165,6 +181,33 @@ def test_search_matches_oracle_with_covering_floor():
             assert is_maximal_pair(f, g, 1)
             assert covering_number(f, 1).tau >= min_tau
             assert covering_number(g, 1).tau >= min_tau
+
+
+def test_pruned_search_matches_unpruned_loop():
+    # reference: covering numbers of both sides of every pair, in enumeration
+    # order, then the canonical dedupe of the winners
+    for (n, k1, k2, t, min_tau) in [(5, 2, 2, 1, 1), (6, 2, 2, 1, 2), (6, 2, 3, 1, 2), (7, 2, 2, 1, 2), (5, 2, 2, 1, 3)]:
+        pairs = enumerate_maximal_pairs(n, k1, k2, t)
+        best, winners = 0, []
+        for f, g in pairs:
+            if covering_number(f, t).tau < min_tau or covering_number(g, t).tau < min_tau:
+                continue
+            if len(f) * len(g) > best:
+                best, winners = len(f) * len(g), [(f, g)]
+            elif len(f) * len(g) == best:
+                winners.append((f, g))
+        seen, unique = set(), []
+        for f, g in winners:
+            key = canonical_form_tuple([f, g])
+            if key not in seen:
+                seen.add(key)
+                unique.append((f.members, g.members))
+        res = extremal_product_search(n, k1, k2, t, min_tau)
+        assert res.best_product == best, (n, k1, k2, t, min_tau)
+        assert [(f.members, g.members) for f, g in res.witnesses] == unique
+        assert res.pairs_examined == len(pairs)
+        if min_tau == 3:
+            assert best == 0 and unique == []
 
 
 def test_covering_bound_observation(capsys):
