@@ -3,15 +3,34 @@
 Two families (or tuples of families, relabeled simultaneously) are isomorphic
 iff their canonical byte strings are equal. The canonicalizer runs the usual
 individualization-refinement search: elements are partitioned by iterated
-degree refinement (signature = own color plus the multiset of color profiles
-of the members through the element), the first non-singleton cell is split on
-each of its elements in turn, and the minimum leaf encoding wins. Cell order
-is derived from signature values only, never from element indices, so the
-result is invariant under every permutation of [n].
+degree refinement (signature = the multiset of color profiles of the members
+through the element, per family, compared within the element's own cell),
+the first non-singleton cell is split on each of its elements in turn, and
+the minimum leaf wins. Cell order is derived from signature values only,
+never from element indices, so the result is invariant under every
+permutation of [n].
 
-Leaves with equal encodings certify automorphisms; their orbits prune sibling
+Signatures and leaves are integers. All members of a family have k elements,
+so the sorted color tuple of a member is represented by the sum of its
+elements' weights -(k+1)^(n-1-color): the count of each color is one
+base-(k+1) digit, no digit carries, and the sums order exactly as the tuples
+do. An element's signature is the sorted tuple of these sums. A leaf is
+compared as the tuple of each family's sorted member masks, and only the
+winner is encoded to bytes (8-byte big-endian masks, families joined by
+b"|"), which order the same way because member counts are fixed within one
+input.
+
+Leaves with equal keys certify automorphisms; their orbits prune sibling
 branches, which collapses the factorial stalls of highly symmetric families
-(anchored stars, near-complete families) to a handful of descents.
+(anchored stars, near-complete families) to a handful of descents. Such an
+automorphism maps the new leaf's path onto the best leaf's path and fixes
+their common prefix, so, as in nauty, the search backjumps to that prefix:
+every leaf below the abandoned nodes is the image of a leaf already seen.
+
+None of this changes the bytes: they are those of the plain search that
+sorts color tuples and encodes every leaf, which the tests keep as the
+oracle. Incremental cell splitting or invariant-based leaf pruning would
+change the cell order or which leaf is minimal, and so the bytes.
 """
 
 from __future__ import annotations
@@ -24,47 +43,11 @@ from .core import Family, elements_of
 Cells = tuple[tuple[int, ...], ...]
 
 
-def _refine(cells: Cells, fam_members: Sequence[tuple[int, ...]], elem_members: Sequence[list[list[int]]], n: int) -> Cells:
-    while True:
-        color = [0] * n
-        for ci, cell in enumerate(cells):
-            for e in cell:
-                color[e] = ci
-        sigs: dict[int, tuple] = {}
-        # profile of a member = sorted colors of its elements
-        profiles = []
-        for fi, members in enumerate(fam_members):
-            profiles.append([tuple(sorted(color[e] for e in mem)) for mem in members])
-        for ci, cell in enumerate(cells):
-            if len(cell) == 1:
-                continue
-            for e in cell:
-                sig = tuple(
-                    tuple(sorted(profiles[fi][mi] for mi in elem_members[fi][e]))
-                    for fi in range(len(fam_members))
-                )
-                sigs[e] = sig
-        new_cells: list[tuple[int, ...]] = []
-        changed = False
-        for cell in cells:
-            if len(cell) == 1:
-                new_cells.append(cell)
-                continue
-            groups: dict[tuple, list[int]] = {}
-            for e in cell:
-                groups.setdefault(sigs[e], []).append(e)
-            if len(groups) == 1:
-                new_cells.append(cell)
-                continue
-            changed = True
-            for sig in sorted(groups):
-                new_cells.append(tuple(groups[sig]))
-        cells = tuple(new_cells)
-        if not changed:
-            return cells
-
-
 class _Canonicalizer:
+    """One individualization-refinement search over a tuple of families.
+
+    `nodes` and `leaves` count the search nodes and leaves visited."""
+
     def __init__(self, n: int, families: Sequence[tuple[int, ...]]):
         self.n = n
         # members as element-index tuples (0-based) for refinement speed
@@ -78,76 +61,152 @@ class _Canonicalizer:
                 for e in mem:
                     by_elem[e].append(mi)
             self.elem_members.append(by_elem)
-        self.best: bytes | None = None
-        self.best_pos: list[int] | None = None
+        # color c weighs -(k+1)^(n-1-c) in a family of k-sets (module docstring)
+        self.weights = [
+            [-((len(members[0]) + 1) ** (n - 1 - c)) if members else 0 for c in range(n)]
+            for members in self.fam_members
+        ]
+        self.best: tuple | None = None
+        self.best_path: list[int] = []
+        self.best_pos: list[int] = []
         self.autos: list[tuple[int, ...]] = []
+        self.nodes = 0
+        self.leaves = 0
 
     def run(self) -> bytes:
         self._search(tuple((tuple(range(self.n)),)), [])
         assert self.best is not None
-        return self.best
+        return _encode(self.best)
 
-    def _encode(self, pos: list[int]) -> bytes:
-        chunks = []
-        for members in self.fam_members:
-            masks = sorted(sum(1 << pos[e] for e in mem) for mem in members)
-            chunks.append(b"".join(m.to_bytes(8, "big") for m in masks))
-        return b"|".join(chunks)
+    def _refine(self, cells: Cells) -> Cells:
+        """Iterated degree refinement to the fixpoint: an element's signature
+        is the sorted multiset of its members' color profiles, per family,
+        and each split cell is replaced by its groups in signature order."""
+        if len(cells) == self.n:
+            return cells
+        color = [0] * self.n
+        families = list(zip(self.fam_members, self.elem_members, self.weights))
+        while True:
+            for ci, cell in enumerate(cells):
+                for e in cell:
+                    color[e] = ci
+            active = [e for cell in cells if len(cell) > 1 for e in cell]
+            per_family = []
+            for members, by_elem, weight in families:
+                w = [weight[c] for c in color]
+                profile = [sum(map(w.__getitem__, mem)) for mem in members]
+                per_family.append([tuple(sorted(map(profile.__getitem__, by_elem[e]))) for e in active])
+            # an element's signature: its sorted profile tuple in each family
+            sigs = dict(zip(active, zip(*per_family)))
+            new_cells: list[tuple[int, ...]] = []
+            changed = False
+            for cell in cells:
+                if len(cell) == 1:
+                    new_cells.append(cell)
+                    continue
+                groups: dict[tuple, list[int]] = {}
+                for e in cell:
+                    groups.setdefault(sigs[e], []).append(e)
+                if len(groups) == 1:
+                    new_cells.append(cell)
+                    continue
+                changed = True
+                for sig in sorted(groups):
+                    new_cells.append(tuple(groups[sig]))
+            cells = tuple(new_cells)
+            if not changed or len(cells) == self.n:
+                return cells
 
-    def _leaf(self, cells: Cells) -> None:
+    def _key(self, pos: list[int]) -> tuple:
+        """Leaf key: per family, the sorted member masks with element e moved
+        to bit pos[e]."""
+        bit = [1 << p for p in pos]
+        return tuple(
+            tuple(sorted(sum(map(bit.__getitem__, mem)) for mem in members))
+            for members in self.fam_members
+        )
+
+    def _leaf(self, cells: Cells, path: list[int]) -> int:
+        """Compare the leaf with the best one; return the depth to resume at."""
+        self.leaves += 1
         pos = [0] * self.n
         for i, cell in enumerate(cells):
             pos[cell[0]] = i
-        enc = self._encode(pos)
-        if self.best is None or enc < self.best:
-            self.best = enc
-            self.best_pos = pos
-        elif enc == self.best:
-            inv_best = [0] * self.n
-            for e, p in enumerate(self.best_pos):  # type: ignore[arg-type]
-                inv_best[p] = e
-            alpha = tuple(inv_best[pos[e]] for e in range(self.n))
-            if any(alpha[e] != e for e in range(self.n)) and alpha not in self.autos:
-                self.autos.append(alpha)
-
-    def _search(self, cells: Cells, fixed: list[int]) -> None:
-        cells = _refine(cells, self.fam_members, self.elem_members, self.n)
-        target = None
-        for ci, cell in enumerate(cells):
-            if len(cell) > 1:
-                target = ci
+        key = self._key(pos)
+        if self.best is None or key < self.best:
+            self.best, self.best_pos, self.best_path = key, pos, path
+            return len(path)
+        if key > self.best:
+            return len(path)
+        inv_best = [0] * self.n
+        for e, p in enumerate(self.best_pos):
+            inv_best[p] = e
+        alpha = tuple(inv_best[pos[e]] for e in range(self.n))
+        if alpha not in self.autos:
+            self.autos.append(alpha)
+        # alpha maps this leaf's path onto the best one's and fixes their
+        # common prefix, so every leaf below the branch point is the image of
+        # a leaf already seen: resume at the branch point
+        common = 0
+        for a, b in zip(path, self.best_path):
+            if a != b:
                 break
-        if target is None:
-            self._leaf(cells)
-            return
-        cell = cells[target]
+            common += 1
+        return common
+
+    def _search(self, cells: Cells, fixed: list[int]) -> int:
+        """Search below the node reached by individualizing `fixed`; return
+        the depth to resume at (below len(fixed) abandons this node)."""
+        self.nodes += 1
+        cells = self._refine(cells)
+        if len(cells) == self.n:
+            return self._leaf(cells, fixed)
+        for target, cell in enumerate(cells):
+            if len(cell) > 1:
+                break
+        depth = len(fixed)
         # orbit pruning: skip elements reachable from an already-explored
-        # branch by an automorphism fixing the individualized prefix
-        parent = list(range(self.n))
-
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        def refresh_orbits() -> None:
-            for g in self.autos:
-                if all(g[f] == f for f in fixed):
-                    for e in range(self.n):
-                        ra, rb = find(e), find(g[e])
-                        if ra != rb:
-                            parent[ra] = rb
-
+        # branch by an automorphism fixing the individualized prefix; the
+        # orbits (union-find) grow only when the search certified new ones
+        parent: list[int] | None = None
+        applied = 0
         done: list[int] = []
         for e in cell:
-            refresh_orbits()
-            if any(find(e) == find(d) for d in done):
-                continue
+            if applied < len(self.autos):
+                for g in self.autos[applied:]:
+                    if all(g[f] == f for f in fixed):
+                        if parent is None:
+                            parent = list(range(self.n))
+                        for x, y in enumerate(g):
+                            ra, rb = _find(parent, x), _find(parent, y)
+                            if ra != rb:
+                                parent[ra] = rb
+                applied = len(self.autos)
+            if parent is not None:
+                root = _find(parent, e)
+                if any(_find(parent, d) == root for d in done):
+                    continue
             rest = tuple(x for x in cell if x != e)
             child = cells[:target] + ((e,), rest) + cells[target + 1 :]
-            self._search(child, fixed + [e])
+            resume = self._search(child, fixed + [e])
+            if resume < depth:
+                return resume
             done.append(e)
+        return depth
+
+
+def _find(parent: list[int], x: int) -> int:
+    while parent[x] != x:
+        parent[x] = parent[parent[x]]
+        x = parent[x]
+    return x
+
+
+def _encode(key: tuple) -> bytes:
+    """Leaf bytes: each family's sorted masks as 8-byte big-endian words,
+    families joined by b"|". Member counts are fixed within one input, so
+    byte order equals the order of the int-tuple keys."""
+    return b"|".join(b"".join(m.to_bytes(8, "big") for m in masks) for masks in key)
 
 
 def _header(n: int, families: Sequence[Family]) -> bytes:
@@ -167,9 +226,8 @@ def canonical_form_tuple(families: Sequence[Family], n: int | None = None) -> by
     head = _header(n, families)
     if all(len(f.members) in (0, comb(n, f.k)) for f in families):
         # empty and complete families are fixed by every permutation
-        pos = list(range(n))
         engine = _Canonicalizer(n, [f.members for f in families])
-        return head + engine._encode(pos)
+        return head + _encode(engine._key(list(range(n))))
     engine = _Canonicalizer(n, [f.members for f in families])
     return head + engine.run()
 
@@ -189,6 +247,8 @@ def are_isomorphic(F: Family, G: Family) -> bool:
 def are_isomorphic_pairs(pair1: tuple[Family, Family], pair2: tuple[Family, Family]) -> bool:
     a1, b1 = pair1
     a2, b2 = pair2
-    if a1.n != a2.n:
+    if a1.n != a2.n or any(
+        f.k != g.k or len(f.members) != len(g.members) for f, g in ((a1, a2), (b1, b2))
+    ):
         return False
     return canonical_form_tuple([a1, b1]) == canonical_form_tuple([a2, b2])

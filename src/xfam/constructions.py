@@ -316,7 +316,8 @@ def verify_grid(kinds=PAIR_KINDS, grid=None, check_maximal: bool = False) -> lis
     out = []
     for kind in sorted(kinds):
         for t, k, l, n in pts:
-            if kind == "BB" and t != 1:
+            # BB exists only at t = 1 and needs room for its anchor quad
+            if kind == "BB" and (t != 1 or n < 4):
                 continue
             spec, partner = construction_pair(kind, n, k, l, t)
             rep = verify_construction(spec, partner, check_maximal=check_maximal)

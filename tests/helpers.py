@@ -6,14 +6,22 @@ every subfamily of the complete family, and maximal pairs straight from the
 definition (no single member can be added to either side) or by sweeping
 every subfamily of one side for fixed points of the double star map. Slow
 but unarguable at tiny scale.
+
+`canonical_form_reference` is the canonical-form search in its plain shape
+(sorted colour tuples as refinement signatures, every leaf encoded to bytes,
+orbit pruning only), kept as the byte-for-byte oracle of `xfam.canon`.
 """
 
 from __future__ import annotations
 
 import random
 from itertools import combinations
+from math import comb
+from typing import Sequence
 
 from xfam import Family, elements_of, is_cross_t_intersecting, mask_of
+
+Cells = tuple[tuple[int, ...], ...]
 
 
 def brute_covers(family: Family, t: int) -> tuple[int, tuple[int, ...]]:
@@ -133,3 +141,155 @@ def random_cross_pair(rng: random.Random, n: int, k1: int, k2: int, t: int, trie
         assert is_cross_t_intersecting(f, g, t)
         return f, g
     return None
+
+
+def _reference_refine(cells: Cells, fam_members: Sequence[tuple[int, ...]], elem_members: Sequence[list[list[int]]], n: int) -> Cells:
+    while True:
+        color = [0] * n
+        for ci, cell in enumerate(cells):
+            for e in cell:
+                color[e] = ci
+        sigs: dict[int, tuple] = {}
+        # profile of a member = sorted colors of its elements
+        profiles = []
+        for fi, members in enumerate(fam_members):
+            profiles.append([tuple(sorted(color[e] for e in mem)) for mem in members])
+        for ci, cell in enumerate(cells):
+            if len(cell) == 1:
+                continue
+            for e in cell:
+                sig = tuple(
+                    tuple(sorted(profiles[fi][mi] for mi in elem_members[fi][e]))
+                    for fi in range(len(fam_members))
+                )
+                sigs[e] = sig
+        new_cells: list[tuple[int, ...]] = []
+        changed = False
+        for cell in cells:
+            if len(cell) == 1:
+                new_cells.append(cell)
+                continue
+            groups: dict[tuple, list[int]] = {}
+            for e in cell:
+                groups.setdefault(sigs[e], []).append(e)
+            if len(groups) == 1:
+                new_cells.append(cell)
+                continue
+            changed = True
+            for sig in sorted(groups):
+                new_cells.append(tuple(groups[sig]))
+        cells = tuple(new_cells)
+        if not changed:
+            return cells
+
+
+class ReferenceCanonicalizer:
+    def __init__(self, n: int, families: Sequence[tuple[int, ...]]):
+        self.n = n
+        # members as element-index tuples (0-based) for refinement speed
+        self.fam_members = [
+            [tuple(e - 1 for e in elements_of(m)) for m in fam] for fam in families
+        ]
+        self.elem_members: list[list[list[int]]] = []
+        for members in self.fam_members:
+            by_elem: list[list[int]] = [[] for _ in range(n)]
+            for mi, mem in enumerate(members):
+                for e in mem:
+                    by_elem[e].append(mi)
+            self.elem_members.append(by_elem)
+        self.best: bytes | None = None
+        self.best_pos: list[int] | None = None
+        self.autos: list[tuple[int, ...]] = []
+
+    def run(self) -> bytes:
+        self._search(tuple((tuple(range(self.n)),)), [])
+        assert self.best is not None
+        return self.best
+
+    def _encode(self, pos: list[int]) -> bytes:
+        chunks = []
+        for members in self.fam_members:
+            masks = sorted(sum(1 << pos[e] for e in mem) for mem in members)
+            chunks.append(b"".join(m.to_bytes(8, "big") for m in masks))
+        return b"|".join(chunks)
+
+    def _leaf(self, cells: Cells) -> None:
+        pos = [0] * self.n
+        for i, cell in enumerate(cells):
+            pos[cell[0]] = i
+        enc = self._encode(pos)
+        if self.best is None or enc < self.best:
+            self.best = enc
+            self.best_pos = pos
+        elif enc == self.best:
+            inv_best = [0] * self.n
+            for e, p in enumerate(self.best_pos):  # type: ignore[arg-type]
+                inv_best[p] = e
+            alpha = tuple(inv_best[pos[e]] for e in range(self.n))
+            if any(alpha[e] != e for e in range(self.n)) and alpha not in self.autos:
+                self.autos.append(alpha)
+
+    def _search(self, cells: Cells, fixed: list[int]) -> None:
+        cells = _reference_refine(cells, self.fam_members, self.elem_members, self.n)
+        target = None
+        for ci, cell in enumerate(cells):
+            if len(cell) > 1:
+                target = ci
+                break
+        if target is None:
+            self._leaf(cells)
+            return
+        cell = cells[target]
+        # orbit pruning: skip elements reachable from an already-explored
+        # branch by an automorphism fixing the individualized prefix
+        parent = list(range(self.n))
+
+        def find(x: int) -> int:
+            while parent[x] != x:
+                parent[x] = parent[parent[x]]
+                x = parent[x]
+            return x
+
+        def refresh_orbits() -> None:
+            for g in self.autos:
+                if all(g[f] == f for f in fixed):
+                    for e in range(self.n):
+                        ra, rb = find(e), find(g[e])
+                        if ra != rb:
+                            parent[ra] = rb
+
+        done: list[int] = []
+        for e in cell:
+            refresh_orbits()
+            if any(find(e) == find(d) for d in done):
+                continue
+            rest = tuple(x for x in cell if x != e)
+            child = cells[:target] + ((e,), rest) + cells[target + 1 :]
+            self._search(child, fixed + [e])
+            done.append(e)
+
+
+def _reference_header(n: int, families: Sequence[Family]) -> bytes:
+    parts = [f"n={n}"] + [f"k={f.k},m={len(f.members)}" for f in families]
+    return (";".join(parts) + ":").encode()
+
+
+def canonical_form_reference(families: Sequence[Family], n: int | None = None) -> bytes:
+    """The canonical form as the plain individualization-refinement search
+    computes it: sorted colour tuples as refinement signatures, every leaf
+    encoded to bytes, orbit pruning only. `xfam.canonical_form_tuple` must
+    return exactly these bytes."""
+    if not families:
+        raise ValueError("need at least one family")
+    if n is None:
+        n = families[0].n
+    if any(f.n != n for f in families):
+        raise ValueError("families live over different ground sets")
+    head = _reference_header(n, families)
+    if all(len(f.members) in (0, comb(n, f.k)) for f in families):
+        # empty and complete families are fixed by every permutation
+        pos = list(range(n))
+        engine = ReferenceCanonicalizer(n, [f.members for f in families])
+        return head + engine._encode(pos)
+    engine = ReferenceCanonicalizer(n, [f.members for f in families])
+    return head + engine.run()

@@ -1,7 +1,10 @@
 import random
+from itertools import combinations, combinations_with_replacement
 
+import networkx as nx
 import pytest
 
+from helpers import ReferenceCanonicalizer, canonical_form_reference, random_family
 from xfam import (
     Family,
     anchored_family,
@@ -11,9 +14,13 @@ from xfam import (
     are_isomorphic_pairs,
     construct_A,
     construct_H,
+    enumerate_maximal_pairs,
+    enumerate_maximal_t_intersecting,
     mask_of,
     relabel,
 )
+from xfam import canon
+from xfam.canon import _Canonicalizer
 
 
 def fam(n, k, *sets):
@@ -87,3 +94,139 @@ def test_pairs_not_jointly_isomorphic():
 def test_mismatched_ground_sets_rejected():
     with pytest.raises(ValueError):
         canonical_form_tuple([fam(4, 2, (1, 2)), fam(5, 2, (1, 2))])
+
+
+def shuffled(rng, n):
+    perm = list(range(1, n + 1))
+    rng.shuffle(perm)
+    return perm
+
+
+def test_forms_equal_reference_on_maximal_families():
+    rng = random.Random(5)
+    for n, k, t in ((5, 2, 1), (6, 2, 1), (6, 3, 1), (6, 3, 2)):
+        for f in enumerate_maximal_t_intersecting(n, k, t):
+            g = relabel(f, shuffled(rng, n))
+            assert canonical_form(f) == canonical_form_reference([f]), (n, k, t, f.members)
+            assert canonical_form(g) == canonical_form_reference([g]), (n, k, t, g.members)
+
+
+def test_forms_equal_reference_on_pairs():
+    rng = random.Random(17)
+    cases = []
+    for _ in range(120):
+        n = rng.randint(4, 7)
+        k1, k2 = rng.sample(range(1, n), 2)
+        sides = []
+        for k in (k1, k2):
+            r = rng.random()
+            if r < 0.1:
+                sides.append(Family(n, k, ()))
+            elif r < 0.2:
+                sides.append(Family.complete(n, k))
+            else:
+                sides.append(random_family(rng, n, k, 6))
+        cases.append(sides)
+    # the smoke-size `search` instance: every maximal pair, its witnesses included
+    cases += [list(fg) for fg in enumerate_maximal_pairs(5, 2, 2, 1)]
+    for f, g in cases:
+        perm = shuffled(rng, f.n)
+        for pair in ([f, g], [g, f], [relabel(f, perm), relabel(g, perm)]):
+            assert canonical_form_tuple(pair) == canonical_form_reference(pair), pair
+
+
+def graph_unions(n):
+    """Every disjoint union of two or more parts (an edge, a 3-, 4- or
+    5-cycle, K4) fitting in [n], as a 2-uniform family over [n]."""
+    parts = {
+        "K2": [(0, 1)],
+        "C3": [(0, 1), (1, 2), (0, 2)],
+        "C4": [(0, 1), (1, 2), (2, 3), (0, 3)],
+        "C5": [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)],
+        "K4": list(combinations(range(4), 2)),
+    }
+    size = {name: 1 + max(map(max, edges)) for name, edges in parts.items()}
+    for r in range(2, n // 2 + 1):
+        for names in combinations_with_replacement(parts, r):
+            if sum(size[name] for name in names) > n:
+                continue
+            sets, first = [], 1
+            for name in names:
+                sets += [(first + a, first + b) for a, b in parts[name]]
+                first += size[name]
+            yield Family.from_sets(n, 2, sets)
+
+
+def test_forms_equal_reference_on_disjoint_unions():
+    # unions of symmetric parts have equal leaves deep in the tree, where the
+    # automorphism backjump acts; an over-eager jump loses the minimum here
+    rng = random.Random(29)
+    for f in graph_unions(10):
+        for _ in range(3):
+            g = relabel(f, shuffled(rng, f.n))
+            assert canonical_form(g) == canonical_form_reference([g]), g.members
+
+
+class CountingReference(ReferenceCanonicalizer):
+    nodes = 0
+
+    def _search(self, cells, fixed):
+        self.nodes += 1
+        super()._search(cells, fixed)
+
+
+@pytest.mark.parametrize(
+    "family", [construct_A(10, 4, 1), anchored_family(8, 3, mask_of([1]))], ids=["A(10,4,1)", "star(8,3)"]
+)
+def test_backjumping_visits_fewer_nodes(family):
+    ref = CountingReference(family.n, [family.members])
+    new = _Canonicalizer(family.n, [family.members])
+    assert new.run() == ref.run()
+    assert new.leaves <= new.nodes < ref.nodes
+
+
+def test_pairs_of_other_shape_rejected_before_search(monkeypatch):
+    def no_search(*args, **kwargs):
+        raise AssertionError("searched")
+
+    monkeypatch.setattr(canon, "canonical_form_tuple", no_search)
+    f = anchored_family(6, 2, mask_of([1]))
+    g = anchored_family(6, 3, mask_of([1, 2]))
+    smaller = Family(6, 2, f.members[:-1])
+    assert not are_isomorphic_pairs((f, g), (g, f))  # k differs side by side
+    assert not are_isomorphic_pairs((f, g), (smaller, g))  # member counts differ
+    assert not are_isomorphic_pairs((g, f), (g, smaller))
+
+
+def incidence_graph(family):
+    graph = nx.Graph()
+    graph.add_nodes_from((("e", i) for i in range(1, family.n + 1)), kind="element")
+    for m in family.members:
+        graph.add_node(("m", m), kind="member")
+        graph.add_edges_from((("m", m), ("e", i)) for i in range(1, family.n + 1) if m >> (i - 1) & 1)
+    return graph
+
+
+def same_kind(a, b):
+    return a["kind"] == b["kind"]
+
+
+def test_isomorphism_agrees_with_vf2():
+    rng = random.Random(23)
+    outcomes = []
+    for _ in range(200):
+        n = rng.randint(4, 7)
+        k = rng.randint(2, n - 2)
+        f = random_family(rng, n, k, 10)
+        g = relabel(f, shuffled(rng, n))
+        if rng.random() < 0.5:
+            # perturb: swap one member for a set outside the family
+            outside = [mask_of(c) for c in combinations(range(1, n + 1), k) if mask_of(c) not in g.members]
+            if outside:
+                members = list(g.members)
+                members[rng.randrange(len(members))] = rng.choice(outside)
+                g = Family.from_masks(n, k, members)
+        expected = nx.is_isomorphic(incidence_graph(f), incidence_graph(g), node_match=same_kind)
+        assert are_isomorphic(f, g) == expected, (f.members, g.members)
+        outcomes.append(expected)
+    assert min(outcomes.count(True), outcomes.count(False)) >= 30  # both answers occur

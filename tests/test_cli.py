@@ -96,6 +96,12 @@ def test_verify_constructions(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["verdict"] == "pass"
+    # BB needs four elements for its anchor quad; smaller points skip it
+    code, out, _ = run(capsys, "verify-constructions", "--grid", "t=1;k=2;l=2;n=3")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["verdict"] == "pass"
+    assert [r["pair_kind"] for r in payload["results"]] == ["AA", "CC", "HH"]
 
 
 def test_leading_term(capsys):
