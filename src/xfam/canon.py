@@ -224,11 +224,10 @@ def canonical_form_tuple(families: Sequence[Family], n: int | None = None) -> by
     if any(f.n != n for f in families):
         raise ValueError("families live over different ground sets")
     head = _header(n, families)
+    engine = _Canonicalizer(n, [f.members for f in families])
     if all(len(f.members) in (0, comb(n, f.k)) for f in families):
         # empty and complete families are fixed by every permutation
-        engine = _Canonicalizer(n, [f.members for f in families])
         return head + _encode(engine._key(list(range(n))))
-    engine = _Canonicalizer(n, [f.members for f in families])
     return head + engine.run()
 
 

@@ -127,6 +127,11 @@ def test_forms_equal_reference_on_pairs():
             else:
                 sides.append(random_family(rng, n, k, 6))
         cases.append(sides)
+    cases += [
+        [Family(6, 2, ()), construct_A(6, 3, 1)],
+        [Family.complete(6, 4), anchored_family(6, 2, mask_of([1]))],
+        [Family(5, 3, ()), Family.complete(5, 2)],
+    ]
     # the smoke-size `search` instance: every maximal pair, its witnesses included
     cases += [list(fg) for fg in enumerate_maximal_pairs(5, 2, 2, 1)]
     for f, g in cases:
@@ -179,6 +184,7 @@ class CountingReference(ReferenceCanonicalizer):
     "family", [construct_A(10, 4, 1), anchored_family(8, 3, mask_of([1]))], ids=["A(10,4,1)", "star(8,3)"]
 )
 def test_backjumping_visits_fewer_nodes(family):
+    # 111 -> 45 and 63 -> 28 nodes when this test was written
     ref = CountingReference(family.n, [family.members])
     new = _Canonicalizer(family.n, [family.members])
     assert new.run() == ref.run()
