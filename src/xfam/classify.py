@@ -3,20 +3,30 @@
 A maximal t-intersecting family whose minimum t-covers have size t+1 realizes
 at least one of four shapes; the matcher recovers candidate anchors from the
 cover collection (the anchors are cover-determined, so no blind permutation
-search is needed), rebuilds each candidate template instance concretely, and
-reports every template whose reconstruction equals the input family exactly.
-Overlapping matches are data, not errors: all of them are returned.
+search is needed) and reports every template instance that contains the
+input family. Overlapping matches are data, not errors: all of them are
+returned.
 
-The residual families of the two composite templates (sunflower-with-petals
-shapes) are extracted by stripping anchors and verified to be maximal
-pairwise cross-intersecting via star fixed points over the reduced ground
-set. The same sweep machinery also generates every template instance at
-canonical anchor positions, which gives the enumeration tests an independent
-second code path.
+Containment is enough, and no template is ever built: if F is maximal
+t-intersecting, T is t-intersecting and F is a subset of T, then F = T,
+because every member of T meets all of F in at least t elements. The rigid
+shapes are t-intersecting at every anchor choice, and each candidate is
+tested member by member with the `_in_*` predicates beside the builders in
+`constructions`. The two composite shapes (sunflowers with petals) are
+t-intersecting once their residual families are stripped from a
+t-intersecting F, and the minimum covers alone put F inside them, so every
+candidate anchor matches and only the residual sizes are counted. The pair
+templates work the same way: a maximal cross pair inside a
+cross-t-intersecting template pair equals it.
+
+The residual sweeps here generate every template instance at canonical
+anchor positions, which gives the enumeration tests an independent second
+code path.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from itertools import combinations, permutations, product
 
@@ -32,11 +42,10 @@ from .core import (
     is_maximal_pair,
     is_maximal_t_intersecting,
     mask_of,
-    select,
     subsets,
 )
 from .canon import canonical_form
-from .constructions import _a_members, _b_members, _c1_members, _c2_members, _h_members
+from .constructions import _a_members, _h_members, _in_a, _in_b, _in_c1, _in_c2, _in_h
 from .enumeration import _bits, _closed_pairs, _compat_rows
 
 TUPLE_SWEEP_BUDGET = 4_000_000
@@ -138,17 +147,6 @@ def maximal_cross_tuples(
     return out
 
 
-def _is_maximal_residual_tuple(universe: int, size_each: list[int], tup: list[tuple[int, ...]]) -> bool:
-    """Star fixed-point test for pairwise cross-intersecting residual tuples
-    over a reduced universe (empty components star to the complete family)."""
-    for i, members in enumerate(tup):
-        others = [m for j, other in enumerate(tup) if j != i for m in other]
-        expect = select(subsets(universe, size_each[i]), others, 1)
-        if tuple(sorted(members)) != expect:
-            return False
-    return True
-
-
 # ---------------------------------------------------------------------------
 # the classifiers
 #
@@ -187,7 +185,7 @@ def _match_i(F: Family, t: int, cover_union: int) -> list[tuple[str, dict]]:
     out = []
     for M0els in combinations(elements_of(cover_union), t + 2):
         M0 = mask_of(M0els)
-        if _a_members(F.n, F.k, t, M0) == F.members:
+        if all(_in_a(f, t, M0) for f in F.members):
             out.append(("T1.2-i", {"M": M0els}))
     return out
 
@@ -200,43 +198,32 @@ def _match_ii(F: Family, t: int, cover_union: int) -> list[tuple[str, dict]]:
         rest = [e for e in uels if not (Tm >> (e - 1)) & 1]
         for Xels in combinations(rest, F.k - t + 1):
             Xm = mask_of(Xels)
-            if _h_members(F.n, F.k, t, Tm, Xm, Xm) == F.members:
+            if all(_in_h(f, Tm, Xm, Xm) for f in F.members):
                 out.append(("T1.2-ii", {"T": Tels, "X": Xels}))
     return out
 
 
 def _match_iii(F: Family, t: int, covers: tuple[int, ...]) -> list[tuple[str, dict]]:
-    n, k = F.n, F.k
+    # Every minimum cover M is a match. M is a (t+1)-cover, so each member
+    # holds M or all of M but one element, and the residual classes are the
+    # members missing each element; the template they span contains F. At
+    # least two classes are non-empty, or M minus one element would be a
+    # t-cover.
     out = []
     for M in covers:
+        missed = Counter(M & ~f for f in F.members)
         mels = elements_of(M)
-        residuals: list[list[int]] = [[] for _ in mels]
-        ok = True
-        for f in F.members:
-            inter = f & M
-            if inter == M:
-                continue
-            if inter.bit_count() != t:
-                ok = False
-                break
-            i = mels.index(elements_of(M & ~inter)[0])
-            residuals[i].append(f & ~M)
-        if not ok:
-            continue
-        tup = [tuple(sorted(r)) for r in residuals]
-        if sum(1 for r in tup if r) < 2:
-            continue
-        universe = full_mask(n) & ~M
-        if not _is_maximal_residual_tuple(universe, [k - t] * len(tup), tup):
-            continue
-        if _iii_members(n, k, M, tuple(tup)) == F.members:
-            witness = {"M": mels, "residual_sizes": tuple(len(r) for r in tup)}
-            out.append(("T1.2-iii", witness))
+        sizes = tuple(missed[1 << (e - 1)] for e in mels)
+        out.append(("T1.2-iii", {"M": mels, "residual_sizes": sizes}))
     return out
 
 
 def _match_iv(F: Family, t: int, covers: tuple[int, ...], cover_union: int) -> list[tuple[str, dict]]:
-    n, k = F.n, F.k
+    # Every candidate M = T + spokes is a match. A member meets each cover
+    # T + x in at least t elements, so it holds T, or misses one element of
+    # T and holds every spoke: the template at (T, M) contains F. Some member
+    # misses T, or T would be a t-cover; each residual of B comes once per
+    # element of T.
     cover_set = set(covers)
     out = []
     for Tels in combinations(elements_of(cover_union), t):
@@ -244,55 +231,27 @@ def _match_iv(F: Family, t: int, covers: tuple[int, ...], cover_union: int) -> l
         spokes = [
             e for e in elements_of(cover_union & ~Tm) if (Tm | (1 << (e - 1))) in cover_set
         ]
-        for m in range(t + 2, k + 1):
+        dropped = sum(1 for f in F.members if Tm & ~f)
+        for m in range(t + 2, F.k + 1):
             for Mx in combinations(spokes, m - t):
                 Mm = Tm | mask_of(Mx)
-                A: list[int] = []
-                B_by_drop: dict[int, list[int]] = {e: [] for e in Tels}
-                ok = True
-                for f in F.members:
-                    if Tm & ~f == 0:
-                        if f & Mm == Tm:
-                            A.append(f & ~Mm)
-                        elif (f & Mm).bit_count() < t + 1:
-                            ok = False
-                            break
-                    else:
-                        inter = f & Mm
-                        missing = elements_of(Mm & ~inter)
-                        if len(missing) != 1 or missing[0] not in B_by_drop:
-                            ok = False
-                            break
-                        B_by_drop[missing[0]].append(f & ~Mm)
-                if not ok:
-                    continue
-                b_sets = {tuple(sorted(v)) for v in B_by_drop.values()}
-                if len(b_sets) != 1:
-                    continue
-                B = b_sets.pop()
-                if not B:
-                    continue
-                At = tuple(sorted(A))
-                universe = full_mask(n) & ~Mm
-                if not _is_maximal_residual_tuple(universe, [k - t, k - m + 1], [At, B]):
-                    continue
-                if _iv_members(n, k, t, Tm, Mm, At, B) == F.members:
-                    witness = {
-                        "T": Tels,
-                        "M": elements_of(Mm),
-                        "m": m,
-                        "A_size": len(At),
-                        "B_size": len(B),
-                        "A_empty": not At,
-                    }
-                    out.append(("T1.2-iv", witness))
+                a_size = sum(1 for f in F.members if f & Mm == Tm)
+                witness = {
+                    "T": Tels,
+                    "M": elements_of(Mm),
+                    "m": m,
+                    "A_size": a_size,
+                    "B_size": dropped // t,
+                    "A_empty": not a_size,
+                }
+                out.append(("T1.2-iv", witness))
     return out
 
 
 def classify_theorem_1_2(F: Family, t: int) -> TemplateMatch:
     """Match a maximal t-intersecting family with covering number t+1 against
-    the four structure templates; returns every template that reconstructs
-    the family exactly. Checks both preconditions, then `match_theorem_1_2`."""
+    the four structure templates; returns every template instance equal to
+    the family. Checks both preconditions, then `match_theorem_1_2`."""
     if not is_maximal_t_intersecting(F, t):
         raise ValueError("family is not maximal")
     cov = covering_number(F, t)
@@ -304,7 +263,16 @@ def classify_theorem_1_2(F: Family, t: int) -> TemplateMatch:
 def match_theorem_1_2(F: Family, t: int, cov: CoverStructure) -> TemplateMatch:
     """The matching step of `classify_theorem_1_2`, unchecked: the caller
     guarantees that F is maximal t-intersecting, `cov == covering_number(F, t)`
-    and `cov.tau == t + 1`; on other input the result is meaningless."""
+    and `cov.tau == t + 1`.
+
+    A template instance is reported when it contains F, which under this
+    contract means it equals F: if F is maximal t-intersecting, T is
+    t-intersecting and F is a subset of T, then F = T, since every member of
+    T meets all of F in at least t elements. On other input the result is
+    meaningless, and shapes may be reported that a full rebuild rejects:
+    none of the four instances of `theorem_1_2_instances(6, 4, 2)` is
+    maximal, and in three of them T1.2-iii or T1.2-iv anchors are reported
+    that the rebuild rejects."""
     matches: list[tuple[str, dict]] = []
     matches += _match_i(F, t, cov.union)
     matches += _match_ii(F, t, cov.union)
@@ -318,7 +286,10 @@ def match_theorem_1_2(F: Family, t: int, cov: CoverStructure) -> TemplateMatch:
 
 def classify_pair_theorem_1_1(F1: Family, F2: Family, t: int) -> TemplateMatch:
     """Match a maximal cross-t-intersecting pair (covering number t+1 on both
-    sides) against the four extremal pair templates, trying both orders."""
+    sides) against the four extremal pair templates, trying both orders. A
+    template pair is reported when it contains the pair side by side; every
+    template pair is cross-t-intersecting, so for the maximal pair checked
+    here that means equality."""
     if not is_cross_t_intersecting(F1, F2, t):
         raise ValueError("pair is not cross t-intersecting")
     if not is_maximal_pair(F1, F2, t):
@@ -326,13 +297,13 @@ def classify_pair_theorem_1_1(F1: Family, F2: Family, t: int) -> TemplateMatch:
     cov1, cov2 = covering_number(F1, t), covering_number(F2, t)
     if cov1.tau != t + 1 or cov2.tau != t + 1:
         raise ValueError("both covering numbers must equal t+1")
-    n, k1, k2 = F1.n, F1.k, F2.k
+    k1, k2 = F1.k, F2.k
     uu = cov1.union | cov2.union
     matches: list[tuple[str, dict]] = []
 
     for M0els in combinations(elements_of(uu), t + 2):
         M0 = mask_of(M0els)
-        if _a_members(n, k1, t, M0) == F1.members and _a_members(n, k2, t, M0) == F2.members:
+        if all(_in_a(f, t, M0) for f in F1.members) and all(_in_a(g, t, M0) for g in F2.members):
             matches.append(("T1.1-AA", {"M": M0els}))
 
     for Tels in combinations(elements_of(uu), t):
@@ -346,9 +317,8 @@ def classify_pair_theorem_1_1(F1: Family, F2: Family, t: int) -> TemplateMatch:
                 Ym = mask_of(Yels)
                 if (Xm & Ym).bit_count() < need:
                     continue
-                if (
-                    _h_members(n, k1, t, Tm, Xm, Ym) == F1.members
-                    and _h_members(n, k2, t, Tm, Ym, Xm) == F2.members
+                if all(_in_h(f, Tm, Xm, Ym) for f in F1.members) and all(
+                    _in_h(g, Tm, Ym, Xm) for g in F2.members
                 ):
                     matches.append(("T1.1-HH", {"T": Tels, "X": Xels, "Y": Yels}))
 
@@ -359,9 +329,8 @@ def classify_pair_theorem_1_1(F1: Family, F2: Family, t: int) -> TemplateMatch:
             rest = elements_of(uu & ~Pm)
             for Lx in combinations(rest, fam_c1.k - t):
                 Lm = Pm | mask_of(Lx)
-                if (
-                    _c1_members(n, fam_c1.k, Pm, Lm) == fam_c1.members
-                    and _c2_members(n, fam_c2.k, t, Pm, Lm) == fam_c2.members
+                if all(_in_c1(f, Pm, Lm) for f in fam_c1.members) and all(
+                    _in_c2(g, t, Pm, Lm) for g in fam_c2.members
                 ):
                     witness = {
                         "P": elements_of(Pm),
@@ -373,9 +342,9 @@ def classify_pair_theorem_1_1(F1: Family, F2: Family, t: int) -> TemplateMatch:
     if t == 1 and uu.bit_count() == 4:
         for quad in permutations(elements_of(uu)):
             a, b, c, d = quad
-            if _b_members(n, k1, (a, c, b, d)) == F1.members and _b_members(
-                n, k2, (a, b, c, d)
-            ) == F2.members:
+            if all(_in_b(f, (a, c, b, d)) for f in F1.members) and all(
+                _in_b(g, (a, b, c, d)) for g in F2.members
+            ):
                 matches.append(("T1.1-BB", {"quad": quad}))
 
     # each route enumerates its full anchor tuple once, so no entry repeats
@@ -401,7 +370,7 @@ def theorem_1_2_instances(n: int, k: int, t: int) -> list[tuple[Family, str, dic
     Xm = mask_of(range(t + 1, k + 2))
     out.append(
         (
-            Family(n, k, _h_members(n, k, t, Tm, Xm, Xm)),
+            Family(n, k, _h_members(n, k, Tm, Xm, Xm)),
             "T1.2-ii",
             {"T": tuple(range(1, t + 1)), "X": tuple(range(t + 1, k + 2))},
         )

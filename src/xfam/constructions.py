@@ -1,10 +1,12 @@
 """Generators for the explicit extremal families and their self-verification.
 
 Each shape has one member builder that takes its anchors as masks and reads
-the k-subsets of [n] from the shared table in `core`; the template matchers
-in `classify` call the same builders at anchors recovered from covers. The
-generators here place the anchors at the low indices of [n]; closed-form
-sizes live in `formulas` and the test suite cross-checks both paths against
+the k-subsets of [n] from the shared table in `core`, and beside it one
+membership predicate `_in_*` for a single k-set; the template matchers in
+`classify` test the members of a family with the predicates at anchors
+recovered from covers, and never build a template. The generators here
+place the anchors at the low indices of [n]; closed-form sizes live in
+`formulas` and the test suite cross-checks both paths against
 inclusion-exclusion counts.
 
 Kinds:
@@ -41,7 +43,12 @@ from .formulas import binom, eval_a, eval_c1, eval_c2, eval_h
 
 
 # ---------------------------------------------------------------------------
-# member builders at arbitrary anchors (masks), shared with `classify`
+# member builders at arbitrary anchors (masks), each beside its membership
+# predicate
+
+
+def _in_a(f: int, t: int, M0: int) -> bool:
+    return (f & M0).bit_count() >= t + 1
 
 
 def _a_members(n: int, k: int, t: int, M0: int) -> tuple[int, ...]:
@@ -49,11 +56,21 @@ def _a_members(n: int, k: int, t: int, M0: int) -> tuple[int, ...]:
     return select(subsets(full_mask(n), k), (M0,), t + 1)
 
 
+def _in_b(f: int, quad: tuple[int, int, int, int]) -> bool:
+    # {a1,a2} or {a2,a3} is a2 with a1 or a3; then {a3,a4}
+    a1, a2, a3, a4 = (1 << (a - 1) for a in quad)
+    return bool(f & a2 and f & (a1 | a3) or f & a3 and f & a4)
+
+
 def _b_members(n: int, k: int, quad: tuple[int, int, int, int]) -> tuple[int, ...]:
     """k-sets containing {a1,a2}, {a2,a3} or {a3,a4}."""
-    a1, a2, a3, a4 = quad
-    anchors = (mask_of((a1, a2)), mask_of((a2, a3)), mask_of((a3, a4)))
-    return tuple(f for f in subsets(full_mask(n), k).masks if any(a & ~f == 0 for a in anchors))
+    return tuple(f for f in subsets(full_mask(n), k).masks if _in_b(f, quad))
+
+
+def _in_c1(f: int, Pm: int, Lm: int) -> bool:
+    # an l-set inside the (l+1)-set L is L minus one element, and it
+    # contains P unless that element is in P
+    return Pm & ~f == 0 or f & ~Lm == 0
 
 
 def _c1_members(n: int, l: int, Pm: int, Lm: int) -> tuple[int, ...]:
@@ -62,19 +79,21 @@ def _c1_members(n: int, l: int, Pm: int, Lm: int) -> tuple[int, ...]:
     return tuple(sorted(set(anchored_family(n, l, Pm).members) | specials))
 
 
+def _in_c2(f: int, t: int, Pm: int, Lm: int) -> bool:
+    return Pm & ~f == 0 or ((f & Pm).bit_count() == t and f & Lm & ~Pm != 0)
+
+
 def _c2_members(n: int, k: int, t: int, Pm: int, Lm: int) -> tuple[int, ...]:
     """k-sets containing P, or meeting P in exactly t with a hit in L minus P."""
-    window = Lm & ~Pm
-
-    def pred(f: int) -> bool:
-        if Pm & ~f == 0:
-            return True
-        return (f & Pm).bit_count() == t and f & window != 0
-
-    return tuple(f for f in subsets(full_mask(n), k).masks if pred(f))
+    return tuple(f for f in subsets(full_mask(n), k).masks if _in_c2(f, t, Pm, Lm))
 
 
-def _h_members(n: int, k: int, t: int, Tm: int, Xm: int, Ym: int) -> tuple[int, ...]:
+def _in_h(f: int, Tm: int, Xm: int, Ym: int) -> bool:
+    # a k-set holding X and all of T but one element is X cup T minus it
+    return (Tm & ~f == 0 and f & Ym != 0) or (Xm & ~f == 0 and (Tm & ~f).bit_count() == 1)
+
+
+def _h_members(n: int, k: int, Tm: int, Xm: int, Ym: int) -> tuple[int, ...]:
     """k-sets containing T and meeting Y, plus X cup T minus one element of T."""
     specials = {Xm | (Tm ^ (1 << (e - 1))) for e in elements_of(Tm)}
     anchored = {f for f in subsets(full_mask(n), k).masks if Tm & ~f == 0 and f & Ym != 0}
@@ -135,7 +154,7 @@ def construct_H(n: int, k: int, t: int, X: tuple[int, ...], Y: tuple[int, ...]) 
     need = 1 if t == 1 else 2
     if (xm & ym).bit_count() < need:
         raise ValueError(f"need |X ∩ Y| >= {need}")
-    return Family(n, k, _h_members(n, k, t, head, xm, ym))
+    return Family(n, k, _h_members(n, k, head, xm, ym))
 
 
 @lru_cache(maxsize=4096)

@@ -10,16 +10,25 @@ but unarguable at tiny scale.
 `canonical_form_reference` is the canonical-form search in its plain shape
 (sorted colour tuples as refinement signatures, every leaf encoded to bytes,
 orbit pruning only), kept as the byte-for-byte oracle of `xfam.canon`.
+
+`match_theorem_1_2_reference` and `classify_pair_reference` are the template
+matchers in their rebuild shape (every candidate template rebuilt over all
+k-sets and compared with the input, residual tuples checked for maximality by
+star fixed points), kept as the oracle of the containment matchers in
+`xfam.classify`.
 """
 
 from __future__ import annotations
 
 import random
-from itertools import combinations
+from itertools import combinations, permutations
 from math import comb
 from typing import Sequence
 
 from xfam import Family, elements_of, is_cross_t_intersecting, mask_of
+from xfam.classify import TEMPLATE_ORDER, TemplateMatch, _iii_members, _iv_members, _no_match
+from xfam.constructions import _a_members, _b_members, _c1_members, _c2_members, _h_members
+from xfam.core import CoverStructure, covering_number, full_mask, is_maximal_pair, select, subsets
 
 Cells = tuple[tuple[int, ...], ...]
 
@@ -293,3 +302,202 @@ def canonical_form_reference(families: Sequence[Family], n: int | None = None) -
         return head + engine._encode(pos)
     engine = ReferenceCanonicalizer(n, [f.members for f in families])
     return head + engine.run()
+
+
+def _is_maximal_residual_tuple(universe: int, size_each: list[int], tup: list[tuple[int, ...]]) -> bool:
+    """Star fixed-point test for pairwise cross-intersecting residual tuples
+    over a reduced universe (empty components star to the complete family)."""
+    for i, members in enumerate(tup):
+        others = [m for j, other in enumerate(tup) if j != i for m in other]
+        expect = select(subsets(universe, size_each[i]), others, 1)
+        if tuple(sorted(members)) != expect:
+            return False
+    return True
+
+
+def _reference_match_i(F: Family, t: int, cover_union: int) -> list[tuple[str, dict]]:
+    out = []
+    for M0els in combinations(elements_of(cover_union), t + 2):
+        M0 = mask_of(M0els)
+        if _a_members(F.n, F.k, t, M0) == F.members:
+            out.append(("T1.2-i", {"M": M0els}))
+    return out
+
+
+def _reference_match_ii(F: Family, t: int, cover_union: int) -> list[tuple[str, dict]]:
+    out = []
+    uels = elements_of(cover_union)
+    for Tels in combinations(uels, t):
+        Tm = mask_of(Tels)
+        rest = [e for e in uels if not (Tm >> (e - 1)) & 1]
+        for Xels in combinations(rest, F.k - t + 1):
+            Xm = mask_of(Xels)
+            if _h_members(F.n, F.k, Tm, Xm, Xm) == F.members:
+                out.append(("T1.2-ii", {"T": Tels, "X": Xels}))
+    return out
+
+
+def _reference_match_iii(F: Family, t: int, covers: tuple[int, ...]) -> list[tuple[str, dict]]:
+    n, k = F.n, F.k
+    out = []
+    for M in covers:
+        mels = elements_of(M)
+        residuals: list[list[int]] = [[] for _ in mels]
+        ok = True
+        for f in F.members:
+            inter = f & M
+            if inter == M:
+                continue
+            if inter.bit_count() != t:
+                ok = False
+                break
+            i = mels.index(elements_of(M & ~inter)[0])
+            residuals[i].append(f & ~M)
+        if not ok:
+            continue
+        tup = [tuple(sorted(r)) for r in residuals]
+        if sum(1 for r in tup if r) < 2:
+            continue
+        universe = full_mask(n) & ~M
+        if not _is_maximal_residual_tuple(universe, [k - t] * len(tup), tup):
+            continue
+        if _iii_members(n, k, M, tuple(tup)) == F.members:
+            witness = {"M": mels, "residual_sizes": tuple(len(r) for r in tup)}
+            out.append(("T1.2-iii", witness))
+    return out
+
+
+def _reference_match_iv(F: Family, t: int, covers: tuple[int, ...], cover_union: int) -> list[tuple[str, dict]]:
+    n, k = F.n, F.k
+    cover_set = set(covers)
+    out = []
+    for Tels in combinations(elements_of(cover_union), t):
+        Tm = mask_of(Tels)
+        spokes = [
+            e for e in elements_of(cover_union & ~Tm) if (Tm | (1 << (e - 1))) in cover_set
+        ]
+        for m in range(t + 2, k + 1):
+            for Mx in combinations(spokes, m - t):
+                Mm = Tm | mask_of(Mx)
+                A: list[int] = []
+                B_by_drop: dict[int, list[int]] = {e: [] for e in Tels}
+                ok = True
+                for f in F.members:
+                    if Tm & ~f == 0:
+                        if f & Mm == Tm:
+                            A.append(f & ~Mm)
+                        elif (f & Mm).bit_count() < t + 1:
+                            ok = False
+                            break
+                    else:
+                        inter = f & Mm
+                        missing = elements_of(Mm & ~inter)
+                        if len(missing) != 1 or missing[0] not in B_by_drop:
+                            ok = False
+                            break
+                        B_by_drop[missing[0]].append(f & ~Mm)
+                if not ok:
+                    continue
+                b_sets = {tuple(sorted(v)) for v in B_by_drop.values()}
+                if len(b_sets) != 1:
+                    continue
+                B = b_sets.pop()
+                if not B:
+                    continue
+                At = tuple(sorted(A))
+                universe = full_mask(n) & ~Mm
+                if not _is_maximal_residual_tuple(universe, [k - t, k - m + 1], [At, B]):
+                    continue
+                if _iv_members(n, k, t, Tm, Mm, At, B) == F.members:
+                    witness = {
+                        "T": Tels,
+                        "M": elements_of(Mm),
+                        "m": m,
+                        "A_size": len(At),
+                        "B_size": len(B),
+                        "A_empty": not At,
+                    }
+                    out.append(("T1.2-iv", witness))
+    return out
+
+
+def match_theorem_1_2_reference(F: Family, t: int, cov: CoverStructure) -> TemplateMatch:
+    """`xfam.match_theorem_1_2` by rebuilding: every candidate template is
+    rebuilt over all k-sets and must equal F, and the residual tuples of the
+    composite shapes must be maximal."""
+    matches: list[tuple[str, dict]] = []
+    matches += _reference_match_i(F, t, cov.union)
+    matches += _reference_match_ii(F, t, cov.union)
+    matches += _reference_match_iii(F, t, cov.covers)
+    matches += _reference_match_iv(F, t, cov.covers, cov.union)
+    if not matches:
+        return _no_match()
+    matches.sort(key=lambda m: TEMPLATE_ORDER.index(m[0]))
+    return TemplateMatch(matches[0][0], matches[0][1], tuple(matches))
+
+
+def classify_pair_reference(F1: Family, F2: Family, t: int) -> TemplateMatch:
+    """`xfam.classify_pair_theorem_1_1` by rebuilding both sides of every
+    candidate pair template and comparing them with the input pair."""
+    if not is_cross_t_intersecting(F1, F2, t):
+        raise ValueError("pair is not cross t-intersecting")
+    if not is_maximal_pair(F1, F2, t):
+        raise ValueError("pair is not maximal")
+    cov1, cov2 = covering_number(F1, t), covering_number(F2, t)
+    if cov1.tau != t + 1 or cov2.tau != t + 1:
+        raise ValueError("both covering numbers must equal t+1")
+    n, k1, k2 = F1.n, F1.k, F2.k
+    uu = cov1.union | cov2.union
+    matches: list[tuple[str, dict]] = []
+
+    for M0els in combinations(elements_of(uu), t + 2):
+        M0 = mask_of(M0els)
+        if _a_members(n, k1, t, M0) == F1.members and _a_members(n, k2, t, M0) == F2.members:
+            matches.append(("T1.1-AA", {"M": M0els}))
+
+    for Tels in combinations(elements_of(uu), t):
+        Tm = mask_of(Tels)
+        xs_pool = elements_of(cov1.union & ~Tm)
+        ys_pool = elements_of(cov2.union & ~Tm)
+        need = 1 if t == 1 else 2
+        for Xels in combinations(xs_pool, k1 - t + 1):
+            Xm = mask_of(Xels)
+            for Yels in combinations(ys_pool, k2 - t + 1):
+                Ym = mask_of(Yels)
+                if (Xm & Ym).bit_count() < need:
+                    continue
+                if (
+                    _h_members(n, k1, Tm, Xm, Ym) == F1.members
+                    and _h_members(n, k2, Tm, Ym, Xm) == F2.members
+                ):
+                    matches.append(("T1.1-HH", {"T": Tels, "X": Xels, "Y": Yels}))
+
+    for (ci, cj) in ((0, 1), (1, 0)):
+        fam_c1, fam_c2 = (F1, F2)[ci], (F1, F2)[cj]
+        cov_c2 = (cov1, cov2)[cj]
+        for Pm in cov_c2.covers:
+            rest = elements_of(uu & ~Pm)
+            for Lx in combinations(rest, fam_c1.k - t):
+                Lm = Pm | mask_of(Lx)
+                if (
+                    _c1_members(n, fam_c1.k, Pm, Lm) == fam_c1.members
+                    and _c2_members(n, fam_c2.k, t, Pm, Lm) == fam_c2.members
+                ):
+                    witness = {
+                        "P": elements_of(Pm),
+                        "L": elements_of(Lm),
+                        "order": "(C1,C2)" if ci == 0 else "(C2,C1)",
+                    }
+                    matches.append(("T1.1-CC", witness))
+
+    if t == 1 and uu.bit_count() == 4:
+        for quad in permutations(elements_of(uu)):
+            a, b, c, d = quad
+            if _b_members(n, k1, (a, c, b, d)) == F1.members and _b_members(
+                n, k2, (a, b, c, d)
+            ) == F2.members:
+                matches.append(("T1.1-BB", {"quad": quad}))
+
+    if not matches:
+        return _no_match()
+    return TemplateMatch(matches[0][0], matches[0][1], tuple(matches))

@@ -12,6 +12,7 @@ from xfam import (
     construct_C2,
     construct_H,
     covering_number,
+    enumerate_maximal_pairs,
     enumerate_maximal_t_intersecting,
     mask_of,
     match_theorem_1_2,
@@ -60,11 +61,28 @@ def test_generated_instances_match_their_template():
 
 
 def test_matcher_agrees_with_checked_entry():
-    for (n, k, t) in [(6, 3, 1), (7, 4, 2)]:
+    # the containment matcher against the rebuild matcher, witnesses and
+    # their order included
+    from helpers import match_theorem_1_2_reference
+
+    for (n, k, t) in [(6, 3, 1), (7, 3, 1), (7, 4, 2)]:
         for family in enumerate_maximal_t_intersecting(n, k, t):
             cov = covering_number(family, t)
             if cov.tau == t + 1:
-                assert match_theorem_1_2(family, t, cov) == classify_theorem_1_2(family, t), (n, k, t)
+                got = match_theorem_1_2(family, t, cov)
+                assert got == match_theorem_1_2_reference(family, t, cov), (n, k, t, family.members)
+
+
+def test_pair_matcher_agrees_with_reference():
+    from helpers import classify_pair_reference
+
+    for (n, k1, k2, t) in [(5, 2, 2, 1), (6, 2, 3, 1), (6, 3, 3, 2)]:
+        for F, G in enumerate_maximal_pairs(n, k1, k2, t):
+            if covering_number(F, t).tau != t + 1 or covering_number(G, t).tau != t + 1:
+                continue
+            for pair in ((F, G), (G, F)):
+                got = classify_pair_theorem_1_1(*pair, t)
+                assert got == classify_pair_reference(*pair, t), (n, k1, k2, t, pair)
 
 
 def test_fact_2_1_examples():

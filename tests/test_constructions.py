@@ -13,11 +13,26 @@ from xfam import (
     construct_H,
     construction_pair,
     covering_number,
+    full_mask,
     is_cross_t_intersecting,
     mask_of,
     verify_construction,
 )
-from xfam.constructions import ConstructionSpec, default_D_anchors
+from xfam.constructions import (
+    ConstructionSpec,
+    _a_members,
+    _b_members,
+    _c1_members,
+    _c2_members,
+    _h_members,
+    _in_a,
+    _in_b,
+    _in_c1,
+    _in_c2,
+    _in_h,
+    default_D_anchors,
+)
+from xfam.core import subsets
 from xfam.formulas import binom, eval_a, eval_c1, eval_c2, eval_h
 
 
@@ -37,6 +52,30 @@ def test_A_union_of_intervals_cross_check():
         for anchor in combinations(range(1, t + 3), t + 1):
             members |= set(anchored_family(n, k, mask_of(anchor)).members)
         assert sorted(members) == list(construct_A(n, k, t).members)
+
+
+@pytest.mark.parametrize(
+    "builder, pred, n, k, anchors",
+    [
+        (_a_members, _in_a, 7, 3, (1, full_mask(3))),
+        (_a_members, _in_a, 8, 4, (2, mask_of((2, 4, 5, 7)))),
+        (_b_members, _in_b, 7, 3, ((1, 2, 3, 4),)),
+        (_b_members, _in_b, 7, 3, ((1, 3, 2, 4),)),
+        (_b_members, _in_b, 8, 3, ((5, 2, 6, 3),)),
+        (_c1_members, _in_c1, 7, 3, (full_mask(2), full_mask(4))),
+        (_c1_members, _in_c1, 8, 4, (mask_of((2, 5, 7)), mask_of((1, 2, 3, 5, 7)))),
+        (_c2_members, _in_c2, 7, 3, (1, full_mask(2), full_mask(4))),
+        (_c2_members, _in_c2, 8, 4, (2, mask_of((2, 5, 7)), mask_of((1, 2, 3, 5, 7)))),
+        (_h_members, _in_h, 7, 3, (full_mask(1), mask_of((2, 3, 4)), mask_of((2, 3)))),
+        (_h_members, _in_h, 8, 4, (mask_of((3, 6)), mask_of((1, 2, 5)), mask_of((2, 5, 8)))),
+    ],
+    ids=["A", "A-moved", "B", "B-partner", "B-moved", "C1", "C1-moved", "C2", "C2-moved", "H", "H-moved"],
+)
+def test_predicate_equals_builder(builder, pred, n, k, anchors):
+    # the matchers in `classify` test members with the predicate; the
+    # enumeration checks use the builder
+    table = subsets(full_mask(n), k).masks
+    assert tuple(f for f in table if pred(f, *anchors)) == builder(n, k, *anchors)
 
 
 def test_B_examples_and_inclusion_exclusion():

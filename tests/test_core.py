@@ -24,6 +24,7 @@ from xfam import (
     restrict,
     star,
 )
+from xfam import core
 from xfam.core import _NP_PAIR_CUTOFF, select, subsets
 from helpers import brute_covers
 
@@ -143,9 +144,10 @@ def test_covering_number_examples():
     assert elements_of(c.union) == (1, 2, 3, 4)
 
 
-def test_covering_number_brute_equivalence():
-    import random
-
+@pytest.mark.parametrize("cap", [core._COVER_SWEEP_CAP, 0], ids=["sweep", "branching"])
+def test_covering_number_brute_equivalence(cap, monkeypatch):
+    # at cap 0 every cover size above t goes to `_covers_by_branching`
+    monkeypatch.setattr(core, "_COVER_SWEEP_CAP", cap)
     rng = random.Random(20260809)
     for _ in range(120):
         n = rng.randint(3, 7)
