@@ -9,15 +9,20 @@ returned.
 
 Containment is enough, and no template is ever built: if F is maximal
 t-intersecting, T is t-intersecting and F is a subset of T, then F = T,
-because every member of T meets all of F in at least t elements. The rigid
-shapes are t-intersecting at every anchor choice, and each candidate is
-tested member by member with the `_in_*` predicates beside the builders in
-`constructions`. The two composite shapes (sunflowers with petals) are
-t-intersecting once their residual families are stripped from a
-t-intersecting F, and the minimum covers alone put F inside them, so every
-candidate anchor matches and only the residual sizes are counted. The pair
+because every member of T meets all of F in at least t elements. The pair
 templates work the same way: a maximal cross pair inside a
-cross-t-intersecting template pair equals it.
+cross-t-intersecting template pair equals it. Containment is in turn read
+off the minimum covers (all of size t+1):
+  A(M0)       - every M0 - e is a cover;
+  H(T, X, Y)  - every T + x with x in X is a cover (T1.2-ii is Y = X);
+  T1.2-iii    - every cover M is an anchor;
+  T1.2-iv     - every T + spokes is an anchor, the spokes x making T + x a
+                cover;
+  C1(P, L)    - P and every P - e + x with x in L - P cover the C1 side, and
+                P covers the C2 side;
+  B(a1..a4)   - {a2,a3}, {a2,a4} and {a1,a3} are covers.
+The proof of each sits beside its test. Members are read only to count the
+residual sizes of T1.2-iii and T1.2-iv.
 
 The residual sweeps here generate every template instance at canonical
 anchor positions, which gives the enumeration tests an independent second
@@ -37,15 +42,13 @@ from .core import (
     covering_number,
     elements_of,
     full_mask,
-    interval_family,
     is_cross_t_intersecting,
     is_maximal_pair,
     is_maximal_t_intersecting,
     mask_of,
     subsets,
 )
-from .canon import canonical_form
-from .constructions import _a_members, _h_members, _in_a, _in_b, _in_c1, _in_c2, _in_h
+from .constructions import _a_members, _h_members
 from .enumeration import _bits, _closed_pairs, _compat_rows
 
 TUPLE_SWEEP_BUDGET = 4_000_000
@@ -156,51 +159,35 @@ def maximal_cross_tuples(
 
 def classify_fact_2_1(F: Family, t: int) -> TemplateMatch:
     """Simplex-or-star decision for maximal t-intersecting (t+1)-uniform
-    families, confirmed against the generated template by canonical form."""
+    families. Both shapes are t-intersecting, so containment decides them:
+    F lies in the simplex on its union iff that union has t+2 elements, and
+    in the star of a t-subset of its common part iff that part has t."""
     if F.k != t + 1:
         raise ValueError(f"family must be (t+1)-uniform, got k={F.k} t={t}")
     if not is_maximal_t_intersecting(F, t):
         raise ValueError("family is not maximal t-intersecting")
-    n = F.n
-    degrees = [0] * (n + 1)
-    for m in F.members:
-        for e in elements_of(m):
-            degrees[e] += 1
-    form = canonical_form(F)
-    if len(F) == t + 2 and max(degrees[1:]) <= t + 1:
-        template = interval_family(n, t + 1, 0, full_mask(t + 2))
-        if form == canonical_form(template):
-            return TemplateMatch(
-                "F2.1-simplex", {"M": elements_of(F.union_mask())}, (("F2.1-simplex", {}),)
-            )
+    union = F.union_mask()
+    if union.bit_count() == t + 2:
+        return TemplateMatch("F2.1-simplex", {"M": elements_of(union)}, (("F2.1-simplex", {}),))
     common = F.common_mask()
     if common.bit_count() >= t:
-        template = anchored_family(n, t + 1, full_mask(t))
-        if form == canonical_form(template):
-            return TemplateMatch("F2.1-star", {"T": elements_of(common)}, (("F2.1-star", {}),))
+        return TemplateMatch("F2.1-star", {"T": elements_of(common)}, (("F2.1-star", {}),))
     return _no_match()
 
 
-def _match_i(F: Family, t: int, cover_union: int) -> list[tuple[str, dict]]:
-    out = []
-    for M0els in combinations(elements_of(cover_union), t + 2):
-        M0 = mask_of(M0els)
-        if all(_in_a(f, t, M0) for f in F.members):
-            out.append(("T1.2-i", {"M": M0els}))
-    return out
+def _a_anchors(t: int, covers: frozenset[int], union: int) -> list[tuple[int, ...]]:
+    # F lies in A(M0) iff every M0 - e is a cover: a member meets M0 in at
+    # least t+1 elements iff it meets each M0 - e in at least t
+    return [
+        M0els
+        for M0els in combinations(elements_of(union), t + 2)
+        if all(mask_of(M0els) ^ (1 << (e - 1)) in covers for e in M0els)
+    ]
 
 
-def _match_ii(F: Family, t: int, cover_union: int) -> list[tuple[str, dict]]:
-    out = []
-    uels = elements_of(cover_union)
-    for Tels in combinations(uels, t):
-        Tm = mask_of(Tels)
-        rest = [e for e in uels if not (Tm >> (e - 1)) & 1]
-        for Xels in combinations(rest, F.k - t + 1):
-            Xm = mask_of(Xels)
-            if all(_in_h(f, Tm, Xm, Xm) for f in F.members):
-                out.append(("T1.2-ii", {"T": Tels, "X": Xels}))
-    return out
+def _spokes(Tm: int, covers: frozenset[int], union: int) -> list[int]:
+    """The elements x outside T for which T + x is a cover."""
+    return [e for e in elements_of(union & ~Tm) if (Tm | (1 << (e - 1))) in covers]
 
 
 def _match_iii(F: Family, t: int, covers: tuple[int, ...]) -> list[tuple[str, dict]]:
@@ -218,22 +205,27 @@ def _match_iii(F: Family, t: int, covers: tuple[int, ...]) -> list[tuple[str, di
     return out
 
 
-def _match_iv(F: Family, t: int, covers: tuple[int, ...], cover_union: int) -> list[tuple[str, dict]]:
-    # Every candidate M = T + spokes is a match. A member meets each cover
-    # T + x in at least t elements, so it holds T, or misses one element of
-    # T and holds every spoke: the template at (T, M) contains F. Some member
-    # misses T, or T would be a t-cover; each residual of B comes once per
-    # element of T.
-    cover_set = set(covers)
+def _match_ii_iv(F: Family, t: int, covers: frozenset[int], cover_union: int) -> list[tuple[str, dict]]:
+    # Every candidate M = T + spokes is a T1.2-iv match. A member meets each
+    # cover T + x in at least t elements, so it holds T, or misses one
+    # element of T and holds every spoke: the template at (T, M) contains F.
+    # Some member misses T, or T would be a t-cover; each residual of B comes
+    # once per element of T.
+    # At m = k+1 the spokes X give T1.2-ii: the members missing an element of
+    # T are the specials X + T - e, and one exists, as T is no t-cover; each
+    # member holding T meets it in t elements, so meets X.
     out = []
     for Tels in combinations(elements_of(cover_union), t):
         Tm = mask_of(Tels)
-        spokes = [
-            e for e in elements_of(cover_union & ~Tm) if (Tm | (1 << (e - 1))) in cover_set
-        ]
+        spokes = _spokes(Tm, covers, cover_union)
+        if len(spokes) < 2:  # every anchor takes m - t >= 2 spokes
+            continue
         dropped = sum(1 for f in F.members if Tm & ~f)
-        for m in range(t + 2, F.k + 1):
+        for m in range(t + 2, F.k + 2):
             for Mx in combinations(spokes, m - t):
+                if m > F.k:
+                    out.append(("T1.2-ii", {"T": Tels, "X": Mx}))
+                    continue
                 Mm = Tm | mask_of(Mx)
                 a_size = sum(1 for f in F.members if f & Mm == Tm)
                 witness = {
@@ -273,11 +265,10 @@ def match_theorem_1_2(F: Family, t: int, cov: CoverStructure) -> TemplateMatch:
     none of the four instances of `theorem_1_2_instances(6, 4, 2)` is
     maximal, and in three of them T1.2-iii or T1.2-iv anchors are reported
     that the rebuild rejects."""
-    matches: list[tuple[str, dict]] = []
-    matches += _match_i(F, t, cov.union)
-    matches += _match_ii(F, t, cov.union)
+    covers = frozenset(cov.covers)
+    matches: list[tuple[str, dict]] = [("T1.2-i", {"M": M0els}) for M0els in _a_anchors(t, covers, cov.union)]
+    matches += _match_ii_iv(F, t, covers, cov.union)
     matches += _match_iii(F, t, cov.covers)
-    matches += _match_iv(F, t, cov.covers, cov.union)
     if not matches:
         return _no_match()
     matches.sort(key=lambda m: TEMPLATE_ORDER.index(m[0]))
@@ -298,53 +289,56 @@ def classify_pair_theorem_1_1(F1: Family, F2: Family, t: int) -> TemplateMatch:
     if cov1.tau != t + 1 or cov2.tau != t + 1:
         raise ValueError("both covering numbers must equal t+1")
     k1, k2 = F1.k, F2.k
+    c1, c2 = frozenset(cov1.covers), frozenset(cov2.covers)
     uu = cov1.union | cov2.union
-    matches: list[tuple[str, dict]] = []
+    matches: list[tuple[str, dict]] = [("T1.1-AA", {"M": M0els}) for M0els in _a_anchors(t, c1 & c2, uu)]
 
-    for M0els in combinations(elements_of(uu), t + 2):
-        M0 = mask_of(M0els)
-        if all(_in_a(f, t, M0) for f in F1.members) and all(_in_a(g, t, M0) for g in F2.members):
-            matches.append(("T1.1-AA", {"M": M0els}))
-
+    # F1 lies in H(T, X, Y) and F2 in H(T, Y, X) iff every T + x (x in X)
+    # covers F1 and every T + y (y in Y) covers F2: a member missing an
+    # element of T then holds X, a special; T is no t-cover of the partner,
+    # so it has a special, and each member holding T meets it, hence meets Y
+    need = 1 if t == 1 else 2
     for Tels in combinations(elements_of(uu), t):
         Tm = mask_of(Tels)
-        xs_pool = elements_of(cov1.union & ~Tm)
-        ys_pool = elements_of(cov2.union & ~Tm)
-        need = 1 if t == 1 else 2
-        for Xels in combinations(xs_pool, k1 - t + 1):
+        ys = _spokes(Tm, c2, cov2.union)
+        for Xels in combinations(_spokes(Tm, c1, cov1.union), k1 - t + 1):
             Xm = mask_of(Xels)
-            for Yels in combinations(ys_pool, k2 - t + 1):
-                Ym = mask_of(Yels)
-                if (Xm & Ym).bit_count() < need:
-                    continue
-                if all(_in_h(f, Tm, Xm, Ym) for f in F1.members) and all(
-                    _in_h(g, Tm, Ym, Xm) for g in F2.members
-                ):
+            for Yels in combinations(ys, k2 - t + 1):
+                if (Xm & mask_of(Yels)).bit_count() >= need:
                     matches.append(("T1.1-HH", {"T": Tels, "X": Xels, "Y": Yels}))
 
+    # The C1 side lies in C1(P, L) iff P and every P - e + x (e in P, x in
+    # L - P) cover it: a member missing e in P holds each x, by the cover
+    # P - e' + x with e' != e, so it is L - e. Then the C2 side lies in
+    # C2(P, L): P covers it, and tau = t+1 leaves the C1 side two specials
+    # L - e1, L - e2; a C2 member missing e in P shares t-1 elements of P
+    # with the one where ei != e, so it meets L - P.
     for (ci, cj) in ((0, 1), (1, 0)):
-        fam_c1, fam_c2 = (F1, F2)[ci], (F1, F2)[cj]
-        cov_c2 = (cov1, cov2)[cj]
-        for Pm in cov_c2.covers:
-            rest = elements_of(uu & ~Pm)
-            for Lx in combinations(rest, fam_c1.k - t):
-                Lm = Pm | mask_of(Lx)
-                if all(_in_c1(f, Pm, Lm) for f in fam_c1.members) and all(
-                    _in_c2(g, t, Pm, Lm) for g in fam_c2.members
-                ):
-                    witness = {
-                        "P": elements_of(Pm),
-                        "L": elements_of(Lm),
-                        "order": "(C1,C2)" if ci == 0 else "(C2,C1)",
-                    }
-                    matches.append(("T1.1-CC", witness))
+        k_c1, covers_c1 = (k1, k2)[ci], (c1, c2)[ci]
+        for Pm in (cov1, cov2)[cj].covers:
+            if Pm not in covers_c1:
+                continue
+            Pels = elements_of(Pm)
+            swaps = [
+                x
+                for x in elements_of(uu & ~Pm)
+                if all((Pm ^ (1 << (e - 1))) | (1 << (x - 1)) in covers_c1 for e in Pels)
+            ]
+            for Lx in combinations(swaps, k_c1 - t):
+                witness = {
+                    "P": Pels,
+                    "L": elements_of(Pm | mask_of(Lx)),
+                    "order": "(C1,C2)" if ci == 0 else "(C2,C1)",
+                }
+                matches.append(("T1.1-CC", witness))
 
+    # F lies in B(a1, a2, a3, a4) iff {a2,a3}, {a2,a4} and {a1,a3} cover it:
+    # a member holding a2 meets {a1,a3}, and one without a2 holds a3 and a4.
+    # F1 is tested at (a, c, b, d), F2 at (a, b, c, d).
     if t == 1 and uu.bit_count() == 4:
         for quad in permutations(elements_of(uu)):
-            a, b, c, d = quad
-            if all(_in_b(f, (a, c, b, d)) for f in F1.members) and all(
-                _in_b(g, (a, b, c, d)) for g in F2.members
-            ):
+            a, b, c, d = (1 << (e - 1) for e in quad)
+            if {b | c, c | d, a | b} <= c1 and {b | c, b | d, a | c} <= c2:
                 matches.append(("T1.1-BB", {"quad": quad}))
 
     # each route enumerates its full anchor tuple once, so no entry repeats

@@ -67,8 +67,11 @@ def _jsonable(value):
 def _write(text: str, out: str | None) -> None:
     """Write to the --out file, or to stdout without one."""
     if out:
-        with io.open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with io.open(out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:  # an unwritable --out is a usage error
+            raise ValueError(f"cannot write {out}: {exc.strerror}") from exc
     else:
         sys.stdout.write(text)
 

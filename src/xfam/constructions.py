@@ -1,12 +1,10 @@
 """Generators for the explicit extremal families and their self-verification.
 
 Each shape has one member builder that takes its anchors as masks and reads
-the k-subsets of [n] from the shared table in `core`, and beside it one
-membership predicate `_in_*` for a single k-set; the template matchers in
-`classify` test the members of a family with the predicates at anchors
-recovered from covers, and never build a template. The generators here
-place the anchors at the low indices of [n]; closed-form sizes live in
-`formulas` and the test suite cross-checks both paths against
+the k-subsets of [n] from the shared table in `core`; B and C2 filter that
+table with a membership predicate `_in_*` for a single k-set. The
+generators here place the anchors at the low indices of [n]; closed-form
+sizes live in `formulas` and the test suite cross-checks both paths against
 inclusion-exclusion counts.
 
 Kinds:
@@ -43,12 +41,7 @@ from .formulas import binom, eval_a, eval_c1, eval_c2, eval_h
 
 
 # ---------------------------------------------------------------------------
-# member builders at arbitrary anchors (masks), each beside its membership
-# predicate
-
-
-def _in_a(f: int, t: int, M0: int) -> bool:
-    return (f & M0).bit_count() >= t + 1
+# member builders at arbitrary anchors (masks)
 
 
 def _a_members(n: int, k: int, t: int, M0: int) -> tuple[int, ...]:
@@ -67,12 +60,6 @@ def _b_members(n: int, k: int, quad: tuple[int, int, int, int]) -> tuple[int, ..
     return tuple(f for f in subsets(full_mask(n), k).masks if _in_b(f, quad))
 
 
-def _in_c1(f: int, Pm: int, Lm: int) -> bool:
-    # an l-set inside the (l+1)-set L is L minus one element, and it
-    # contains P unless that element is in P
-    return Pm & ~f == 0 or f & ~Lm == 0
-
-
 def _c1_members(n: int, l: int, Pm: int, Lm: int) -> tuple[int, ...]:
     """l-sets containing P, plus L minus one element of P."""
     specials = {Lm ^ (1 << (e - 1)) for e in elements_of(Pm)}
@@ -86,11 +73,6 @@ def _in_c2(f: int, t: int, Pm: int, Lm: int) -> bool:
 def _c2_members(n: int, k: int, t: int, Pm: int, Lm: int) -> tuple[int, ...]:
     """k-sets containing P, or meeting P in exactly t with a hit in L minus P."""
     return tuple(f for f in subsets(full_mask(n), k).masks if _in_c2(f, t, Pm, Lm))
-
-
-def _in_h(f: int, Tm: int, Xm: int, Ym: int) -> bool:
-    # a k-set holding X and all of T but one element is X cup T minus it
-    return (Tm & ~f == 0 and f & Ym != 0) or (Xm & ~f == 0 and (Tm & ~f).bit_count() == 1)
 
 
 def _h_members(n: int, k: int, Tm: int, Xm: int, Ym: int) -> tuple[int, ...]:

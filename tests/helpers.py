@@ -15,7 +15,9 @@ orbit pruning only), kept as the byte-for-byte oracle of `xfam.canon`.
 matchers in their rebuild shape (every candidate template rebuilt over all
 k-sets and compared with the input, residual tuples checked for maximality by
 star fixed points), kept as the oracle of the containment matchers in
-`xfam.classify`.
+`xfam.classify`; `classify_fact_2_1_reference` decides simplex or star by
+canonical form against the generated template, the oracle of the
+containment decision in `xfam.classify_fact_2_1`.
 """
 
 from __future__ import annotations
@@ -25,10 +27,20 @@ from itertools import combinations, permutations
 from math import comb
 from typing import Sequence
 
-from xfam import Family, elements_of, is_cross_t_intersecting, mask_of
+from xfam import Family, canonical_form, elements_of, is_cross_t_intersecting, mask_of
 from xfam.classify import TEMPLATE_ORDER, TemplateMatch, _iii_members, _iv_members, _no_match
 from xfam.constructions import _a_members, _b_members, _c1_members, _c2_members, _h_members
-from xfam.core import CoverStructure, covering_number, full_mask, is_maximal_pair, select, subsets
+from xfam.core import (
+    CoverStructure,
+    anchored_family,
+    covering_number,
+    full_mask,
+    interval_family,
+    is_maximal_pair,
+    is_maximal_t_intersecting,
+    select,
+    subsets,
+)
 
 Cells = tuple[tuple[int, ...], ...]
 
@@ -302,6 +314,33 @@ def canonical_form_reference(families: Sequence[Family], n: int | None = None) -
         return head + engine._encode(pos)
     engine = ReferenceCanonicalizer(n, [f.members for f in families])
     return head + engine.run()
+
+
+def classify_fact_2_1_reference(F: Family, t: int) -> TemplateMatch:
+    """`xfam.classify_fact_2_1` by canonical form: the family must be
+    isomorphic to the generated simplex or star template."""
+    if F.k != t + 1:
+        raise ValueError(f"family must be (t+1)-uniform, got k={F.k} t={t}")
+    if not is_maximal_t_intersecting(F, t):
+        raise ValueError("family is not maximal t-intersecting")
+    n = F.n
+    degrees = [0] * (n + 1)
+    for m in F.members:
+        for e in elements_of(m):
+            degrees[e] += 1
+    form = canonical_form(F)
+    if len(F) == t + 2 and max(degrees[1:]) <= t + 1:
+        template = interval_family(n, t + 1, 0, full_mask(t + 2))
+        if form == canonical_form(template):
+            return TemplateMatch(
+                "F2.1-simplex", {"M": elements_of(F.union_mask())}, (("F2.1-simplex", {}),)
+            )
+    common = F.common_mask()
+    if common.bit_count() >= t:
+        template = anchored_family(n, t + 1, full_mask(t))
+        if form == canonical_form(template):
+            return TemplateMatch("F2.1-star", {"T": elements_of(common)}, (("F2.1-star", {}),))
+    return _no_match()
 
 
 def _is_maximal_residual_tuple(universe: int, size_each: list[int], tup: list[tuple[int, ...]]) -> bool:

@@ -95,6 +95,17 @@ def test_fact_2_1_examples():
     assert classify_fact_2_1(simplex, 2).template == "F2.1-simplex"
 
 
+def test_fact_2_1_agrees_with_reference():
+    # the containment decision against the canonical-form one, at every
+    # maximal (t+1)-uniform family with t <= 3 and n <= 8 (551 families)
+    from helpers import classify_fact_2_1_reference
+
+    for t in (1, 2, 3):
+        for n in range(t + 2, 9):
+            for family in enumerate_maximal_t_intersecting(n, t + 1, t):
+                assert classify_fact_2_1(family, t) == classify_fact_2_1_reference(family, t), (n, t, family.members)
+
+
 def test_pair_classification():
     a2 = construct_A(6, 2, 1)
     m = classify_pair_theorem_1_1(a2, a2, 1)

@@ -118,7 +118,7 @@ def test_bad_construct_args(capsys):
     assert code == 2 and "error" in err
 
 
-def test_usage_errors_exit_2(capsys):
+def test_usage_errors_exit_2(capsys, tmp_path):
     code, _, err = run(capsys, "verify-constructions", "--grid", "t=1")
     assert code == 2 and "lacks k, l, n" in err
     code, _, err = run(capsys, "eval", "--formula", "tilde-a", "--args", "x=2", "t=1")
@@ -146,6 +146,13 @@ def test_usage_errors_exit_2(capsys):
     ):
         code, out, err = run(capsys, *argv)
         assert code == 2 and out == "" and err.startswith("error: "), argv
+    # an unwritable --out is a usage error, not a traceback
+    for argv in (
+        ("construct", "--kind", "A", "--n", "5", "--k", "3", "--t", "1", "--out", "/nonexistent/x.txt"),
+        ("classify-all", "--n", "5", "--k", "2", "--t", "1", "--out", str(tmp_path)),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "" and err.startswith("error: cannot write "), argv
 
 
 def test_classify_missing_partner_file(capsys, tmp_path):

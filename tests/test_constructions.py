@@ -13,6 +13,7 @@ from xfam import (
     construct_H,
     construction_pair,
     covering_number,
+    elements_of,
     full_mask,
     is_cross_t_intersecting,
     mask_of,
@@ -25,14 +26,11 @@ from xfam.constructions import (
     _c1_members,
     _c2_members,
     _h_members,
-    _in_a,
     _in_b,
-    _in_c1,
     _in_c2,
-    _in_h,
     default_D_anchors,
 )
-from xfam.core import subsets
+from xfam.core import select, subsets
 from xfam.formulas import binom, eval_a, eval_c1, eval_c2, eval_h
 
 
@@ -57,25 +55,65 @@ def test_A_union_of_intervals_cross_check():
 @pytest.mark.parametrize(
     "builder, pred, n, k, anchors",
     [
-        (_a_members, _in_a, 7, 3, (1, full_mask(3))),
-        (_a_members, _in_a, 8, 4, (2, mask_of((2, 4, 5, 7)))),
         (_b_members, _in_b, 7, 3, ((1, 2, 3, 4),)),
         (_b_members, _in_b, 7, 3, ((1, 3, 2, 4),)),
         (_b_members, _in_b, 8, 3, ((5, 2, 6, 3),)),
-        (_c1_members, _in_c1, 7, 3, (full_mask(2), full_mask(4))),
-        (_c1_members, _in_c1, 8, 4, (mask_of((2, 5, 7)), mask_of((1, 2, 3, 5, 7)))),
         (_c2_members, _in_c2, 7, 3, (1, full_mask(2), full_mask(4))),
         (_c2_members, _in_c2, 8, 4, (2, mask_of((2, 5, 7)), mask_of((1, 2, 3, 5, 7)))),
-        (_h_members, _in_h, 7, 3, (full_mask(1), mask_of((2, 3, 4)), mask_of((2, 3)))),
-        (_h_members, _in_h, 8, 4, (mask_of((3, 6)), mask_of((1, 2, 5)), mask_of((2, 5, 8)))),
     ],
-    ids=["A", "A-moved", "B", "B-partner", "B-moved", "C1", "C1-moved", "C2", "C2-moved", "H", "H-moved"],
+    ids=["B", "B-partner", "B-moved", "C2", "C2-moved"],
 )
 def test_predicate_equals_builder(builder, pred, n, k, anchors):
-    # the matchers in `classify` test members with the predicate; the
-    # enumeration checks use the builder
     table = subsets(full_mask(n), k).masks
     assert tuple(f for f in table if pred(f, *anchors)) == builder(n, k, *anchors)
+
+
+def _bit(e: int) -> int:
+    return 1 << (e - 1)
+
+
+@pytest.mark.parametrize(
+    "kind, n, k, t, anchors",
+    [
+        ("A", 7, 3, 1, (full_mask(3),)),
+        ("A", 8, 4, 2, (mask_of((2, 4, 5, 7)),)),
+        ("B", 7, 3, 1, ((1, 2, 3, 4),)),
+        ("B", 7, 3, 1, ((1, 3, 2, 4),)),
+        ("B", 8, 3, 1, ((5, 2, 6, 3),)),
+        ("C1", 7, 3, 1, (full_mask(2), full_mask(4))),
+        ("C1", 8, 4, 2, (mask_of((2, 5, 7)), mask_of((1, 2, 3, 5, 7)))),
+        ("H", 7, 3, 1, (full_mask(1), mask_of((2, 3, 4)), mask_of((2, 3)))),
+        ("H", 8, 4, 2, (mask_of((3, 6)), mask_of((1, 2, 5)), mask_of((2, 5, 8)))),
+    ],
+    ids=["A", "A-moved", "B", "B-partner", "B-moved", "C1", "C1-moved", "H", "H-moved"],
+)
+def test_cover_lemma(kind, n, k, t, anchors):
+    # the matchers in `classify` accept an anchor when its required
+    # (t+1)-sets are minimum covers; the k-sets meeting all of them in at
+    # least t elements are the template (for H: the k-sets holding T plus
+    # the specials, as meeting Y is forced by the partner)
+    table = subsets(full_mask(n), k)
+    if kind == "A":
+        (M0,) = anchors
+        required = [M0 ^ _bit(e) for e in elements_of(M0)]
+        template = expected = _a_members(n, k, t, M0)
+    elif kind == "B":
+        a1, a2, a3, a4 = (_bit(e) for e in anchors[0])
+        required = [a2 | a3, a2 | a4, a1 | a3]
+        template = expected = _b_members(n, k, anchors[0])
+    elif kind == "C1":
+        Pm, Lm = anchors
+        swaps = [(Pm ^ _bit(e)) | _bit(x) for e in elements_of(Pm) for x in elements_of(Lm & ~Pm)]
+        required = [Pm] + swaps
+        template = expected = _c1_members(n, k, Pm, Lm)
+    else:
+        Tm, Xm, Ym = anchors
+        required = [Tm | _bit(x) for x in elements_of(Xm)]
+        specials = {Xm | (Tm ^ _bit(e)) for e in elements_of(Tm)}
+        expected = tuple(sorted({f for f in table.masks if Tm & ~f == 0} | specials))
+        template = _h_members(n, k, Tm, Xm, Ym)
+    assert select(table, required, t) == expected
+    assert set(required) <= set(covering_number(Family(n, k, template), t).covers)
 
 
 def test_B_examples_and_inclusion_exclusion():
