@@ -22,12 +22,12 @@ from . import (
     classify_fact_2_1,
     classify_pair_theorem_1_1,
     classify_theorem_1_2,
-    covering_number,
     enumerate_maximal_t_intersecting,
     extremal_product_search,
     family_to_text,
     leading_constant_check,
     match_theorem_1_2,
+    maximal_with_tau_t_plus_1,
     n_threshold,
     read_family,
     verify_grid,
@@ -241,16 +241,11 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_classify_all(args) -> int:
-    fams = enumerate_maximal_t_intersecting(args.n, args.k, args.t, vertex_cap=args.vertex_cap)
+    total, found = maximal_with_tau_t_plus_1(args.n, args.k, args.t, vertex_cap=args.vertex_cap)
     counts: dict[str, int] = {}
     unmatched = []
-    examined = 0
-    # each Bron-Kerbosch clique is maximal t-intersecting; only tau is checked
-    for fam in fams:
-        cov = covering_number(fam, args.t)
-        if cov.tau != args.t + 1:
-            continue
-        examined += 1
+    # maximal by construction, covers read off the clique: match_theorem_1_2's contract
+    for fam, cov in found:
         match = match_theorem_1_2(fam, args.t, cov)
         if not match.matched:
             unmatched.append(_family_json(fam))
@@ -262,8 +257,8 @@ def _cmd_classify_all(args) -> int:
         "classify-all",
         {"n": args.n, "k": args.k, "t": args.t},
         {
-            "maximal_families": len(fams),
-            "with_min_cover_t_plus_1": examined,
+            "maximal_families": total,
+            "with_min_cover_t_plus_1": len(found),
             "matches_per_template": dict(sorted(counts.items())),
             "unmatched": unmatched,
         },

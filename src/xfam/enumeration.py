@@ -2,10 +2,12 @@
 
 Maximal t-intersecting families are the maximal cliques of the intersection
 graph on all k-subsets (edges between t-intersecting pairs), found by
-pivoting Bron-Kerbosch over bitset rows. Maximal cross-t-intersecting pairs
-are the fixed points F = star(star(F)) of the double star map, i.e. the
-formal concepts of the relation "meets in >= t elements" between k1- and
-k2-subsets. Close-by-One (Kuznetsov 1993) lists each of them exactly once,
+pivoting Bron-Kerbosch over bitset rows. Those with covering number t+1, and
+their minimum covers, are read off the clique bitmasks: one AND per
+candidate cover against a shared row of the k-subsets it covers. Maximal
+cross-t-intersecting pairs are the fixed points F = star(star(F)) of the
+double star map, i.e. the formal concepts of the relation "meets in >= t
+elements" between k1- and k2-subsets. Close-by-One (Kuznetsov 1993) lists each of them exactly once,
 in time linear in their number. The product search walks the pairs by
 decreasing |F| |G| and computes covering numbers only while a pair can still
 tie the best product. Both enumerations are capped at small vertex counts;
@@ -15,10 +17,12 @@ exceeding a cap is an error, never silent truncation.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from math import comb
+from operator import or_
 
 from .canon import canonical_form_tuple
-from .core import Family, covering_number, full_mask, subsets, validate_params
+from .core import CoverStructure, Family, covering_number, full_mask, subsets, validate_params
 from .formulas import n_threshold
 
 VERTEX_CAP = 70
@@ -97,14 +101,53 @@ def _bron_kerbosch(rows: tuple[int, ...], nverts: int) -> list[int]:
     return out
 
 
-def enumerate_maximal_t_intersecting(n: int, k: int, t: int, vertex_cap: int = VERTEX_CAP) -> list[Family]:
-    """Every maximal t-intersecting k-uniform family over [n], exactly once."""
+def maximal_cliques(n: int, k: int, t: int, vertex_cap: int = VERTEX_CAP) -> tuple[tuple[int, ...], list[int]]:
+    """The k-subsets of [n] in increasing mask order, and every maximal
+    t-intersecting family over them once, as a bitmask of vertex indices."""
     validate_params(n, k, t)
     graph = build_intersection_graph(n, k, t, vertex_cap)
-    cliques = _bron_kerbosch(graph.rows, len(graph.vertices))
-    fams = [Family(n, k, tuple(graph.vertices[i] for i in _bits(cm))) for cm in cliques]
+    return graph.vertices, _bron_kerbosch(graph.rows, len(graph.vertices))
+
+
+def enumerate_maximal_t_intersecting(n: int, k: int, t: int, vertex_cap: int = VERTEX_CAP) -> list[Family]:
+    """Every maximal t-intersecting k-uniform family over [n], exactly once."""
+    verts, cliques = maximal_cliques(n, k, t, vertex_cap)
+    fams = [Family(n, k, tuple(verts[i] for i in _bits(cm))) for cm in cliques]
     fams.sort(key=lambda f: f.members)
     return fams
+
+
+def maximal_with_tau_t_plus_1(
+    n: int, k: int, t: int, vertex_cap: int = VERTEX_CAP
+) -> tuple[int, list[tuple[Family, CoverStructure]]]:
+    """The number of maximal t-intersecting k-uniform families over [n], and
+    those with covering number t+1, sorted by members, each with its
+    `covering_number(F, t)`.
+
+    Covers are read off the clique masks: one row per s-set T of [n]
+    (s = t, t+1) holds the vertices meeting T in >= t elements, stored
+    complemented, so T covers a clique iff `not clique & row`. tau = t+1
+    iff some (t+1)-set covers the clique and no t-set does; then the
+    (t+1)-covers are all the minimum covers, in table order. They lie inside
+    the union of the family, since a cover element outside it could be
+    dropped, so scanning all of [n] matches the library's candidates."""
+    verts, cliques = maximal_cliques(n, k, t, vertex_cap)
+    full = (1 << len(verts)) - 1
+
+    def missing(size: int) -> tuple[tuple[int, ...], list[int]]:
+        table = subsets(full_mask(n), size).masks
+        return table, [full ^ row for row in _compat_rows(table, verts, t)]
+
+    plus, plus_rows = missing(t + 1)
+    _, t_rows = missing(t)
+    found = []
+    for clique in cliques:
+        covers = tuple([T for T, row in zip(plus, plus_rows) if not clique & row])
+        if covers and all(clique & row for row in t_rows):
+            fam = Family(n, k, tuple([verts[i] for i in _bits(clique)]))
+            found.append((fam, CoverStructure(t + 1, covers, reduce(or_, covers))))
+    found.sort(key=lambda fc: fc[0].members)
+    return len(cliques), found
 
 
 _CHUNK = 4  # index bits per table: 16 entries per 4 rows, so table size stays linear in the rows

@@ -11,6 +11,10 @@ but unarguable at tiny scale.
 (sorted colour tuples as refinement signatures, every leaf encoded to bytes,
 orbit pruning only), kept as the byte-for-byte oracle of `xfam.canon`.
 
+`classify_all_reference` is the `classify-all` loop in its library shape
+(every maximal family through `covering_number`, then `match_theorem_1_2`),
+kept as the oracle of the clique-mask kernel `maximal_with_tau_t_plus_1`.
+
 `match_theorem_1_2_reference` and `classify_pair_reference` are the template
 matchers in their rebuild shape (every candidate template rebuilt over all
 k-sets and compared with the input, residual tuples checked for maximality by
@@ -27,7 +31,15 @@ from itertools import combinations, permutations
 from math import comb
 from typing import Sequence
 
-from xfam import Family, canonical_form, elements_of, is_cross_t_intersecting, mask_of
+from xfam import (
+    Family,
+    canonical_form,
+    elements_of,
+    enumerate_maximal_t_intersecting,
+    is_cross_t_intersecting,
+    mask_of,
+    match_theorem_1_2,
+)
 from xfam.classify import TEMPLATE_ORDER, TemplateMatch, _iii_members, _iv_members, _no_match
 from xfam.constructions import _a_members, _b_members, _c1_members, _c2_members, _h_members
 from xfam.core import (
@@ -473,6 +485,19 @@ def match_theorem_1_2_reference(F: Family, t: int, cov: CoverStructure) -> Templ
         return _no_match()
     matches.sort(key=lambda m: TEMPLATE_ORDER.index(m[0]))
     return TemplateMatch(matches[0][0], matches[0][1], tuple(matches))
+
+
+def classify_all_reference(n: int, k: int, t: int) -> tuple[int, list[tuple[Family, CoverStructure, TemplateMatch]]]:
+    """The number of maximal t-intersecting families, and each one with
+    covering number t+1 together with its covers and its match, in
+    enumeration order: `classify-all` with the library `covering_number`."""
+    fams = enumerate_maximal_t_intersecting(n, k, t)
+    found = []
+    for fam in fams:
+        cov = covering_number(fam, t)
+        if cov.tau == t + 1:
+            found.append((fam, cov, match_theorem_1_2(fam, t, cov)))
+    return len(fams), found
 
 
 def classify_pair_reference(F1: Family, F2: Family, t: int) -> TemplateMatch:

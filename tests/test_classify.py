@@ -18,6 +18,7 @@ from xfam import (
     match_theorem_1_2,
     maximal_cross_pairs,
     maximal_cross_tuples,
+    maximal_with_tau_t_plus_1,
     theorem_1_2_instances,
 )
 
@@ -71,6 +72,22 @@ def test_matcher_agrees_with_checked_entry():
             if cov.tau == t + 1:
                 got = match_theorem_1_2(family, t, cov)
                 assert got == match_theorem_1_2_reference(family, t, cov), (n, k, t, family.members)
+
+
+@pytest.mark.parametrize("n,k,t", [(6, 3, 1), (7, 3, 1), (7, 4, 2), (8, 3, 1), (4, 2, 2), (3, 3, 3), (5, 4, 3)])
+def test_clique_mask_kernel_agrees_with_library(n, k, t):
+    # covers read off the clique masks against covering_number on each
+    # family; with k = t, as at (4,2,2) and (3,3,3), every clique is one
+    # k-set, a star, and (3,3,3) has no (t+1)-subset at all
+    from helpers import classify_all_reference
+
+    total, found = maximal_with_tau_t_plus_1(n, k, t)
+    ref_total, ref = classify_all_reference(n, k, t)
+    assert total == ref_total
+    assert found == [(f, cov) for f, cov, _ in ref]
+    assert [match_theorem_1_2(f, t, cov) for f, cov in found] == [m for _, _, m in ref]
+    if k == t:
+        assert found == []
 
 
 def test_pair_matcher_agrees_with_reference():

@@ -1,5 +1,8 @@
 import json
 
+import xfam.classify
+import xfam.cli
+import xfam.core
 from xfam.cli import main
 
 
@@ -181,3 +184,18 @@ def test_grid_points():
         (2, 3, 2, 5),
         (2, 3, 2, 10),
     ]
+
+
+def test_classify_all_calls_no_covering_number(capsys, monkeypatch, tmp_path):
+    # classify-all reads the covers off the clique masks; the library
+    # covering_number is only its test oracle
+    from test_golden import CASES, GOLDEN, _digest
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("covering_number called")
+
+    for module in (xfam.core, xfam.cli, xfam.classify):
+        monkeypatch.setattr(module, "covering_number", refuse, raising=False)
+    monkeypatch.chdir(tmp_path)
+    # the golden case runs (6,3,1) and (7,4,2); its digest covers the exit codes
+    assert _digest(CASES["classify-all"], lambda: capsys.readouterr().out) == GOLDEN["classify-all"]

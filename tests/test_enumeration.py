@@ -1,3 +1,4 @@
+import networkx as nx
 import pytest
 
 from xfam import (
@@ -17,7 +18,7 @@ from xfam import (
 )
 from xfam.canon import canonical_form_tuple
 from xfam.core import full_mask, subsets
-from xfam.enumeration import _closed_pairs
+from xfam.enumeration import _closed_pairs, maximal_cliques
 from xfam.formulas import eval_g
 from helpers import brute_maximal_families, brute_maximal_pairs, sweep_maximal_pairs
 
@@ -38,6 +39,19 @@ def test_enumeration_matches_brute_force():
     for (n, k, t) in [(4, 2, 1), (4, 3, 2), (4, 1, 1), (5, 2, 1), (5, 4, 3)]:
         got = [f.members for f in enumerate_maximal_t_intersecting(n, k, t)]
         assert got == brute_maximal_families(n, k, t)
+
+
+@pytest.mark.parametrize("n,k,t", [(6, 3, 1), (7, 3, 1), (7, 4, 2)])
+def test_maximal_cliques_match_networkx(n, k, t):
+    verts, cliques = maximal_cliques(n, k, t)
+    graph = nx.Graph()
+    graph.add_nodes_from(range(len(verts)))
+    graph.add_edges_from(
+        (i, j) for i in range(len(verts)) for j in range(i) if (verts[i] & verts[j]).bit_count() >= t
+    )
+    got = {frozenset(i for i in range(len(verts)) if clique >> i & 1) for clique in cliques}
+    assert len(got) == len(cliques)
+    assert got == {frozenset(c) for c in nx.find_cliques(graph)}
 
 
 def test_enumeration_examples():
