@@ -135,6 +135,8 @@ def _parse_grid(text: str | None, default):
             for l in parse_range(dims["l"], {"t": t, "k": k}):
                 for n in parse_range(dims["n"], {"t": t, "k": k, "l": l}):
                     pts.append((t, k, l, n))
+    if not pts:
+        raise ValueError(f"grid spec {text!r} has no points")
     return sorted(set(pts))
 
 
@@ -169,6 +171,8 @@ def _cmd_verify_constructions(args) -> int:
     pts = _parse_grid(args.grid, construction_grid)
     kinds = args.kinds.split(",") if args.kinds else list(PAIR_KINDS)
     reports = verify_grid(kinds, pts, check_maximal=args.maximal)
+    if not reports:
+        raise ValueError(f"no pair of kinds {','.join(kinds)} exists at any grid point")
     ok = all(rep["pass"] for rep in reports)
     _emit(_report("verify-constructions", {"grid": args.grid or "default", "kinds": kinds}, reports, ok), args.out)
     return 0 if ok else 1

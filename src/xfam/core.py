@@ -13,6 +13,14 @@ and the kernel `select(table, members, t)` that keeps the candidates meeting
 every member in >= t elements. Covers, stars, cross checks, the
 constructions and the template reconstructions all go through them.
 
+`select` rests on one identity: |c ∩ m| >= t iff |m ∖ c| <= |m| - t iff the
+complement of c holds no (|m| - t + 1)-subset of m. On dense queries over at
+most 20 bits it marks the up-set those subsets generate in one array over
+the 2^n subsets of [n] and reads each candidate's complement there, at a cost
+that does not depend on the number of members. Smaller queries filter the
+candidates member by member; wider ones count bits over the chunked
+(candidate, member) outer product.
+
 On top of the raw masks this module provides the intersection predicates,
 exact t-covering-number computation (all minimum covers, not just one), the
 star operator (largest m-uniform family cross-t-intersecting a given one),
@@ -36,9 +44,21 @@ import numpy as np
 
 MAX_GROUND_SET = 64
 
-# the numpy branch of `select` beats the pure loop only past this many
-# (candidate, member) pairs
+# the up-set path of `select` runs up to this many ground-set bits (its flag
+# arrays take 2^n bytes, 1 MB at 20 bits) and from this many (candidate,
+# member) pairs, or 2^n pairs if that is more
+_UPSET_MAX_BITS = 20
+_UPSET_PAIR_CUTOFF = 2_000
+# past _UPSET_MAX_BITS, the chunked numpy branch beats the survivor loop only
+# past this many pairs
 _NP_PAIR_CUTOFF = 20_000
+# one (shift, mask) per bit j < 6 of the up-set closure, applied to the 64
+# subset flags packed in one little-endian uint64 word: bit i of the word is
+# subset i, the mask selects the flags with bit j set, and their partners
+# without it lie 2^j bits lower
+_LOW_BIT_PASSES = tuple(
+    (np.uint64(1 << j), np.uint64(sum(1 << i for i in range(64) if i >> j & 1))) for j in range(6)
+)
 # exhaustive cover sweep is used while C(|union|, s) stays below this
 _COVER_SWEEP_CAP = 30_000
 
@@ -97,14 +117,87 @@ def subsets(universe: int, size: int) -> SubsetTable:
 
 
 def select(cands: SubsetTable, members: Sequence[int], t: int) -> tuple[int, ...]:
-    """The candidates meeting every member in >= t elements, in table order
-    (all of them when `members` is empty). A pure loop below _NP_PAIR_CUTOFF
-    (candidate, member) pairs, chunked np.bitwise_count from there on."""
+    """The candidates meeting every member in >= t elements, in table order.
+
+    All of them when `members` is empty or t <= 0, none when a member has
+    fewer than t elements. Otherwise one of three exact paths, by size:
+
+    - up-set (`_outside_upset`), while n <= _UPSET_MAX_BITS and there are at
+      least max(_UPSET_PAIR_CUTOFF, 2^n) (candidate, member) pairs, where n
+      is the highest bit used. It rests on |c ∩ m| >= t iff |m ∖ c| <= |m| - t
+      iff the complement of c holds no (|m| - t + 1)-subset of m, and its cost
+      does not depend on the number of members;
+    - survivor loop (`_survivors`), below _NP_PAIR_CUTOFF pairs;
+    - chunked np.bitwise_count over the outer product (`_outer_product`).
+    """
     masks = cands.masks
-    if len(masks) * len(members) < _NP_PAIR_CUTOFF:
-        return tuple(c for c in masks if all((c & m).bit_count() >= t for m in members))
+    if t <= 0 or not members:
+        return masks
+    if not masks:
+        return ()
+    pairs = len(masks) * len(members)
+    n = (reduce(or_, members) | masks[-1]).bit_length()
+    if n <= _UPSET_MAX_BITS and pairs >= max(_UPSET_PAIR_CUTOFF, 1 << n):
+        return _outside_upset(cands, members, t, n)
+    if pairs < _NP_PAIR_CUTOFF:
+        return _survivors(masks, members, t)
+    return _outer_product(cands, members, t)
+
+
+def _outside_upset(cands: SubsetTable, members: Sequence[int], t: int, n: int) -> tuple[int, ...]:
+    """Mark the up-set of [n] generated by the (|m| - t + 1)-subsets of the
+    members in one array over the 2^n subsets, then keep the candidates whose
+    complement is unmarked. Needs t >= 1 and every mask below 2^n."""
+    low = np.array(members, dtype=np.uint64)
+    sizes = np.bitwise_count(low)
+    if sizes.min() < t:
+        return ()
+    if t > 1:
+        # column i holds the i-th lowest element of each member (0 past its
+        # size); dropping t - 1 columns leaves each (|m| - t + 1)-subset once,
+        # or, through a 0 column, a larger subset of m that adds nothing
+        cols = []
+        rest = low
+        for _ in range(int(sizes.max())):
+            cols.append(rest & (~rest + np.uint64(1)))
+            rest = rest ^ cols[-1]
+        elems = np.stack(cols, axis=1)
+        drop = np.array(list(combinations(range(len(cols)), t - 1)), dtype=np.intp).T
+        removed = elems[:, drop[0]]
+        for column in drop[1:]:
+            removed |= elems[:, column]
+        removed ^= low[:, None]
+        low = removed.ravel()
+    n = max(n, 6)  # whole uint64 words; the spare bits change no answer
+    up = np.zeros(1 << n, dtype=np.bool_)
+    up[low] = True
+    # upward closure, one pass per bit, on the flags packed 64 to a word;
+    # '<u8' keeps the bit order packbits gives on any host
+    words = np.packbits(up, bitorder="little").view("<u8")
+    for shift, mask in _LOW_BIT_PASSES:
+        words |= (words << shift) & mask
+    for j in range(n - 6):
+        halves = words.reshape(-1, 2, 1 << j)
+        halves[:, 1, :] |= halves[:, 0, :]
+    up = np.unpackbits(words.view(np.uint8), bitorder="little").view(np.bool_)
+    return tuple(cands.array[~up[np.uint64((1 << n) - 1) ^ cands.array]].tolist())
+
+
+def _survivors(masks: Sequence[int], members: Sequence[int], t: int) -> tuple[int, ...]:
+    """Filter the candidates member by member, stopping once none is left."""
+    keep = masks
+    for m in members:
+        keep = [c for c in keep if (c & m).bit_count() >= t]
+        if not keep:
+            break
+    return tuple(keep)
+
+
+def _outer_product(cands: SubsetTable, members: Sequence[int], t: int) -> tuple[int, ...]:
+    """np.bitwise_count over (candidate, member) pairs, chunked to bound
+    memory at a few MB."""
+    masks = cands.masks
     mem = np.array(members, dtype=np.uint64)
-    # chunk the outer product to bound memory at a few MB
     step = max(1, _NP_PAIR_CUTOFF // len(mem))
     keep: list[int] = []
     for i in range(0, len(masks), step):

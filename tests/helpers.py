@@ -11,6 +11,9 @@ but unarguable at tiny scale.
 (sorted colour tuples as refinement signatures, every leaf encoded to bytes,
 orbit pruning only), kept as the byte-for-byte oracle of `xfam.canon`.
 
+`select_reference` is the one-line loop `core.select` once was (every
+candidate against every member), kept as the oracle of its three paths.
+
 `classify_all_reference` is the `classify-all` loop in its library shape
 (every maximal family through `covering_number`, then `match_theorem_1_2`),
 kept as the oracle of the clique-mask kernel `maximal_with_tau_t_plus_1`.
@@ -44,6 +47,7 @@ from xfam.classify import TEMPLATE_ORDER, TemplateMatch, _iii_members, _iv_membe
 from xfam.constructions import _a_members, _b_members, _c1_members, _c2_members, _h_members
 from xfam.core import (
     CoverStructure,
+    SubsetTable,
     anchored_family,
     covering_number,
     full_mask,
@@ -70,6 +74,11 @@ def brute_covers(family: Family, t: int) -> tuple[int, tuple[int, ...]]:
         if found:
             return size, tuple(sorted(found))
     raise AssertionError("union always covers")
+
+
+def select_reference(cands: SubsetTable, members: Sequence[int], t: int) -> tuple[int, ...]:
+    """The candidates meeting every member in >= t elements, in table order."""
+    return tuple(c for c in cands.masks if all((c & m).bit_count() >= t for m in members))
 
 
 def brute_maximal_families(n: int, k: int, t: int) -> list[tuple[int, ...]]:

@@ -158,6 +158,24 @@ def test_usage_errors_exit_2(capsys, tmp_path):
         assert code == 2 and out == "" and err.startswith("error: cannot write "), argv
 
 
+def test_empty_checks_are_usage_errors(capsys):
+    # a run that would check nothing must not report a pass
+    for argv in (
+        ("verify-constructions", "--kinds", "BB", "--grid", "t=2;k=3;l=3;n=8"),
+        ("verify-constructions", "--kinds", "BB", "--grid", "t=1;k=2;l=2;n=3"),
+        ("verify-constructions", "--grid", "t=1;k=2;l=2;n=2..1"),
+        ("verify-constructions", "--maximal", "--grid", "t=2..1;k=2;l=2;n=5"),
+        ("audit", "--lemma", "all", "--grid", "t=1;k=2;l=2;n=2..1"),
+        ("audit", "--lemma", "eq9", "--grid", "t=1;k=3..2;l=2;n=259", "--format", "csv"),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "" and err.startswith("error: ") and "Traceback" not in err, argv
+        assert "no points" in err or "no pair" in err, argv
+    # a product with at least one pair still runs
+    code, out, _ = run(capsys, "verify-constructions", "--kinds", "BB,AA", "--grid", "t=2;k=3;l=3;n=8")
+    assert code == 0 and [r["pair_kind"] for r in json.loads(out)["results"]] == ["AA"]
+
+
 def test_classify_missing_partner_file(capsys, tmp_path):
     path = tmp_path / "fam.txt"
     run(capsys, "construct", "--kind", "A", "--n", "6", "--k", "3", "--t", "1", "--out", str(path))

@@ -1,5 +1,7 @@
 import random
+from functools import reduce
 from itertools import combinations
+from operator import or_
 
 import pytest
 
@@ -25,8 +27,10 @@ from xfam import (
     star,
 )
 from xfam import core
-from xfam.core import _NP_PAIR_CUTOFF, select, subsets
-from helpers import brute_covers
+from xfam.core import _NP_PAIR_CUTOFF, SubsetTable, select, subsets
+from helpers import brute_covers, select_reference
+
+SELECT_PATHS = ("_outside_upset", "_survivors", "_outer_product")
 
 
 def fam(n, k, *sets):
@@ -74,18 +78,114 @@ def test_membership():
     assert 0 not in Family(5, 2, ())
 
 
-def test_subsets_and_select_match_loops():
+@pytest.fixture
+def select_paths(monkeypatch):
+    """The names of the `select` paths taken, in call order."""
+    taken = []
+    for name in SELECT_PATHS:
+
+        def spy(*args, _name=name, _real=getattr(core, name)):
+            taken.append(_name)
+            return _real(*args)
+
+        monkeypatch.setattr(core, name, spy)
+    return taken
+
+
+def test_subsets_and_select_match_loops(select_paths):
     universe = mask_of([1, 3, 4, 6, 7, 9, 10, 11, 12, 14])
     table = subsets(universe, 4)
     assert table.masks == tuple(sorted(mask_of(c) for c in combinations(elements_of(universe), 4)))
     assert table.array.tolist() == list(table.masks)
     rng = random.Random(5)
-    for count in (3, 200):  # one input below the numpy cutoff, one above
+    # 3 members: the survivor loop; 200 members: past 2^14 pairs, the up-set
+    for count, path in ((3, "_survivors"), (200, "_outside_upset")):
         members = [mask_of(rng.sample(range(1, 15), 6)) for _ in range(count)]
         assert (len(table.masks) * count >= _NP_PAIR_CUTOFF) == (count == 200)
         for t in (1, 2):
             expect = tuple(c for c in table.masks if all((c & m).bit_count() >= t for m in members))
+            select_paths.clear()
             assert select(table, members, t) == expect
+            assert select_paths == [path]
+    # the chunked outer product: past 20 bits, or below 2^n pairs
+    for universe, top, count in ((universe | mask_of([21, 22]), 22, 200), (full_mask(18), 18, 40)):
+        table = subsets(universe, 4 if top == 22 else 3)
+        members = [mask_of(rng.sample(range(1, top + 1), 6)) for _ in range(count)]
+        for t in (1, 2):
+            select_paths.clear()
+            assert select(table, members, t) == select_reference(table, members, t)
+            assert select_paths == ["_outer_product"]
+
+
+def _select_cases():
+    """(table, members, t) inputs for the `select` oracle test: the trivial
+    answers, every path and the edges of each."""
+    rng = random.Random(11)
+
+    def sets(top, sizes, count):
+        return [mask_of(rng.sample(range(1, top + 1), rng.choice(sizes))) for _ in range(count)]
+
+    def full(n, k):
+        return subsets(full_mask(n), k)
+
+    yield full(6, 3), [], 2  # no members: every candidate
+    yield full(6, 3), [], 0
+    yield subsets(mask_of([1, 2, 3]), 4), sets(6, [3], 5), 1  # empty table
+    yield subsets(mask_of([1, 2, 3]), 4), sets(6, [3], 5000), 1
+    yield SubsetTable.of(()), [], 1
+    for t in (0, -1):
+        yield full(8, 3), sets(8, [4], 30), t
+        yield full(8, 3), sets(8, [4], 3000), t
+    # a member with fewer than t elements: no candidate
+    yield full(10, 4), sets(10, [4], 40) + [mask_of([5])], 2
+    yield full(10, 4), sets(10, [4], 40) + [0], 1
+    # all-zero masks (n = 0)
+    for t in (0, 1, 2):
+        yield subsets(0, 0), [0] * 3, t
+        yield subsets(0, 0), [0] * 3000, t
+        yield full(4, 2), [0], t
+    # members of mixed sizes, as closure_tuple passes
+    for count in (4, 20, 300):
+        for t in (1, 2, 3):
+            yield full(12, 4), sets(12, range(max(t, 2), 7), count), t
+    # a table over a proper universe, as covering_number uses
+    for count in (5, 200, 3000):
+        yield subsets(mask_of([2, 5, 7, 8, 11, 13]), 3), sets(14, [4], count), 1
+        yield subsets(mask_of([2, 5, 7, 8, 11, 13]), 4), [m | 0b10010 for m in sets(14, [3], count)], 3
+    # fewer than 8 subsets of the ground set
+    for n in (1, 2):
+        for count in (3, 2000):
+            yield full(n, 1), sets(n, [1, n], count), 1
+            yield full(n, n), sets(n, [n], count), n
+    # either side of the up-set cutoff at 20 bits; the {1, 2, 3} anchor keeps
+    # some candidates alive
+    for n in (20, 21):
+        yield full(n, 3), [m | 0b111 for m in sets(n, [6, 8], 1000)], 2
+        yield full(n, 4), [m | 0b111 for m in sets(n, [6], 60)], 3
+    # random shapes
+    for _ in range(60):
+        n = rng.randint(1, 14)
+        members = sets(n, range(n + 1), rng.choice([1, 5, 40, 400]))
+        yield full(n, rng.randint(0, n)), members, rng.randint(-1, 4)
+
+
+def test_select_matches_reference_on_every_path(select_paths):
+    seen = set()
+    for table, members, t in _select_cases():
+        expect = select_reference(table, members, t)
+        select_paths.clear()
+        assert select(table, members, t) == expect, (len(table.masks), len(members), t)
+        seen.update(select_paths)
+        if t >= 1 and members and table.masks:
+            # every path is exact wherever it can run, whatever its cost,
+            # members with fewer than t elements included
+            n = (reduce(or_, members) | table.masks[-1]).bit_length()
+            assert core._outside_upset(table, members, t, n) == expect
+            assert core._survivors(table.masks, members, t) == expect
+            assert core._outer_product(table, members, t) == expect
+        else:
+            assert select_paths == []
+    assert seen == set(SELECT_PATHS)
 
 
 def test_interval_family():
