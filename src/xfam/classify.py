@@ -46,6 +46,7 @@ from .core import (
     is_maximal_pair,
     is_maximal_t_intersecting,
     mask_of,
+    select,
     subsets,
 )
 from .constructions import _a_members, _h_members
@@ -90,11 +91,12 @@ def _iii_members(n: int, k: int, M: int, residuals: tuple[tuple[int, ...], ...])
 def _iv_members(
     n: int, k: int, t: int, Tm: int, Mm: int, A: tuple[int, ...], B: tuple[int, ...]
 ) -> tuple[int, ...]:
-    out = {f for f in subsets(full_mask(n), k).masks if Tm & ~f == 0 and (f & Mm).bit_count() >= t + 1}
+    # the base is the k-sets holding T and meeting M - T: those meeting T,
+    # and every M - e (e in T) beyond T - e, in t elements
+    drops = [Mm ^ (1 << (e - 1)) for e in elements_of(Tm)]
+    out = set(select(subsets(full_mask(n), k), [Tm, *drops], t))
     out |= {Tm | a for a in A}
-    for e in elements_of(Tm):
-        drop = Mm ^ (1 << (e - 1))
-        out |= {drop | b for b in B}
+    out |= {drop | b for drop in drops for b in B}
     return tuple(sorted(out))
 
 

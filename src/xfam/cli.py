@@ -275,12 +275,10 @@ def _cmd_classify_all(args) -> int:
 def _cmd_audit(args) -> int:
     lemmas = list(ALL_LEMMAS) if args.lemma == "all" else [args.lemma]
     grid = _parse_grid(args.grid, audit_grid)
-    reports = []
-    ok = True
-    for lemma in lemmas:
-        rep = audit_lemma(lemma, grid)
-        ok = ok and rep.violations == 0
-        reports.append(rep)
+    reports = [audit_lemma(lemma, grid) for lemma in lemmas]
+    ok = all(rep.violations == 0 for rep in reports)
+    if not any(rep.checked for rep in reports):  # a vacuous audit is no pass
+        raise ValueError(f"audit checks no points: no grid point meets the hypotheses of --lemma {args.lemma}")
     if args.format == "csv":
         rows = [["lemma", "verdict", "lhs", "rhs", "note", "params"]]
         for rep in reports:

@@ -1,21 +1,20 @@
 """Generators for the explicit extremal families and their self-verification.
 
-Each shape has one member builder that takes its anchors as masks and reads
-the k-subsets of [n] from the shared table in `core`; B and C2 filter that
-table with a membership predicate `_in_*` for a single k-set. The
+Each shape has one member builder that takes its anchors as masks and
+selects, from the shared k-subset table in `core`, the k-sets meeting each
+of its anchor sets in at least t elements; the proof sits beside each.
+`classify` reads the same anchor sets off the minimum covers. The
 generators here place the anchors at the low indices of [n]; closed-form
 sizes live in `formulas` and the test suite cross-checks both paths against
 inclusion-exclusion counts.
 
-Kinds:
-  A  - everything meeting a fixed (t+2)-set in at least t+1 elements;
-  B  - union of three 2-anchored intervals along a 4-element path (t = 1);
-  C1 - the l-uniform side of the covering pair: t+1 near-misses of [l+1]
-       plus the full [t+1]-anchored interval;
-  C2 - its k-uniform partner;
-  H  - the [t]-anchored family forced to meet Y, plus the t special sets
-       X cup [t] minus one anchor element;
-  D  - the three-cover family anchored on a (t-1)-set plus four points.
+Kinds, by their anchor sets:
+  A(M0)        - M0 alone, met in t+1 elements;
+  B(a1..a4)    - {a2,a3}, {a2,a4} and {a1,a3}, at t = 1;
+  C1(P, L)     - P and every P - e + x (e in P, x in L - P);
+  C2(P, L)     - P and every L - e (e in P), the C1 specials;
+  H(T, X, Y)   - every T + x (x in X) and Y cup (T - e) (e in T);
+  D(T; x1..x4) - the minimum covers T+{x1,x2}, T+{x3,x4} and T+{x2,x3}.
 """
 
 from __future__ import annotations
@@ -26,7 +25,6 @@ from functools import lru_cache
 from .core import (
     CoverStructure,
     Family,
-    anchored_family,
     covering_number,
     elements_of,
     full_mask,
@@ -49,37 +47,40 @@ def _a_members(n: int, k: int, t: int, M0: int) -> tuple[int, ...]:
     return select(subsets(full_mask(n), k), (M0,), t + 1)
 
 
-def _in_b(f: int, quad: tuple[int, int, int, int]) -> bool:
-    # {a1,a2} or {a2,a3} is a2 with a1 or a3; then {a3,a4}
-    a1, a2, a3, a4 = (1 << (a - 1) for a in quad)
-    return bool(f & a2 and f & (a1 | a3) or f & a3 and f & a4)
-
-
 def _b_members(n: int, k: int, quad: tuple[int, int, int, int]) -> tuple[int, ...]:
     """k-sets containing {a1,a2}, {a2,a3} or {a3,a4}."""
-    return tuple(f for f in subsets(full_mask(n), k).masks if _in_b(f, quad))
+    # a k-set holding a2 meets {a1,a3}, so holds {a1,a2} or {a2,a3}; one
+    # without a2 meets {a2,a3} and {a2,a4}, so holds {a3,a4}
+    a1, a2, a3, a4 = (1 << (a - 1) for a in quad)
+    return select(subsets(full_mask(n), k), (a2 | a3, a2 | a4, a1 | a3), 1)
 
 
 def _c1_members(n: int, l: int, Pm: int, Lm: int) -> tuple[int, ...]:
     """l-sets containing P, plus L minus one element of P."""
-    specials = {Lm ^ (1 << (e - 1)) for e in elements_of(Pm)}
-    return tuple(sorted(set(anchored_family(n, l, Pm).members) | specials))
-
-
-def _in_c2(f: int, t: int, Pm: int, Lm: int) -> bool:
-    return Pm & ~f == 0 or ((f & Pm).bit_count() == t and f & Lm & ~Pm != 0)
+    # an l-set missing e in P meets P - e' + x (e' != e) in t elements only
+    # through x, so holds P - e and all of L - P: it is L - e
+    t = Pm.bit_count() - 1
+    swaps = [(Pm ^ (1 << (e - 1))) | (1 << (x - 1)) for e in elements_of(Pm) for x in elements_of(Lm & ~Pm)]
+    return select(subsets(full_mask(n), l), [Pm, *swaps], t)
 
 
 def _c2_members(n: int, k: int, t: int, Pm: int, Lm: int) -> tuple[int, ...]:
     """k-sets containing P, or meeting P in exactly t with a hit in L minus P."""
-    return tuple(f for f in subsets(full_mask(n), k).masks if _in_c2(f, t, Pm, Lm))
+    # a k-set holding P meets each L - e in P - e; one missing e in P meets
+    # L - e' (e' != e) in t-1 elements of P, so needs a hit in L - P
+    specials = [Lm ^ (1 << (e - 1)) for e in elements_of(Pm)]
+    return select(subsets(full_mask(n), k), [Pm, *specials], t)
 
 
 def _h_members(n: int, k: int, Tm: int, Xm: int, Ym: int) -> tuple[int, ...]:
     """k-sets containing T and meeting Y, plus X cup T minus one element of T."""
-    specials = {Xm | (Tm ^ (1 << (e - 1))) for e in elements_of(Tm)}
-    anchored = {f for f in subsets(full_mask(n), k).masks if Tm & ~f == 0 and f & Ym != 0}
-    return tuple(sorted(anchored | specials))
+    # a k-set holding T meets Y cup (T - e) past T - e only in Y; one missing
+    # e in T meets each T + x only in x, so is X cup (T - e), and meets each
+    # Y cup (T - e') in t when |X cap Y| >= 1 at t = 1, >= 2 otherwise
+    t = Tm.bit_count()
+    spokes = [Tm | (1 << (x - 1)) for x in elements_of(Xm)]
+    specials = [Ym | (Tm ^ (1 << (e - 1))) for e in elements_of(Tm)]
+    return select(subsets(full_mask(n), k), spokes + specials, t)
 
 
 # ---------------------------------------------------------------------------
@@ -150,19 +151,12 @@ def construct_D(n: int, k: int, t: int, T: tuple[int, ...], xs: tuple[int, int, 
         raise ValueError("T and x1..x4 must be distinct elements of [n]")
     if k < t + 1:
         raise ValueError("need k >= t+1")
-    tm = mask_of(T)
+    # a k-set meeting T+{x1,x2}, T+{x3,x4} and T+{x2,x3} in t elements holds
+    # T and x1 or x2, x3 or x4, x2 or x3: one of the intervals; or it misses
+    # one element of T and holds x1..x4, meeting T+{x1..x4} in t+2
     x1, x2, x3, x4 = xs
-    b1 = tm | mask_of((x1, x3))
-    b2 = tm | mask_of((x2, x4))
-    c1 = tm | mask_of((x2, x3))
-    big = tm | mask_of(xs)
-
-    def pred(f: int) -> bool:
-        if (f & big).bit_count() >= t + 2:
-            return True
-        return b1 & ~f == 0 or b2 & ~f == 0 or c1 & ~f == 0
-
-    return Family(n, k, tuple(f for f in subsets(full_mask(n), k).masks if pred(f)))
+    covers = [mask_of(T + pair) for pair in ((x1, x2), (x3, x4), (x2, x3))]
+    return Family(n, k, select(subsets(full_mask(n), k), covers, t))
 
 
 def default_D_anchors(t: int) -> tuple[tuple[int, ...], tuple[int, int, int, int]]:

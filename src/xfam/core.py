@@ -478,7 +478,7 @@ def family_to_text(family: Family) -> str:
 def family_from_text(text: str) -> Family:
     n = k = None
     rows: list[tuple[int, ...]] = []
-    for raw in text.splitlines():
+    for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
         if not line:
             continue
@@ -490,6 +490,8 @@ def family_from_text(text: str) -> Family:
                     k = int(token[2:])
             continue
         rows.append(tuple(sorted(int(x) for x in line.split())))
+        if not all(1 <= e <= MAX_GROUND_SET for e in rows[-1]):
+            raise ValueError(f"line {lineno} ({line!r}): elements must lie in 1..{MAX_GROUND_SET}")
     if rows:
         sizes = {len(r) for r in rows}
         if len(sizes) != 1:

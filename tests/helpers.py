@@ -14,6 +14,13 @@ orbit pruning only), kept as the byte-for-byte oracle of `xfam.canon`.
 `select_reference` is the one-line loop `core.select` once was (every
 candidate against every member), kept as the oracle of its three paths.
 
+The `*_members_reference` builders (B, C1, C2, H, D and the T1.2-iv
+template) are the member builders in their filter shape: a Python membership
+test over every k-set, or a union of anchored intervals and specials. They
+are the oracle of the builders in `xfam.constructions` and
+`xfam.classify._iv_members`, which select the k-sets meeting each shape's
+anchor sets; the rebuild matchers below use them too.
+
 `classify_all_reference` is the `classify-all` loop in its library shape
 (every maximal family through `covering_number`, then `match_theorem_1_2`),
 kept as the oracle of the clique-mask kernel `maximal_with_tau_t_plus_1`.
@@ -43,8 +50,8 @@ from xfam import (
     mask_of,
     match_theorem_1_2,
 )
-from xfam.classify import TEMPLATE_ORDER, TemplateMatch, _iii_members, _iv_members, _no_match
-from xfam.constructions import _a_members, _b_members, _c1_members, _c2_members, _h_members
+from xfam.classify import TEMPLATE_ORDER, TemplateMatch, _iii_members, _no_match
+from xfam.constructions import _a_members
 from xfam.core import (
     CoverStructure,
     SubsetTable,
@@ -79,6 +86,70 @@ def brute_covers(family: Family, t: int) -> tuple[int, tuple[int, ...]]:
 def select_reference(cands: SubsetTable, members: Sequence[int], t: int) -> tuple[int, ...]:
     """The candidates meeting every member in >= t elements, in table order."""
     return tuple(c for c in cands.masks if all((c & m).bit_count() >= t for m in members))
+
+
+def _in_b(f: int, quad: tuple[int, int, int, int]) -> bool:
+    # {a1,a2} or {a2,a3} is a2 with a1 or a3; then {a3,a4}
+    a1, a2, a3, a4 = (1 << (a - 1) for a in quad)
+    return bool(f & a2 and f & (a1 | a3) or f & a3 and f & a4)
+
+
+def b_members_reference(n: int, k: int, quad: tuple[int, int, int, int]) -> tuple[int, ...]:
+    """k-sets containing {a1,a2}, {a2,a3} or {a3,a4}."""
+    return tuple(f for f in subsets(full_mask(n), k).masks if _in_b(f, quad))
+
+
+def c1_members_reference(n: int, l: int, Pm: int, Lm: int) -> tuple[int, ...]:
+    """l-sets containing P, plus L minus one element of P."""
+    specials = {Lm ^ (1 << (e - 1)) for e in elements_of(Pm)}
+    return tuple(sorted(set(anchored_family(n, l, Pm).members) | specials))
+
+
+def _in_c2(f: int, t: int, Pm: int, Lm: int) -> bool:
+    return Pm & ~f == 0 or ((f & Pm).bit_count() == t and f & Lm & ~Pm != 0)
+
+
+def c2_members_reference(n: int, k: int, t: int, Pm: int, Lm: int) -> tuple[int, ...]:
+    """k-sets containing P, or meeting P in exactly t with a hit in L minus P."""
+    return tuple(f for f in subsets(full_mask(n), k).masks if _in_c2(f, t, Pm, Lm))
+
+
+def h_members_reference(n: int, k: int, Tm: int, Xm: int, Ym: int) -> tuple[int, ...]:
+    """k-sets containing T and meeting Y, plus X cup T minus one element of T."""
+    specials = {Xm | (Tm ^ (1 << (e - 1))) for e in elements_of(Tm)}
+    anchored = {f for f in subsets(full_mask(n), k).masks if Tm & ~f == 0 and f & Ym != 0}
+    return tuple(sorted(anchored | specials))
+
+
+def d_members_reference(n: int, k: int, t: int, T: tuple[int, ...], xs: tuple[int, int, int, int]) -> tuple[int, ...]:
+    """Intervals over T+{x1,x3}, T+{x2,x4}, T+{x2,x3} plus every k-set
+    meeting T+{x1..x4} in at least t+2 elements."""
+    tm = mask_of(T)
+    x1, x2, x3, x4 = xs
+    b1 = tm | mask_of((x1, x3))
+    b2 = tm | mask_of((x2, x4))
+    c1 = tm | mask_of((x2, x3))
+    big = tm | mask_of(xs)
+
+    def pred(f: int) -> bool:
+        if (f & big).bit_count() >= t + 2:
+            return True
+        return b1 & ~f == 0 or b2 & ~f == 0 or c1 & ~f == 0
+
+    return tuple(f for f in subsets(full_mask(n), k).masks if pred(f))
+
+
+def iv_members_reference(
+    n: int, k: int, t: int, Tm: int, Mm: int, A: tuple[int, ...], B: tuple[int, ...]
+) -> tuple[int, ...]:
+    """The T1.2-iv template: k-sets holding T and meeting M - T, plus T
+    with each residual of A, plus M minus an element of T with each of B."""
+    out = {f for f in subsets(full_mask(n), k).masks if Tm & ~f == 0 and (f & Mm).bit_count() >= t + 1}
+    out |= {Tm | a for a in A}
+    for e in elements_of(Tm):
+        drop = Mm ^ (1 << (e - 1))
+        out |= {drop | b for b in B}
+    return tuple(sorted(out))
 
 
 def brute_maximal_families(n: int, k: int, t: int) -> list[tuple[int, ...]]:
@@ -392,7 +463,7 @@ def _reference_match_ii(F: Family, t: int, cover_union: int) -> list[tuple[str, 
         rest = [e for e in uels if not (Tm >> (e - 1)) & 1]
         for Xels in combinations(rest, F.k - t + 1):
             Xm = mask_of(Xels)
-            if _h_members(F.n, F.k, Tm, Xm, Xm) == F.members:
+            if h_members_reference(F.n, F.k, Tm, Xm, Xm) == F.members:
                 out.append(("T1.2-ii", {"T": Tels, "X": Xels}))
     return out
 
@@ -468,7 +539,7 @@ def _reference_match_iv(F: Family, t: int, covers: tuple[int, ...], cover_union:
                 universe = full_mask(n) & ~Mm
                 if not _is_maximal_residual_tuple(universe, [k - t, k - m + 1], [At, B]):
                     continue
-                if _iv_members(n, k, t, Tm, Mm, At, B) == F.members:
+                if iv_members_reference(n, k, t, Tm, Mm, At, B) == F.members:
                     witness = {
                         "T": Tels,
                         "M": elements_of(Mm),
@@ -540,8 +611,8 @@ def classify_pair_reference(F1: Family, F2: Family, t: int) -> TemplateMatch:
                 if (Xm & Ym).bit_count() < need:
                     continue
                 if (
-                    _h_members(n, k1, Tm, Xm, Ym) == F1.members
-                    and _h_members(n, k2, Tm, Ym, Xm) == F2.members
+                    h_members_reference(n, k1, Tm, Xm, Ym) == F1.members
+                    and h_members_reference(n, k2, Tm, Ym, Xm) == F2.members
                 ):
                     matches.append(("T1.1-HH", {"T": Tels, "X": Xels, "Y": Yels}))
 
@@ -553,8 +624,8 @@ def classify_pair_reference(F1: Family, F2: Family, t: int) -> TemplateMatch:
             for Lx in combinations(rest, fam_c1.k - t):
                 Lm = Pm | mask_of(Lx)
                 if (
-                    _c1_members(n, fam_c1.k, Pm, Lm) == fam_c1.members
-                    and _c2_members(n, fam_c2.k, t, Pm, Lm) == fam_c2.members
+                    c1_members_reference(n, fam_c1.k, Pm, Lm) == fam_c1.members
+                    and c2_members_reference(n, fam_c2.k, t, Pm, Lm) == fam_c2.members
                 ):
                     witness = {
                         "P": elements_of(Pm),
@@ -566,7 +637,7 @@ def classify_pair_reference(F1: Family, F2: Family, t: int) -> TemplateMatch:
     if t == 1 and uu.bit_count() == 4:
         for quad in permutations(elements_of(uu)):
             a, b, c, d = quad
-            if _b_members(n, k1, (a, c, b, d)) == F1.members and _b_members(
+            if b_members_reference(n, k1, (a, c, b, d)) == F1.members and b_members_reference(
                 n, k2, (a, b, c, d)
             ) == F2.members:
                 matches.append(("T1.1-BB", {"quad": quad}))

@@ -156,6 +156,12 @@ def test_usage_errors_exit_2(capsys, tmp_path):
     ):
         code, out, err = run(capsys, *argv)
         assert code == 2 and out == "" and err.startswith("error: cannot write "), argv
+    # a family file element outside 1..64 is named with its line
+    for bad, lineno in (("0 2", 1), ("1 2\n-3 4", 2), ("1 65", 1)):
+        path = tmp_path / "bad.txt"
+        path.write_text(bad + "\n")
+        code, out, err = run(capsys, "classify", "--in", str(path), "--theorem", "1.2", "--t", "1")
+        assert code == 2 and out == "" and f"line {lineno}" in err and "1..64" in err, bad
 
 
 def test_empty_checks_are_usage_errors(capsys):
@@ -167,6 +173,10 @@ def test_empty_checks_are_usage_errors(capsys):
         ("verify-constructions", "--maximal", "--grid", "t=2..1;k=2;l=2;n=5"),
         ("audit", "--lemma", "all", "--grid", "t=1;k=2;l=2;n=2..1"),
         ("audit", "--lemma", "eq9", "--grid", "t=1;k=3..2;l=2;n=259", "--format", "csv"),
+        # nonempty grids where every point is precondition-unmet
+        ("audit", "--lemma", "all", "--grid", "t=1;k=2;l=2;n=3"),
+        ("audit", "--lemma", "4.7ii", "--grid", "t=1;k=2,3;l=2,3;n=259,600"),
+        ("audit", "--lemma", "4.7ii", "--grid", "t=1;k=2,3;l=2,3;n=259,600", "--format", "csv"),
     ):
         code, out, err = run(capsys, *argv)
         assert code == 2 and out == "" and err.startswith("error: ") and "Traceback" not in err, argv

@@ -1,5 +1,15 @@
+import random
+
 import pytest
 
+from helpers import (
+    b_members_reference,
+    c1_members_reference,
+    c2_members_reference,
+    d_members_reference,
+    h_members_reference,
+    iv_members_reference,
+)
 from xfam import (
     Family,
     anchored_family,
@@ -19,6 +29,7 @@ from xfam import (
     mask_of,
     verify_construction,
 )
+from xfam.classify import _iv_members
 from xfam.constructions import (
     ConstructionSpec,
     _a_members,
@@ -26,8 +37,6 @@ from xfam.constructions import (
     _c1_members,
     _c2_members,
     _h_members,
-    _in_b,
-    _in_c2,
     default_D_anchors,
 )
 from xfam.core import select, subsets
@@ -53,19 +62,87 @@ def test_A_union_of_intervals_cross_check():
 
 
 @pytest.mark.parametrize(
-    "builder, pred, n, k, anchors",
+    "builder, reference, n, k, anchors",
     [
-        (_b_members, _in_b, 7, 3, ((1, 2, 3, 4),)),
-        (_b_members, _in_b, 7, 3, ((1, 3, 2, 4),)),
-        (_b_members, _in_b, 8, 3, ((5, 2, 6, 3),)),
-        (_c2_members, _in_c2, 7, 3, (1, full_mask(2), full_mask(4))),
-        (_c2_members, _in_c2, 8, 4, (2, mask_of((2, 5, 7)), mask_of((1, 2, 3, 5, 7)))),
+        (_b_members, b_members_reference, 7, 3, ((1, 2, 3, 4),)),
+        (_b_members, b_members_reference, 7, 3, ((1, 3, 2, 4),)),
+        (_b_members, b_members_reference, 8, 3, ((5, 2, 6, 3),)),
+        (_c2_members, c2_members_reference, 7, 3, (1, full_mask(2), full_mask(4))),
+        (_c2_members, c2_members_reference, 8, 4, (2, mask_of((2, 5, 7)), mask_of((1, 2, 3, 5, 7)))),
     ],
     ids=["B", "B-partner", "B-moved", "C2", "C2-moved"],
 )
-def test_predicate_equals_builder(builder, pred, n, k, anchors):
-    table = subsets(full_mask(n), k).masks
-    assert tuple(f for f in table if pred(f, *anchors)) == builder(n, k, *anchors)
+def test_predicate_equals_builder(builder, reference, n, k, anchors):
+    assert builder(n, k, *anchors) == reference(n, k, *anchors)
+
+
+def _sample(rng: random.Random, pool: list[int], size: int) -> int:
+    """Mask of `size` elements drawn from `pool`."""
+    return mask_of(rng.sample(pool, size))
+
+
+def _d_members(n: int, k: int, t: int, T: tuple[int, ...], xs: tuple[int, int, int, int]) -> tuple[int, ...]:
+    return construct_D(n, k, t, T, xs).members
+
+
+def _anchor_cases(seed: int = 20261018):
+    """(name, builder, reference, args) over n <= 11, t <= 3 and every valid
+    k and l, each at anchors placed by a seeded random permutation of [n]."""
+    rng = random.Random(seed)
+    for n in range(4, 12):
+        for t in range(1, 4):
+            for k in range(t + 1, n + 1):
+                els = rng.sample(range(1, n + 1), n)
+                if t == 1:
+                    quad = tuple(els[:4])
+                    yield "B", _b_members, b_members_reference, (n, k, quad)
+                if n >= t + 3:
+                    T, xs = tuple(els[: t - 1]), tuple(els[t - 1 : t + 3])
+                    yield "D", _d_members, d_members_reference, (n, k, t, T, xs)
+                for l in range(t + 1, n):
+                    P = _sample(rng, els, t + 1)
+                    L = P | _sample(rng, [e for e in els if not P >> (e - 1) & 1], l - t)
+                    if k == l:
+                        yield "C1", _c1_members, c1_members_reference, (n, l, P, L)
+                    yield "C2", _c2_members, c2_members_reference, (n, k, t, P, L)
+                    h = _h_anchors(rng, els, k, l, t)
+                    if h is not None:
+                        yield "H", _h_members, h_members_reference, (n, k, *h)
+                T = _sample(rng, els, t)
+                rest = [e for e in els if not T >> (e - 1) & 1]
+                for m in range(t + 2, k + 1):
+                    M = T | _sample(rng, rest, m - t)
+                    outside = [e for e in els if not M >> (e - 1) & 1]
+                    A = tuple(sorted({_sample(rng, outside, k - t) for _ in range(2) if len(outside) >= k - t}))
+                    B = tuple(sorted({_sample(rng, outside, k - m + 1) for _ in range(2) if len(outside) >= k - m + 1}))
+                    yield "iv", _iv_members, iv_members_reference, (n, k, t, T, M, A, B)
+
+
+def _h_anchors(rng: random.Random, els: list[int], k: int, l: int, t: int):
+    """(T, X, Y) for H at |X| = k-t+1 and |Y| = l-t+1, with at least the
+    overlap the partner needs (one at t = 1, two otherwise), or None when
+    [n] has no room."""
+    T = _sample(rng, els, t)
+    rest = [e for e in els if not T >> (e - 1) & 1]
+    x, y = k - t + 1, l - t + 1
+    low = max(1 if t == 1 else 2, x + y - len(rest))
+    if low > min(x, y):
+        return None
+    common = rng.randint(low, min(x, y))
+    X = rng.sample(rest, x)
+    Y = rng.sample(X, common) + rng.sample([e for e in rest if e not in X], y - common)
+    return T, mask_of(X), mask_of(Y)
+
+
+def test_anchor_builders_equal_references():
+    # every builder is a `select` over its anchor sets; the filter builders
+    # it replaced are the oracle, at permuted anchors and the edge cases
+    # t = 1, l = t+1 and k = t+1
+    seen = set()
+    for name, builder, reference, args in _anchor_cases():
+        assert builder(*args) == reference(*args), (name, args)
+        seen.add(name)
+    assert seen == {"B", "C1", "C2", "H", "D", "iv"}
 
 
 def _bit(e: int) -> int:
@@ -84,8 +161,10 @@ def _bit(e: int) -> int:
         ("C1", 8, 4, 2, (mask_of((2, 5, 7)), mask_of((1, 2, 3, 5, 7)))),
         ("H", 7, 3, 1, (full_mask(1), mask_of((2, 3, 4)), mask_of((2, 3)))),
         ("H", 8, 4, 2, (mask_of((3, 6)), mask_of((1, 2, 5)), mask_of((2, 5, 8)))),
+        ("D", 7, 3, 1, ((), (1, 2, 3, 4))),
+        ("D", 9, 4, 3, ((7, 2), (5, 1, 8, 3))),
     ],
-    ids=["A", "A-moved", "B", "B-partner", "B-moved", "C1", "C1-moved", "H", "H-moved"],
+    ids=["A", "A-moved", "B", "B-partner", "B-moved", "C1", "C1-moved", "H", "H-moved", "D", "D-moved"],
 )
 def test_cover_lemma(kind, n, k, t, anchors):
     # the matchers in `classify` accept an anchor when its required
@@ -93,6 +172,9 @@ def test_cover_lemma(kind, n, k, t, anchors):
     # least t elements are the template (for H: the k-sets holding T plus
     # the specials, as meeting Y is forced by the partner)
     table = subsets(full_mask(n), k)
+    # the expected families come from the filter builders in `helpers`, so
+    # no builder is compared with the `select` it is made of (A's builder
+    # selects over M0 at t+1, not over its covers)
     if kind == "A":
         (M0,) = anchors
         required = [M0 ^ _bit(e) for e in elements_of(M0)]
@@ -100,12 +182,21 @@ def test_cover_lemma(kind, n, k, t, anchors):
     elif kind == "B":
         a1, a2, a3, a4 = (_bit(e) for e in anchors[0])
         required = [a2 | a3, a2 | a4, a1 | a3]
-        template = expected = _b_members(n, k, anchors[0])
+        template = _b_members(n, k, anchors[0])
+        expected = b_members_reference(n, k, anchors[0])
     elif kind == "C1":
         Pm, Lm = anchors
         swaps = [(Pm ^ _bit(e)) | _bit(x) for e in elements_of(Pm) for x in elements_of(Lm & ~Pm)]
         required = [Pm] + swaps
-        template = expected = _c1_members(n, k, Pm, Lm)
+        template = _c1_members(n, k, Pm, Lm)
+        expected = c1_members_reference(n, k, Pm, Lm)
+    elif kind == "D":
+        T, xs = anchors
+        tm = mask_of(T)
+        x1, x2, x3, x4 = (_bit(x) for x in xs)
+        required = [tm | x1 | x2, tm | x3 | x4, tm | x2 | x3]
+        template = construct_D(n, k, t, T, xs).members
+        expected = d_members_reference(n, k, t, T, xs)
     else:
         Tm, Xm, Ym = anchors
         required = [Tm | _bit(x) for x in elements_of(Xm)]
