@@ -24,16 +24,19 @@ off the minimum covers (all of size t+1):
 The proof of each sits beside its test. Members are read only to count the
 residual sizes of T1.2-iii and T1.2-iv.
 
-The residual sweeps here generate every template instance at canonical
+`theorem_1_2_instances` generates every template instance at canonical
 anchor positions, which gives the enumeration tests an independent second
-code path.
+code path. Its T1.2-iii residual tuples and T1.2-iv residual pairs come from
+one kernel, `maximal_cross_tuples`: the maximal cliques of a coloured graph
+on the pairs (colour, residual), walked by the Bron-Kerbosch of
+`enumeration`.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import combinations, permutations, product
+from itertools import combinations, permutations
 
 from .core import (
     CoverStructure,
@@ -50,9 +53,9 @@ from .core import (
     subsets,
 )
 from .constructions import _a_members, _h_members
-from .enumeration import _bits, _closed_pairs, _compat_rows
+from .enumeration import _bits, _bron_kerbosch, _compat_rows
 
-TUPLE_SWEEP_BUDGET = 4_000_000
+TUPLE_BUDGET = 200_000
 
 TEMPLATE_ORDER = ("T1.2-i", "T1.2-ii", "T1.2-iii", "T1.2-iv")
 
@@ -104,52 +107,25 @@ def _iv_members(
 # maximal pairwise cross-intersecting tuples over a reduced universe
 
 
-def maximal_cross_pairs(
-    universe: int, size1: int, size2: int, t: int = 1, include_empty: bool = True
-) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """All maximal cross-t-intersecting pairs (as member-mask tuples) over the
-    subsets of `universe`, by Close-by-One over one side."""
-    verts1 = subsets(universe, size1).masks
-    if (1 << len(verts1)) > TUPLE_SWEEP_BUDGET:
-        raise ValueError(f"sweep over 2^{len(verts1)} subsets exceeds the budget")
-    return _closed_pairs(verts1, subsets(universe, size2).masks, t, include_empty)
-
-
 def maximal_cross_tuples(
-    universe: int, size: int, r: int, t: int = 1
+    universe: int, sizes: tuple[int, ...], t: int = 1
 ) -> list[tuple[tuple[int, ...], ...]]:
-    """All maximal r-tuples of pairwise cross-t-intersecting families of
-    `size`-subsets of `universe` (ordered tuples; empty components allowed).
-    Fixed points of the round-robin star map, swept over the first r-1
-    components, which determine the last."""
-    verts = subsets(universe, size).masks
-    V = len(verts)
-    if (1 << V) ** (r - 1) > TUPLE_SWEEP_BUDGET:
-        raise ValueError(f"sweep over 2^{V * (r - 1)} tuples exceeds the budget")
-    rows = _compat_rows(verts, verts, t)
-    full = (1 << V) - 1
-    fold = [full] * (1 << V)
-    for s in range(1, 1 << V):
-        low = s & -s
-        fold[s] = fold[s & (s - 1)] & rows[low.bit_length() - 1]
-    out = []
-    for combo in product(range(1 << V), repeat=r - 1):
-        last = full
-        for s in combo:
-            last &= fold[s]
-        tup = combo + (last,)
-        ok = True
-        for i in range(r - 1):
-            need = full
-            for j, s in enumerate(tup):
-                if j != i:
-                    need &= fold[s]
-            if need != tup[i]:
-                ok = False
-                break
-        if ok:
-            out.append(tuple(tuple(verts[i] for i in _bits(s)) for s in tup))
-    return out
+    """All maximal tuples of pairwise cross-t-intersecting families, component
+    i made of `sizes[i]`-subsets of `universe`, as sorted member-mask tuples
+    (empty components allowed), in sorted order. They are the maximal cliques
+    of the coloured graph on the pairs (i, R), with (i, R) ~ (j, R') iff
+    i = j or |R & R'| >= t, split by colour. More than TUPLE_BUDGET cliques
+    is an error."""
+    blocks = [subsets(universe, size).masks for size in sizes]
+    verts = [R for block in blocks for R in block]
+    rows: list[int] = []
+    colours = []
+    for block in blocks:
+        low = len(rows)
+        colours.append(((1 << len(block)) - 1) << low)
+        rows += [(row | colours[-1]) & ~(1 << v) for v, row in enumerate(_compat_rows(block, verts, t), low)]
+    cliques = _bron_kerbosch(rows, len(verts), TUPLE_BUDGET)
+    return sorted(tuple(tuple([verts[v] for v in _bits(c & colour)]) for colour in colours) for c in cliques)
 
 
 # ---------------------------------------------------------------------------
@@ -373,7 +349,7 @@ def theorem_1_2_instances(n: int, k: int, t: int) -> list[tuple[Family, str, dic
     )
     M = full_mask(t + 1)
     universe = full_mask(n) & ~M
-    for tup in maximal_cross_tuples(universe, k - t, t + 1):
+    for tup in maximal_cross_tuples(universe, (k - t,) * (t + 1)):
         if sum(1 for r in tup if r) < 2:
             continue
         fam = Family(n, k, _iii_members(n, k, M, tup))
@@ -381,7 +357,7 @@ def theorem_1_2_instances(n: int, k: int, t: int) -> list[tuple[Family, str, dic
     for m in range(t + 2, k + 1):
         Mm = full_mask(m)
         universe = full_mask(n) & ~Mm
-        for A, B in maximal_cross_pairs(universe, k - t, k - m + 1):
+        for A, B in maximal_cross_tuples(universe, (k - t, k - m + 1)):
             if not B:
                 continue
             fam = Family(n, k, _iv_members(n, k, t, full_mask(t), Mm, A, B))

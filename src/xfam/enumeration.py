@@ -4,22 +4,27 @@ Maximal t-intersecting families are the maximal cliques of the intersection
 graph on all k-subsets (edges between t-intersecting pairs), found by
 pivoting Bron-Kerbosch over bitset rows. Those with covering number t+1, and
 their minimum covers, are read off the clique bitmasks: one AND per
-candidate cover against a shared row of the k-subsets it covers. Maximal
-cross-t-intersecting pairs are the fixed points F = star(star(F)) of the
-double star map, i.e. the formal concepts of the relation "meets in >= t
-elements" between k1- and k2-subsets. Close-by-One (Kuznetsov 1993) lists each of them exactly once,
-in time linear in their number. The product search walks the pairs by
-decreasing |F| |G| and computes covering numbers only while a pair can still
-tie the best product. Both enumerations are capped at small vertex counts;
+candidate cover against a shared row of the k-subsets it covers. The same
+Bron-Kerbosch walk lists the residual tuples of `classify`: the maximal
+cliques of the coloured graph on the pairs (i, R), with (i, R) ~ (j, R')
+iff i = j or |R ∩ R'| >= t. Maximal cross-t-intersecting pairs are the fixed
+points F = star(star(F)) of the double star map, i.e. the formal concepts of
+the relation "meets in >= t elements" between k1- and k2-subsets.
+Close-by-One (Kuznetsov 1993) lists each of them exactly once, in time
+linear in their number. The product search walks the pairs by decreasing
+|F| |G| and computes covering numbers only while a pair can still tie the
+best product. Every enumeration is capped, by vertex count or clique count;
 exceeding a cap is an error, never silent truncation.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from functools import reduce
 from math import comb
 from operator import or_
+from typing import Sequence
 
 from .canon import canonical_form_tuple
 from .core import CoverStructure, Family, covering_number, full_mask, subsets, validate_params
@@ -69,13 +74,18 @@ def _bits(mask: int):
         mask ^= low
 
 
-def _bron_kerbosch(rows: tuple[int, ...], nverts: int) -> list[int]:
+def _bron_kerbosch(rows: Sequence[int], nverts: int, budget: int | None = None) -> list[int]:
     """All maximal cliques as vertex bitmasks, with the max-degree pivot rule
-    (pivot maximizes its candidate neighbourhood, ties to the lowest index)."""
+    (pivot maximizes its candidate neighbourhood, ties to the lowest index).
+    With a budget (the tuple kernel's TUPLE_BUDGET) the walk stops with an
+    error as soon as it finds more cliques than that. Each recursion level
+    adds one vertex, so the recursion limit is raised by nverts for the walk."""
     out: list[int] = []
 
     def expand(r: int, p: int, x: int) -> None:
         if p == 0 and x == 0:
+            if len(out) == budget:
+                raise ValueError(f"more than TUPLE_BUDGET = {budget:,} maximal cliques")
             out.append(r)
             return
         px = p | x
@@ -97,7 +107,12 @@ def _bron_kerbosch(rows: tuple[int, ...], nverts: int) -> list[int]:
             x |= low
             cand ^= low
 
-    expand(0, (1 << nverts) - 1, 0)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(limit + nverts)
+    try:
+        expand(0, (1 << nverts) - 1, 0)
+    finally:
+        sys.setrecursionlimit(limit)
     return out
 
 
@@ -168,14 +183,14 @@ def _and_tables(rows: list[int], full: int) -> list[list[int]]:
 
 
 def _closed_pairs(
-    verts1: tuple[int, ...], verts2: tuple[int, ...], t: int, include_empty: bool = False
+    verts1: tuple[int, ...], verts2: tuple[int, ...], t: int
 ) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """All (F, G) over verts1 x verts2 with G the star of F and F the star of
-    G, as member tuples, ordered by the vertex mask of F. Close-by-One over
-    side 1: from the closure of the empty family, add one vertex j above the
-    last one added, close, and keep the result only if the closure gained no
-    vertex below j, so each closed F is reached from exactly one parent. Each
-    caller bounds len(verts1) by its own cap."""
+    """All (F, G) over verts1 x verts2 with F and G nonempty, G the star of F
+    and F the star of G, as member tuples, ordered by the vertex mask of F.
+    Close-by-One over side 1: from the closure of the empty family, add one
+    vertex j above the last one added, close, and keep the result only if the
+    closure gained no vertex below j, so each closed F is reached from
+    exactly one parent. The caller bounds len(verts1) by its cap."""
     rows12 = _compat_rows(verts1, verts2, t)
     full1, full2 = (1 << len(verts1)) - 1, (1 << len(verts2)) - 1
     star21 = _and_tables(_compat_rows(verts2, verts1, t), full1)
@@ -204,7 +219,7 @@ def _closed_pairs(
     found.sort()
     for pos, (f, g) in enumerate(found):  # in place, so the masks go as the tuples come
         found[pos] = (tuple([verts1[i] for i in _bits(f)]), tuple([verts2[j] for j in _bits(g)]))
-    return [fg for fg in found if include_empty or (fg[0] and fg[1])]
+    return [fg for fg in found if fg[0] and fg[1]]
 
 
 def enumerate_maximal_pairs(

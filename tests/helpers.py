@@ -5,7 +5,9 @@ enumerating every subset of the union by size, maximal families by sweeping
 every subfamily of the complete family, and maximal pairs straight from the
 definition (no single member can be added to either side) or by sweeping
 every subfamily of one side for fixed points of the double star map. Slow
-but unarguable at tiny scale.
+but unarguable at tiny scale. `sweep_cross_tuples` is the same sweep for
+r-tuples of one size, kept as the oracle of the coloured-clique kernel
+`xfam.classify.maximal_cross_tuples`.
 
 `canonical_form_reference` is the canonical-form search in its plain shape
 (sorted colour tuples as refinement signatures, every leaf encoded to bytes,
@@ -37,7 +39,7 @@ containment decision in `xfam.classify_fact_2_1`.
 from __future__ import annotations
 
 import random
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 from math import comb
 from typing import Sequence
 
@@ -234,6 +236,39 @@ def sweep_maximal_pairs(
         if f2 == fmask and (include_empty or (fmask and g)):
             pairs.append((tuple(verts1[i] for i in _bits(fmask)), tuple(verts2[j] for j in _bits(g))))
     return pairs
+
+
+def sweep_cross_tuples(universe: int, size: int, r: int, t: int = 1) -> list[tuple[tuple[int, ...], ...]]:
+    """All maximal r-tuples of pairwise cross-t-intersecting families of
+    `size`-subsets of `universe` (ordered tuples; empty components allowed).
+    Fixed points of the round-robin star map, swept over the first r-1
+    components, which determine the last. Time 2^(V (r-1)) for V subsets."""
+    verts = subsets(universe, size).masks
+    V = len(verts)
+    rows = _rows(verts, verts, t)
+    full = (1 << V) - 1
+    fold = [full] * (1 << V)
+    for s in range(1, 1 << V):
+        low = s & -s
+        fold[s] = fold[s & (s - 1)] & rows[low.bit_length() - 1]
+    out = []
+    for combo in product(range(1 << V), repeat=r - 1):
+        last = full
+        for s in combo:
+            last &= fold[s]
+        tup = combo + (last,)
+        ok = True
+        for i in range(r - 1):
+            need = full
+            for j, s in enumerate(tup):
+                if j != i:
+                    need &= fold[s]
+            if need != tup[i]:
+                ok = False
+                break
+        if ok:
+            out.append(tuple(tuple(verts[i] for i in _bits(s)) for s in tup))
+    return out
 
 
 def random_family(rng: random.Random, n: int, k: int, max_members: int) -> Family:

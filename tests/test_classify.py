@@ -1,8 +1,13 @@
+import sys
+import time
+from math import comb
+
 import pytest
 
 from xfam import (
     Family,
     anchored_family,
+    canonical_form,
     classify_fact_2_1,
     classify_pair_theorem_1_1,
     classify_theorem_1_2,
@@ -16,7 +21,6 @@ from xfam import (
     enumerate_maximal_t_intersecting,
     mask_of,
     match_theorem_1_2,
-    maximal_cross_pairs,
     maximal_cross_tuples,
     maximal_with_tau_t_plus_1,
     theorem_1_2_instances,
@@ -161,11 +165,11 @@ def test_residual_sweeps():
     # the isomorphic ground set [4] (same counts, nonempty sides)
     from helpers import brute_maximal_pairs
 
-    pairs = maximal_cross_pairs(mask_of([3, 4, 5, 6]), 2, 2)
+    pairs = maximal_cross_tuples(mask_of([3, 4, 5, 6]), (2, 2))
     nonempty = [p for p in pairs if p[0] and p[1]]
     assert len(nonempty) == len(brute_maximal_pairs(4, 2, 2, 1))
-    assert len(pairs) == len(nonempty) + 2  # plus the two empty-sided sweeps
-    tuples = maximal_cross_tuples(mask_of([3, 4, 5, 6]), 2, 3)
+    assert len(pairs) == len(nonempty) + 2  # plus the two pairs with an empty side
+    tuples = maximal_cross_tuples(mask_of([3, 4, 5, 6]), (2, 2, 2))
     for tup in tuples:
         # round-robin fixed point: each component is the star of the others
         from xfam.core import select, subsets
@@ -173,6 +177,64 @@ def test_residual_sweeps():
         for i, members in enumerate(tup):
             others = [m for j, o in enumerate(tup) if j != i for m in o]
             assert tuple(sorted(members)) == select(subsets(mask_of([3, 4, 5, 6]), 2), others, 1)
+
+
+def test_cross_tuples_match_sweep():
+    # the coloured-clique kernel against the product sweep over universes of
+    # 4-6 elements, r = 1..4 equal sizes, t = 1, 2, while the sweep stays
+    # within 2^16 steps; size 7 exceeds every universe and leaves one
+    # all-empty tuple (mixed sizes: test_close_by_one_matches_subset_sweep)
+    from helpers import sweep_cross_tuples
+
+    checked = 0
+    for universe in (mask_of([3, 4, 5, 6]), mask_of([2, 3, 4, 5, 6]), mask_of(range(4, 10))):
+        for size in (1, 2, 3, 7):
+            vertices = comb(universe.bit_count(), size)
+            for r in range(1, 5):
+                if vertices * (r - 1) > 16:
+                    continue
+                for t in (1, 2):
+                    got = maximal_cross_tuples(universe, (size,) * r, t)
+                    assert got == sorted(sweep_cross_tuples(universe, size, r, t)), (universe, size, r, t)
+                    checked += 1
+                    if size == 7:
+                        assert got == [((),) * r]
+    assert checked == 74
+
+
+@pytest.mark.parametrize(
+    "n,k,t,classes", [(6, 3, 1, 6), (7, 3, 1, 6), (7, 4, 2, 7), (8, 3, 1, None), (8, 4, 2, None), (8, 5, 3, None)]
+)
+def test_instances_reach_every_family(n, k, t, classes):
+    # Double counting over the (t+1)-sets M: a family F with tau = t+1 is the
+    # T1.2-iii instance at each of its minimum covers, and every M carries as
+    # many instances as the canonical M = [t+1], so the cover sum over the
+    # enumerated families is C(n, t+1) times the T1.2-iii count (24,360 at
+    # (8,4,2)). A missed or extra residual tuple breaks it. Up to
+    # isomorphism the two sides give the same classes.
+    _, found = maximal_with_tau_t_plus_1(n, k, t)
+    iii = [f for f, name, _ in theorem_1_2_instances(n, k, t) if name == "T1.2-iii"]
+    assert sum(len(cov.covers) for _, cov in found) == comb(n, t + 1) * len(iii)
+    if classes is not None:
+        forms = {canonical_form(f) for f, _ in found}
+        assert forms == {canonical_form(f) for f in iii}
+        assert len(forms) == classes
+
+
+def test_instances_past_the_sweep_budget():
+    # points the (2^V)^t product sweep refused; the T1.2-iii counts times
+    # C(n, t+1) equal the cover sums of maximal_with_tau_t_plus_1 there
+    # (96,684 and 77,220, vertex cap 200)
+    for (n, k, t), total, iii in [((9, 4, 2), 1_169, 1_151), ((10, 3, 1), 1_747, 1_716)]:
+        names = [name for _, name, _ in theorem_1_2_instances(n, k, t)]
+        assert (len(names), names.count("T1.2-iii")) == (total, iii)
+    # (9,5,2) has 9,765,625 residual tuples at one M: refused early
+    limit = sys.getrecursionlimit()
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="TUPLE_BUDGET"):
+        theorem_1_2_instances(9, 5, 2)
+    assert time.perf_counter() - start < 10
+    assert sys.getrecursionlimit() == limit
 
 
 def test_unmatched_returns_none_template():

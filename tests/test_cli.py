@@ -77,6 +77,11 @@ def test_enumerate(capsys):
     code, out, _ = run(capsys, "enumerate-maximal", "--n", "5", "--k", "2", "--t", "1", "--json")
     payload = json.loads(out)
     assert code == 0 and payload["results"]["count"] == 15
+    # every pair of the 1,128 k-sets meets in t elements: one clique, as
+    # deep as the graph, past the default recursion limit
+    argv = ("enumerate-maximal", "--n", "48", "--k", "46", "--t", "44", "--vertex-cap", "1200", "--json")
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and json.loads(out)["results"]["count"] == 1
 
 
 def test_classify_all(capsys):

@@ -17,6 +17,7 @@ from xfam import (
     mask_of,
 )
 from xfam.canon import canonical_form_tuple
+from xfam.classify import maximal_cross_tuples
 from xfam.core import full_mask, subsets
 from xfam.enumeration import _closed_pairs, maximal_cliques
 from xfam.formulas import eval_g
@@ -110,15 +111,16 @@ def test_maximal_pairs_are_fixed_points():
 
 def test_close_by_one_matches_subset_sweep():
     # same pairs in the same order (by the vertex mask of F) as the sweep
-    # over every subfamily of side 1
+    # over every subfamily of side 1; with empty sides allowed, the residual
+    # pairs of the coloured-clique kernel are the same set
     for (n, k1, k2, t) in [(5, 2, 3, 1), (6, 2, 3, 1), (6, 2, 2, 2), (6, 1, 3, 1), (6, 2, 4, 2)]:
         verts1, verts2 = subsets(full_mask(n), k1).masks, subsets(full_mask(n), k2).masks
         assert _closed_pairs(verts1, verts2, t) == sweep_maximal_pairs(verts1, verts2, t), (n, k1, k2, t)
     for universe in (mask_of([3, 4, 5, 6]), full_mask(8) & ~full_mask(3)):
-        for (s1, s2, t) in [(2, 2, 1), (2, 3, 1), (3, 2, 1), (1, 2, 1), (2, 2, 2)]:
+        for (s1, s2, t) in [(2, 2, 1), (2, 3, 1), (3, 2, 1), (1, 2, 1), (2, 2, 2), (2, 3, 2), (3, 2, 2), (1, 2, 2)]:
             verts1, verts2 = subsets(universe, s1).masks, subsets(universe, s2).masks
-            got = _closed_pairs(verts1, verts2, t, include_empty=True)
-            assert got == sweep_maximal_pairs(verts1, verts2, t, include_empty=True), (universe, s1, s2, t)
+            got = maximal_cross_tuples(universe, (s1, s2), t)
+            assert got == sorted(sweep_maximal_pairs(verts1, verts2, t, include_empty=True)), (universe, s1, s2, t)
 
 
 def test_pair_cap():
