@@ -169,7 +169,7 @@ def _cmd_construct(args) -> int:
 
 def _cmd_verify_constructions(args) -> int:
     pts = _parse_grid(args.grid, construction_grid)
-    kinds = args.kinds.split(",") if args.kinds else list(PAIR_KINDS)
+    kinds = sorted(set(args.kinds.split(","))) if args.kinds else list(PAIR_KINDS)
     reports = verify_grid(kinds, pts, check_maximal=args.maximal)
     if not reports:
         raise ValueError(f"no pair of kinds {','.join(kinds)} exists at any grid point")
@@ -389,7 +389,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify-constructions", help="size/pairing/covering checks over a grid")
     p.add_argument("--grid", help="e.g. 't=1,2;k=t+1..t+3;l=t+1..t+3;n=l+2..12' (default: the full verification grid)")
-    p.add_argument("--kinds", help="comma list from AA,BB,CC,HH")
+    p.add_argument("--kinds", help="comma list from AA,BB,CC,DD,HH")
     p.add_argument("--maximal", action="store_true", help="also measure closure fixed-point status")
     p.add_argument("--out")
     p.set_defaults(fn=_cmd_verify_constructions)

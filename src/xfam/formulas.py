@@ -237,21 +237,33 @@ def _audit_42iii(t: int, k: int, l: int, n: int) -> list[AuditPoint]:
 
 
 def _audit_42iv(t: int, k: int, l: int, n: int) -> list[AuditPoint]:
+    """g~(m, k) g~(m', l) against (m + 1/16)(m' + 1/16) for m, m' up to the cap.
+
+    Both sides share the positive denominator 256 D, D = _norm(k) _norm(l),
+    so each comparison, and the order of the gaps, is decided on the integer
+    256 D (rhs - lhs); Fractions are built for the reported point only."""
     params = {"t": t, "k": k, "l": l, "n": n}
     cap = max(2 * (l - t + 1), (t + 1) * (l - t) + 1, l + 1, t + 2, 4)
+    den = _norm(k, t, n) * _norm(l, t, n)
+    ms = range(1, cap + 1)
+    gs = [eval_g(m, k, l, t, n) for m in ms]
+    gps = [eval_g(m, l, k, t, n) for m in ms]
     worst_gap, worst = None, None
-    for m in range(1, cap + 1):
-        gm = tilde_g(m, k, l, t, n)
-        for mp in range(1, cap + 1):
-            lhs = gm * tilde_g(mp, l, k, t, n)
-            rhs = (m + Fraction(1, 16)) * (mp + Fraction(1, 16))
-            if lhs > rhs:
-                return [_point({**params, "m": m, "m'": mp}, False, lhs, rhs)]
-            gap = rhs - lhs
+    for m, gm in zip(ms, gs):
+        row = den * (16 * m + 1)
+        for mp, gmp in zip(ms, gps):
+            gap = row * (16 * mp + 1) - 256 * gm * gmp
+            if gap < 0:
+                return [_point({**params, "m": m, "m'": mp}, False, *_42iv_sides(gm * gmp, den, m, mp))]
             if worst_gap is None or gap < worst_gap:
-                worst_gap, worst = gap, (lhs, rhs, m, mp)
+                worst_gap, worst = gap, (gm * gmp, m, mp)
     assert worst is not None
-    return [_point({**params, "m": worst[2], "m'": worst[3], "m_max": cap}, True, worst[0], worst[1])]
+    product, m, mp = worst
+    return [_point({**params, "m": m, "m'": mp, "m_max": cap}, True, *_42iv_sides(product, den, m, mp))]
+
+
+def _42iv_sides(product: int, den: int, m: int, mp: int) -> tuple[Fraction, Fraction]:
+    return Fraction(product, den), (m + Fraction(1, 16)) * (mp + Fraction(1, 16))
 
 
 def _audit_product(lhs_fn: Callable[[int, int, int, int], int], rhs_fn: Callable[[int, int, int, int], int], pre: Callable[[int, int, int], str | None]):

@@ -34,11 +34,19 @@ star fixed points), kept as the oracle of the containment matchers in
 `xfam.classify`; `classify_fact_2_1_reference` decides simplex or star by
 canonical form against the generated template, the oracle of the
 containment decision in `xfam.classify_fact_2_1`.
+
+`verify_construction_reference` is the pair verifier in its recomputing
+shape (`covering_number` on each side per call, `is_cross_t_intersecting`
+and `is_maximal_pair`), kept as the oracle of `verify_construction`, which
+caches covers and reads the cross check off one star. `audit_42iv_reference`
+is the Lemma 4.2(iv) auditor as a `Fraction` double loop, the oracle of the
+integer-gap `formulas._audit_42iv`.
 """
 
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 from itertools import combinations, permutations, product
 from math import comb
 from typing import Sequence
@@ -53,7 +61,7 @@ from xfam import (
     match_theorem_1_2,
 )
 from xfam.classify import TEMPLATE_ORDER, TemplateMatch, _iii_members, _no_match
-from xfam.constructions import _a_members
+from xfam.constructions import ConstructionSpec, _a_members
 from xfam.core import (
     CoverStructure,
     SubsetTable,
@@ -66,6 +74,7 @@ from xfam.core import (
     select,
     subsets,
 )
+from xfam.formulas import AuditPoint, _point, tilde_g
 
 Cells = tuple[tuple[int, ...], ...]
 
@@ -680,3 +689,47 @@ def classify_pair_reference(F1: Family, F2: Family, t: int) -> TemplateMatch:
     if not matches:
         return _no_match()
     return TemplateMatch(matches[0][0], matches[0][1], tuple(matches))
+
+
+def verify_construction_reference(spec: ConstructionSpec, partner: ConstructionSpec, check_maximal: bool = True) -> dict:
+    """Verify one pair: sizes match the closed forms, the pair is cross
+    t-intersecting, both covering numbers equal t+1, and (measured, not
+    required) the pair is a closure fixed point."""
+    t = spec.t
+    F, G = spec.build(), partner.build()
+    cov_f: CoverStructure = covering_number(F, t)
+    cov_g: CoverStructure = covering_number(G, t)
+    checks = {
+        "size_first": len(F) == spec.closed_form(),
+        "size_second": len(G) == partner.closed_form(),
+        "cross_intersecting": is_cross_t_intersecting(F, G, t),
+        "tau_first": cov_f.tau == t + 1,
+        "tau_second": cov_g.tau == t + 1,
+    }
+    report = {
+        "first": {"kind": spec.kind, "n": spec.n, "k": spec.k, "t": t, "size": len(F)},
+        "second": {"kind": partner.kind, "n": partner.n, "k": partner.k, "t": t, "size": len(G)},
+        "checks": checks,
+        "pass": all(checks.values()),
+    }
+    if check_maximal:
+        report["maximal_measured"] = is_maximal_pair(F, G, t)
+    return report
+
+
+def audit_42iv_reference(t: int, k: int, l: int, n: int) -> list[AuditPoint]:
+    params = {"t": t, "k": k, "l": l, "n": n}
+    cap = max(2 * (l - t + 1), (t + 1) * (l - t) + 1, l + 1, t + 2, 4)
+    worst_gap, worst = None, None
+    for m in range(1, cap + 1):
+        gm = tilde_g(m, k, l, t, n)
+        for mp in range(1, cap + 1):
+            lhs = gm * tilde_g(mp, l, k, t, n)
+            rhs = (m + Fraction(1, 16)) * (mp + Fraction(1, 16))
+            if lhs > rhs:
+                return [_point({**params, "m": m, "m'": mp}, False, lhs, rhs)]
+            gap = rhs - lhs
+            if worst_gap is None or gap < worst_gap:
+                worst_gap, worst = gap, (lhs, rhs, m, mp)
+    assert worst is not None
+    return [_point({**params, "m": worst[2], "m'": worst[3], "m_max": cap}, True, worst[0], worst[1])]

@@ -110,6 +110,12 @@ def test_verify_constructions(capsys):
     payload = json.loads(out)
     assert payload["verdict"] == "pass"
     assert [r["pair_kind"] for r in payload["results"]] == ["AA", "CC", "HH"]
+    # a repeated kind is run once, as a repeated grid point is
+    code, out, _ = run(capsys, "verify-constructions", "--kinds", "AA,AA", "--grid", "t=1;k=2;l=2;n=5")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["params"]["kinds"] == ["AA"]
+    assert [r["pair_kind"] for r in payload["results"]] == ["AA"]
 
 
 def test_leading_term(capsys):

@@ -9,6 +9,7 @@ from helpers import (
     d_members_reference,
     h_members_reference,
     iv_members_reference,
+    verify_construction_reference,
 )
 from xfam import (
     Family,
@@ -31,6 +32,7 @@ from xfam import (
 )
 from xfam.classify import _iv_members
 from xfam.constructions import (
+    PAIR_KINDS,
     ConstructionSpec,
     _a_members,
     _b_members,
@@ -38,6 +40,7 @@ from xfam.constructions import (
     _c2_members,
     _h_members,
     default_D_anchors,
+    default_grid,
 )
 from xfam.core import select, subsets
 from xfam.formulas import binom, eval_a, eval_c1, eval_c2, eval_h
@@ -322,6 +325,39 @@ def test_verify_construction_reports():
     rep = verify_construction(spec, partner)
     assert rep["pass"]
     assert "maximal_measured" in rep  # measured, not required
+
+
+def test_verify_construction_matches_recomputing_oracle():
+    # every default-grid pair up to n = 9, in verify_grid's order and skips
+    pairs = [
+        (kind, p)
+        for kind in PAIR_KINDS
+        for p in default_grid()
+        if p[3] <= 9 and not (kind == "BB" and p[0] != 1)
+    ]
+    non_maximal = []
+    for kind, (t, k, l, n) in pairs:
+        spec, partner = construction_pair(kind, n, k, l, t)
+        for check_maximal in (False, True):
+            rep = verify_construction(spec, partner, check_maximal)
+            assert rep == verify_construction_reference(spec, partner, check_maximal), (kind, t, k, l, n)
+        if not rep["maximal_measured"]:
+            non_maximal.append((kind, (t, k, l, n)))
+    assert len(non_maximal) == 185 and non_maximal[0] == ("AA", (1, 3, 2, 4))
+
+    # not cross-intersecting: {1,2,4} in A misses {5,6,7} in B
+    spec, partner = ConstructionSpec("A", 8, 3, 1), ConstructionSpec("B", 8, 3, 1, quad=(5, 6, 7, 8))
+    for check_maximal in (True, False):
+        rep = verify_construction(spec, partner, check_maximal)
+        assert rep == verify_construction_reference(spec, partner, check_maximal)
+        assert rep["checks"]["cross_intersecting"] is False
+
+    # tau_1 = 1 on the first side only: A(3, 3, 1) is the single set [3]
+    spec, partner = ConstructionSpec("A", 3, 3, 1), ConstructionSpec("A", 3, 2, 1)
+    for check_maximal in (True, False):
+        rep = verify_construction(spec, partner, check_maximal)
+        assert rep == verify_construction_reference(spec, partner, check_maximal)
+        assert not rep["checks"]["tau_first"] and rep["checks"]["tau_second"]
 
 
 def test_spec_validation():

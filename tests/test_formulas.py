@@ -2,7 +2,10 @@ from fractions import Fraction
 
 import pytest
 
+from helpers import audit_42iv_reference
 from xfam.formulas import (
+    _audit_42iv,
+    _glob_ok,
     audit_lemma,
     binom,
     default_grid,
@@ -154,3 +157,24 @@ def test_leading_constant_check():
         leading_constant_check("BB", 4, 4, 2, [100])
     with pytest.raises(ValueError):
         leading_constant_check("AA", 2, 2, 1, [100])
+
+
+def test_audit_42iv_integer_gaps_match_fraction_oracle():
+    pts = [p for p in default_grid() if _glob_ok(*p)]
+    assert len(pts) == 225
+    for p in pts:
+        assert _audit_42iv(*p) == audit_42iv_reference(*p), p
+    # below the threshold the auditor fails at once, at m = m' = 1
+    for n in (5, 6, 7):
+        (pt,) = _audit_42iv(1, 2, 3, n)
+        assert pt.verdict == "fails" and pt.params["m"] == pt.params["m'"] == 1
+        assert [pt] == audit_42iv_reference(1, 2, 3, n)
+    (pt,) = _audit_42iv(1, 2, 3, 5)
+    assert (pt.lhs, pt.rhs) == ("11/3", "289/256")
+    # at k = l = t+2 and n = t+1 + 48(t+1)(t+2) every gap is 0: the bound
+    # holds with equality and the first (m, m') = (1, 1) is reported
+    for t in (1, 2):
+        n = t + 1 + 48 * (t + 1) * (t + 2)
+        (pt,) = _audit_42iv(t, t + 2, t + 2, n)
+        assert [pt] == audit_42iv_reference(t, t + 2, t + 2, n)
+        assert pt.verdict == "holds" and pt.lhs == pt.rhs == "289/256" and pt.params["m"] == pt.params["m'"] == 1
