@@ -27,8 +27,9 @@ residual sizes of T1.2-iii and T1.2-iv.
 `theorem_1_2_instances` generates every template instance at canonical
 anchor positions, which gives the enumeration tests an independent second
 code path. Its T1.2-iii residual tuples and T1.2-iv residual pairs come from
-one kernel, `maximal_cross_tuples`: the maximal cliques of a coloured graph
-on the pairs (colour, residual), walked by the Bron-Kerbosch of
+`enumeration.maximal_cross_tuples`, the kernel that also lists the maximal
+pairs of Theorem 1.1: the maximal cliques of a coloured graph on the pairs
+(colour, residual), walked by the one Bron-Kerbosch under the one budget of
 `enumeration`.
 """
 
@@ -53,9 +54,7 @@ from .core import (
     subsets,
 )
 from .constructions import _a_members, _h_members
-from .enumeration import _bits, _bron_kerbosch, _compat_rows
-
-TUPLE_BUDGET = 200_000
+from .enumeration import maximal_cross_tuples
 
 TEMPLATE_ORDER = ("T1.2-i", "T1.2-ii", "T1.2-iii", "T1.2-iv")
 
@@ -101,31 +100,6 @@ def _iv_members(
     out |= {Tm | a for a in A}
     out |= {drop | b for drop in drops for b in B}
     return tuple(sorted(out))
-
-
-# ---------------------------------------------------------------------------
-# maximal pairwise cross-intersecting tuples over a reduced universe
-
-
-def maximal_cross_tuples(
-    universe: int, sizes: tuple[int, ...], t: int = 1
-) -> list[tuple[tuple[int, ...], ...]]:
-    """All maximal tuples of pairwise cross-t-intersecting families, component
-    i made of `sizes[i]`-subsets of `universe`, as sorted member-mask tuples
-    (empty components allowed), in sorted order. They are the maximal cliques
-    of the coloured graph on the pairs (i, R), with (i, R) ~ (j, R') iff
-    i = j or |R & R'| >= t, split by colour. More than TUPLE_BUDGET cliques
-    is an error."""
-    blocks = [subsets(universe, size).masks for size in sizes]
-    verts = [R for block in blocks for R in block]
-    rows: list[int] = []
-    colours = []
-    for block in blocks:
-        low = len(rows)
-        colours.append(((1 << len(block)) - 1) << low)
-        rows += [(row | colours[-1]) & ~(1 << v) for v, row in enumerate(_compat_rows(block, verts, t), low)]
-    cliques = _bron_kerbosch(rows, len(verts), TUPLE_BUDGET)
-    return sorted(tuple(tuple([verts[v] for v in _bits(c & colour)]) for colour in colours) for c in cliques)
 
 
 # ---------------------------------------------------------------------------

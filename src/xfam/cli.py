@@ -4,7 +4,7 @@ Identical invocations produce byte-identical reports; values that can exceed
 64 bits are serialized as decimal strings. Exit status is 0 only when every
 requested check passes (audit violations, unmatched classifications, or
 failed construction checks exit nonzero), 1 on a failed check, and 2 on usage
-errors such as unreadable files or cap violations.
+errors such as unreadable files or inputs over the enumeration budget.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ from . import (
     verify_grid,
 )
 from .constructions import PAIR_KINDS, default_D_anchors, default_grid as construction_grid
-from .enumeration import SUBSET_CAP, VERTEX_CAP
 from .formulas import (
     ALL_LEMMAS,
     audit_lemma,
@@ -179,7 +178,7 @@ def _cmd_verify_constructions(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
-    fams = enumerate_maximal_t_intersecting(args.n, args.k, args.t, vertex_cap=args.vertex_cap)
+    fams = enumerate_maximal_t_intersecting(args.n, args.k, args.t)
     if args.json:
         payload = _report(
             "enumerate-maximal",
@@ -195,7 +194,7 @@ def _cmd_enumerate(args) -> int:
 
 
 def _cmd_search(args) -> int:
-    res = extremal_product_search(args.n, args.k1, args.k2, args.t, args.min_tau, subset_cap=args.subset_cap)
+    res = extremal_product_search(args.n, args.k1, args.k2, args.t, args.min_tau)
     payload = _report(
         "search",
         {"n": args.n, "k1": args.k1, "k2": args.k2, "t": args.t, "min_tau": args.min_tau},
@@ -245,7 +244,7 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_classify_all(args) -> int:
-    total, found = maximal_with_tau_t_plus_1(args.n, args.k, args.t, vertex_cap=args.vertex_cap)
+    total, found = maximal_with_tau_t_plus_1(args.n, args.k, args.t)
     counts: dict[str, int] = {}
     unmatched = []
     # maximal by construction, covers read off the clique: match_theorem_1_2's contract
@@ -333,7 +332,11 @@ def _cmd_evaluate(args) -> int:
         sys.stderr.write(f"unknown formula {args.formula!r}\n")
         return 2
     if args.formula == "tau-bound":
-        kv["side"] = "F" if kv.get("side", 0) == 0 else "G"
+        side = kv.get("side", 0)
+        if side not in (0, 1):
+            sys.stderr.write(f"side must be 0 (F) or 1 (G), got {side}\n")
+            return 2
+        kv["side"] = "FG"[side]
     fn, names = _FORMULAS[args.formula]
     missing = [x for x in names if x not in kv]
     if missing:
@@ -348,6 +351,8 @@ def _cmd_evaluate(args) -> int:
 
 
 def _cmd_threshold(args) -> int:
+    if not (args.t >= 1 and args.k >= args.t + 1 and args.l >= args.t + 1):  # the rule of formulas._glob_ok
+        raise ValueError(f"the threshold needs t >= 1 and k, l >= t+1, got k={args.k} l={args.l} t={args.t}")
     sys.stdout.write(f"{n_threshold(args.k, args.l, args.t)}\n")
     return 0
 
@@ -398,7 +403,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--t", type=int, required=True)
-    p.add_argument("--vertex-cap", type=int, default=VERTEX_CAP)
     p.add_argument("--json", action="store_true")
     p.add_argument("--out")
     p.set_defaults(fn=_cmd_enumerate)
@@ -409,7 +413,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k2", type=int, required=True)
     p.add_argument("--t", type=int, required=True)
     p.add_argument("--min-tau", type=int, required=True)
-    p.add_argument("--subset-cap", type=int, default=SUBSET_CAP)
     p.add_argument("--out")
     p.set_defaults(fn=_cmd_search)
 
@@ -425,7 +428,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--t", type=int, required=True)
-    p.add_argument("--vertex-cap", type=int, default=VERTEX_CAP)
     p.add_argument("--out")
     p.set_defaults(fn=_cmd_classify_all)
 

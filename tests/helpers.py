@@ -7,7 +7,7 @@ definition (no single member can be added to either side) or by sweeping
 every subfamily of one side for fixed points of the double star map. Slow
 but unarguable at tiny scale. `sweep_cross_tuples` is the same sweep for
 r-tuples of one size, kept as the oracle of the coloured-clique kernel
-`xfam.classify.maximal_cross_tuples`.
+`xfam.enumeration.maximal_cross_tuples`.
 
 `canonical_form_reference` is the canonical-form search in its plain shape
 (sorted colour tuples as refinement signatures, every leaf encoded to bytes,

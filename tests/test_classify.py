@@ -183,7 +183,7 @@ def test_cross_tuples_match_sweep():
     # the coloured-clique kernel against the product sweep over universes of
     # 4-6 elements, r = 1..4 equal sizes, t = 1, 2, while the sweep stays
     # within 2^16 steps; size 7 exceeds every universe and leaves one
-    # all-empty tuple (mixed sizes: test_close_by_one_matches_subset_sweep)
+    # all-empty tuple (mixed sizes: test_maximal_pairs_match_subset_sweep)
     from helpers import sweep_cross_tuples
 
     checked = 0
@@ -224,14 +224,14 @@ def test_instances_reach_every_family(n, k, t, classes):
 def test_instances_past_the_sweep_budget():
     # points the (2^V)^t product sweep refused; the T1.2-iii counts times
     # C(n, t+1) equal the cover sums of maximal_with_tau_t_plus_1 there
-    # (96,684 and 77,220, vertex cap 200)
+    # (96,684 and 77,220)
     for (n, k, t), total, iii in [((9, 4, 2), 1_169, 1_151), ((10, 3, 1), 1_747, 1_716)]:
         names = [name for _, name, _ in theorem_1_2_instances(n, k, t)]
         assert (len(names), names.count("T1.2-iii")) == (total, iii)
     # (9,5,2) has 9,765,625 residual tuples at one M: refused early
     limit = sys.getrecursionlimit()
     start = time.perf_counter()
-    with pytest.raises(ValueError, match="TUPLE_BUDGET"):
+    with pytest.raises(ValueError, match="more than the budget of 1,300,000 maximal cliques"):
         theorem_1_2_instances(9, 5, 2)
     assert time.perf_counter() - start < 10
     assert sys.getrecursionlimit() == limit

@@ -1,8 +1,11 @@
 import json
+import sys
 
 import xfam.classify
 import xfam.cli
 import xfam.core
+import xfam.enumeration
+from xfam import Family, covering_number, is_cross_t_intersecting, is_maximal_pair
 from xfam.cli import main
 
 
@@ -15,6 +18,10 @@ def run(capsys, *argv):
 def test_threshold(capsys):
     code, out, _ = run(capsys, "threshold", "--k", "2", "--l", "2", "--t", "1")
     assert code == 0 and out.strip() == "259"
+    # outside the theorem (t >= 1, k and l >= t+1) there is no threshold
+    for k, l, t in ((-3, 2, 1), (1, 1, 3), (0, 0, 0)):
+        code, out, err = run(capsys, "threshold", "--k", str(k), "--l", str(l), "--t", str(t))
+        assert code == 2 and out == "" and "the threshold needs t >= 1 and k, l >= t+1" in err, (k, l, t)
 
 
 def test_eval(capsys):
@@ -79,7 +86,7 @@ def test_enumerate(capsys):
     assert code == 0 and payload["results"]["count"] == 15
     # every pair of the 1,128 k-sets meets in t elements: one clique, as
     # deep as the graph, past the default recursion limit
-    argv = ("enumerate-maximal", "--n", "48", "--k", "46", "--t", "44", "--vertex-cap", "1200", "--json")
+    argv = ("enumerate-maximal", "--n", "48", "--k", "46", "--t", "44", "--json")
     code, out, _ = run(capsys, *argv)
     assert code == 0 and json.loads(out)["results"]["count"] == 1
 
@@ -145,7 +152,7 @@ def test_usage_errors_exit_2(capsys, tmp_path):
         assert code == 2 and out == "" and "Traceback" not in err and "bad grid bound" in err, grid
     # invalid (n, k, t) is refused before any enumeration
     for argv in (
-        ("search", "--n", "65", "--k1", "1", "--k2", "1", "--t", "1", "--min-tau", "1", "--subset-cap", "100"),
+        ("search", "--n", "65", "--k1", "1", "--k2", "1", "--t", "1", "--min-tau", "1"),
         ("search", "--n", "4", "--k1", "2", "--k2", "2", "--t", "3", "--min-tau", "1"),
         ("enumerate-maximal", "--n", "4", "--k", "2", "--t", "0"),
     ):
@@ -173,6 +180,47 @@ def test_usage_errors_exit_2(capsys, tmp_path):
         path.write_text(bad + "\n")
         code, out, err = run(capsys, "classify", "--in", str(path), "--theorem", "1.2", "--t", "1")
         assert code == 2 and out == "" and f"line {lineno}" in err and "1..64" in err, bad
+
+
+def test_tau_bound_side(capsys):
+    bound = ("tau_f=2", "tau_g=3", "k=3", "l=4", "n=40", "t=1")
+    values = [run(capsys, "eval", "--formula", "tau-bound", "--args", f"side={side}", *bound) for side in (0, 1)]
+    assert [code for code, _, _ in values] == [0, 0] and values[0][1] != values[1][1]
+    code, out, err = run(capsys, "eval", "--formula", "tau-bound", "--args", "side=7", *bound)
+    assert code == 2 and out == "" and "side must be 0 (F) or 1 (G), got 7" in err
+
+
+def test_search_past_the_old_subset_cap(capsys):
+    # 28 2-sets a side, refused by the old cap of 22; every witness is a
+    # star fixed point with both covering numbers at least min-tau
+    code, out, _ = run(capsys, "search", "--n", "8", "--k1", "2", "--k2", "2", "--t", "1", "--min-tau", "2")
+    assert code == 0
+    witnesses = json.loads(out)["results"]["witnesses"]
+    assert witnesses
+    for w in witnesses:
+        f, g = (Family.from_sets(8, 2, [tuple(m) for m in w[side]["members"]]) for side in ("first", "second"))
+        assert is_cross_t_intersecting(f, g, 1) and is_maximal_pair(f, g, 1)
+        assert covering_number(f, 1).tau >= 2 and covering_number(g, 1).tau >= 2
+
+
+def test_budget_refusals(capsys, monkeypatch):
+    # before any table: V^2 vertex comparisons over the budget
+    code, out, err = run(capsys, "search", "--n", "13", "--k1", "4", "--k2", "4", "--t", "1", "--min-tau", "2")
+    assert code == 2 and out == "" and "Traceback" not in err
+    assert "C(13,4) + C(13,4) = 1,430 vertices need 2,044,900 comparisons, over the budget of 1,300,000" in err
+    # during the walk: 20 vertices fit a budget of 400, their 1,024 maximal
+    # cliques do not; the walk restores the recursion limit it raised
+    monkeypatch.setattr(xfam.enumeration, "BUDGET", 400)
+    limit = sys.getrecursionlimit()
+    for argv in (
+        ("classify-all", "--n", "6", "--k", "3", "--t", "1"),
+        ("enumerate-maximal", "--n", "6", "--k", "3", "--t", "1", "--json"),
+        ("search", "--n", "5", "--k1", "2", "--k2", "3", "--t", "1", "--min-tau", "1"),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "" and "Traceback" not in err, argv
+        assert err == "error: found more than the budget of 400 maximal cliques\n", argv
+        assert sys.getrecursionlimit() == limit
 
 
 def test_empty_checks_are_usage_errors(capsys):

@@ -109,18 +109,17 @@ def argv_strategy(family_file):
             {"--kinds": st.sampled_from(["AA", "BB", "CC", "HH", "AA,HH", "ZZ", ""]), "--maximal": None},
             always={"--grid": grid()},
         ),
-        command("enumerate-maximal", with_names(("--t", "--k", "--n"), tkn), {"--vertex-cap": num(5, 70), "--json": None}),
+        command("enumerate-maximal", with_names(("--t", "--k", "--n"), tkn), {"--json": None}),
         command(
             "search",
             with_names(("--t", "--k1", "--n"), chain(1, 5, 3), **{"--k2": num(1, 5), "--min-tau": num(1, 3)}),
-            {"--subset-cap": num(5, 22)},
         ),
         command(
             "classify",
             {"--in": files, "--theorem": st.sampled_from(["1.2", "1.1", "fact2.1", "9"]), "--t": num(1, 2)},
             {"--in2": files},
         ),
-        command("classify-all", with_names(("--t", "--k", "--n"), tkn), {"--vertex-cap": num(5, 70)}),
+        command("classify-all", with_names(("--t", "--k", "--n"), tkn)),
         command(
             "audit",
             {"--lemma": st.sampled_from(list(ALL_LEMMAS) + ["all", "nope"])},

@@ -1,6 +1,7 @@
 import networkx as nx
 import pytest
 
+import xfam.enumeration
 from xfam import (
     Family,
     anchored_family,
@@ -17,9 +18,8 @@ from xfam import (
     mask_of,
 )
 from xfam.canon import canonical_form_tuple
-from xfam.classify import maximal_cross_tuples
 from xfam.core import full_mask, subsets
-from xfam.enumeration import _closed_pairs, maximal_cliques
+from xfam.enumeration import maximal_cliques, maximal_cross_tuples
 from xfam.formulas import eval_g
 from helpers import brute_maximal_families, brute_maximal_pairs, sweep_maximal_pairs
 
@@ -32,8 +32,9 @@ def test_intersection_graph():
     j = g.vertices.index(mask_of([3, 4]))
     assert not (g.rows[i] >> j) & 1
     assert (g.rows[i]).bit_count() == 4
-    with pytest.raises(ValueError):
-        build_intersection_graph(10, 5, 1)  # 252 vertices over the cap
+    # 1,365 vertices need 1,863,225 comparisons: refused before the rows
+    with pytest.raises(ValueError, match=r"C\(15,4\) = 1,365 vertices need 1,863,225 comparisons, over the budget of 1,300,000"):
+        build_intersection_graph(15, 4, 1)
 
 
 def test_enumeration_matches_brute_force():
@@ -42,8 +43,9 @@ def test_enumeration_matches_brute_force():
         assert got == brute_maximal_families(n, k, t)
 
 
-@pytest.mark.parametrize("n,k,t", [(6, 3, 1), (7, 3, 1), (7, 4, 2)])
+@pytest.mark.parametrize("n,k,t", [(6, 3, 1), (7, 3, 1), (7, 4, 2), (9, 6, 5)])
 def test_maximal_cliques_match_networkx(n, k, t):
+    # (9,6,5): 84 vertices and 162 cliques, past the old 70-vertex cap
     verts, cliques = maximal_cliques(n, k, t)
     graph = nx.Graph()
     graph.add_nodes_from(range(len(verts)))
@@ -109,13 +111,14 @@ def test_maximal_pairs_are_fixed_points():
         assert is_maximal_pair(f, g, 1)
 
 
-def test_close_by_one_matches_subset_sweep():
-    # same pairs in the same order (by the vertex mask of F) as the sweep
-    # over every subfamily of side 1; with empty sides allowed, the residual
-    # pairs of the coloured-clique kernel are the same set
+def test_maximal_pairs_match_subset_sweep():
+    # the same pairs as the sweep over every subfamily of side 1, ordered by
+    # the members of F; with empty sides allowed, the pairs of the
+    # coloured-clique kernel over a reduced universe are the same set
     for (n, k1, k2, t) in [(5, 2, 3, 1), (6, 2, 3, 1), (6, 2, 2, 2), (6, 1, 3, 1), (6, 2, 4, 2)]:
         verts1, verts2 = subsets(full_mask(n), k1).masks, subsets(full_mask(n), k2).masks
-        assert _closed_pairs(verts1, verts2, t) == sweep_maximal_pairs(verts1, verts2, t), (n, k1, k2, t)
+        got = [(f.members, g.members) for f, g in enumerate_maximal_pairs(n, k1, k2, t)]
+        assert got == sorted(sweep_maximal_pairs(verts1, verts2, t)), (n, k1, k2, t)
     for universe in (mask_of([3, 4, 5, 6]), full_mask(8) & ~full_mask(3)):
         for (s1, s2, t) in [(2, 2, 1), (2, 3, 1), (3, 2, 1), (1, 2, 1), (2, 2, 2), (2, 3, 2), (3, 2, 2), (1, 2, 2)]:
             verts1, verts2 = subsets(universe, s1).masks, subsets(universe, s2).masks
@@ -123,9 +126,15 @@ def test_close_by_one_matches_subset_sweep():
             assert got == sorted(sweep_maximal_pairs(verts1, verts2, t, include_empty=True)), (universe, s1, s2, t)
 
 
-def test_pair_cap():
-    with pytest.raises(ValueError):
-        enumerate_maximal_pairs(10, 3, 3, 1)  # C(10,3) = 120 over the cap
+def test_pair_cap(monkeypatch):
+    # 1,430 vertices need 2,044,900 comparisons: refused before any table
+    def no_table(*args):
+        raise AssertionError("a subset table was built")
+
+    monkeypatch.setattr(xfam.enumeration, "subsets", no_table)
+    message = r"C\(13,4\) \+ C\(13,4\) = 1,430 vertices need 2,044,900 comparisons, over the budget of 1,300,000"
+    with pytest.raises(ValueError, match=message):
+        enumerate_maximal_pairs(13, 4, 4, 1)
 
 
 def _oracle_best_product(n: int, k: int, t: int, min_tau: int) -> int:
