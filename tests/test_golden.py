@@ -38,6 +38,15 @@ CASES = {
         ["search", "--n", "6", "--k1", "2", "--k2", "2", "--t", "1", "--min-tau", "2"],
         ["search", "--n", "5", "--k1", "2", "--k2", "3", "--t", "1", "--min-tau", "1"],
     ],
+    # k1 = k2: one pair at (5,3,3,1); 30 tied winners in 2 classes at (6,3,3,2)
+    "search-equal-sizes": [
+        ["search", "--n", "5", "--k1", "3", "--k2", "3", "--t", "1", "--min-tau", "2"],
+        ["search", "--n", "6", "--k1", "3", "--k2", "3", "--t", "2", "--min-tau", "2"],
+    ],
+    # no pair qualifies, so every pair is examined down to the smallest product
+    "search-none-qualifies": [
+        ["search", "--n", "6", "--k1", "2", "--k2", "3", "--t", "1", "--min-tau", "3"],
+    ],
     "classify": [
         ["construct", "--kind", "A", "--n", "7", "--k", "3", "--t", "1", "--out", "a.txt"],
         ["classify", "--in", "a.txt", "--theorem", "1.2", "--t", "1"],
@@ -86,6 +95,8 @@ GOLDEN = {
     "eval": "4e6cfe1749a4bedda6dd931e0fcfe6630eda774ae5f4b743753d6087dfb2bbf7",
     "leading-term": "b35eb57581d3ab149be9ef3816facf35041f82bbb1a936033c6216d968d16d81",
     "search": "0f711bacfd11b527fc0395021815f745188db78d024a96750820c1fe2cac95c8",
+    "search-equal-sizes": "4354fd1daa534b7916891fb3951ebe7e68e7f00dd5e1e1e3e4d68952ceddba7c",
+    "search-none-qualifies": "2443ff992868c04b83f5bb37a91f7d2daa8a38a7785f176fde2904a3c1704f88",
     "threshold": "857089a9b70b38f1a73771efea60119d0f17639bfb6c36c579ce0e5f4dc71e01",
     "verify-constructions-n12": "4240a0c09d6f21d5ee65283fcb284da26d1fd5097af6ce63c1c7773c33e9ac20",
     "verify-constructions-small": "5427cf4091bde85ce41c0a17db6057cf3bc12d3a3518250e77976c36505218ea",
