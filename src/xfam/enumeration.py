@@ -11,12 +11,14 @@ on the pairs (i, R), with (i, R) ~ (j, R') iff i = j or |R ∩ R'| >= t.
 With two colours, those with both sides nonempty are the maximal
 cross-t-intersecting pairs: the fixed points F = star(star(F)) of the double
 star map. The same kernel lists the residual tuples of `classify`. The
-product search walks the pairs by decreasing |F| |G| and computes covering
-numbers only while a pair can still tie the best product.
+product search groups the pair cliques by |F| |G|, read off their bitmasks,
+and decodes into families only the groups that can still tie the best
+product, computing covering numbers for those alone.
 
 One budget, BUDGET, bounds every enumeration, checked twice: before any row
-is built, the V^2 vertex comparisons of a V-vertex graph, and during the
-walk, the number of maximal cliques. Exceeding it is an error, never silent
+is built, the V^2 vertex comparisons of a V-vertex graph (and the
+comparisons of the cover rows against the V vertices), and during the walk,
+the number of maximal cliques. Exceeding it is an error, never silent
 truncation.
 """
 
@@ -29,7 +31,7 @@ from math import comb
 from operator import or_
 from typing import Sequence
 
-from .canon import canonical_form_tuple
+from .canon import canonical_form
 from .core import CoverStructure, Family, covering_number, full_mask, subsets, validate_params
 from .formulas import n_threshold
 
@@ -128,14 +130,10 @@ def _bron_kerbosch(rows: Sequence[int], nverts: int) -> list[int]:
     return out
 
 
-def maximal_cross_tuples(
-    universe: int, sizes: tuple[int, ...], t: int = 1
-) -> list[tuple[tuple[int, ...], ...]]:
-    """All maximal tuples of pairwise cross-t-intersecting families, component
-    i made of `sizes[i]`-subsets of `universe`, as sorted member-mask tuples
-    (empty components allowed), in sorted order. They are the maximal cliques
-    of the coloured graph on the pairs (i, R), with (i, R) ~ (j, R') iff
-    i = j or |R & R'| >= t, split by colour."""
+def _coloured_cliques(universe: int, sizes: tuple[int, ...], t: int) -> tuple[list[int], list[int], list[int]]:
+    """The vertices of the coloured graph of `maximal_cross_tuples` (the
+    `sizes[i]`-subsets of `universe`, block after block), one bitmask of
+    vertex indices per colour, and every maximal clique as such a bitmask."""
     m = universe.bit_count()
     _check_budget(" + ".join(f"C({m},{size})" for size in sizes), sum(comb(m, size) for size in sizes))
     blocks = [subsets(universe, size).masks for size in sizes]
@@ -146,8 +144,24 @@ def maximal_cross_tuples(
         low = len(rows)
         colours.append(((1 << len(block)) - 1) << low)
         rows += [(row | colours[-1]) & ~(1 << v) for v, row in enumerate(_compat_rows(block, verts, t), low)]
-    cliques = _bron_kerbosch(rows, len(verts))
-    return sorted(tuple(tuple([verts[v] for v in _bits(c & colour)]) for colour in colours) for c in cliques)
+    return verts, colours, _bron_kerbosch(rows, len(verts))
+
+
+def _decode(verts: list[int], colours: list[int], clique: int) -> tuple[tuple[int, ...], ...]:
+    """The member masks of each colour of `clique`, ascending."""
+    return tuple(tuple([verts[v] for v in _bits(clique & colour)]) for colour in colours)
+
+
+def maximal_cross_tuples(
+    universe: int, sizes: tuple[int, ...], t: int = 1
+) -> list[tuple[tuple[int, ...], ...]]:
+    """All maximal tuples of pairwise cross-t-intersecting families, component
+    i made of `sizes[i]`-subsets of `universe`, as sorted member-mask tuples
+    (empty components allowed), in sorted order. They are the maximal cliques
+    of the coloured graph on the pairs (i, R), with (i, R) ~ (j, R') iff
+    i = j or |R & R'| >= t, split by colour."""
+    verts, colours, cliques = _coloured_cliques(universe, sizes, t)
+    return sorted(_decode(verts, colours, c) for c in cliques)
 
 
 def maximal_cliques(n: int, k: int, t: int) -> tuple[tuple[int, ...], list[int]]:
@@ -177,8 +191,16 @@ def maximal_with_tau_t_plus_1(n: int, k: int, t: int) -> tuple[int, list[tuple[F
     iff some (t+1)-set covers the clique and no t-set does; then the
     (t+1)-covers are all the minimum covers, in table order. They lie inside
     the union of the family, since a cover element outside it could be
-    dropped, so scanning all of [n] matches the library's candidates."""
+    dropped, so scanning all of [n] matches the library's candidates.
+    The C(n, t) + C(n, t+1) cover rows take one comparison per vertex each,
+    counted against BUDGET after the walk and before any cover table."""
     verts, cliques = maximal_cliques(n, k, t)
+    nrows = comb(n, t) + comb(n, t + 1)
+    if nrows * len(verts) > BUDGET:
+        raise ValueError(
+            f"C({n},{t}) + C({n},{t + 1}) = {nrows:,} cover rows of C({n},{k}) = {len(verts):,} vertices need "
+            f"{nrows * len(verts):,} comparisons, over the budget of {BUDGET:,}"
+        )
     full = (1 << len(verts)) - 1
 
     def missing(size: int) -> tuple[tuple[int, ...], list[int]]:
@@ -225,28 +247,52 @@ class SearchResult:
 
 def extremal_product_search(n: int, k1: int, k2: int, t: int, min_tau: int) -> SearchResult:
     """Maximum of |F| |G| over maximal cross-t-intersecting pairs with both
-    covering numbers at least min_tau; witnesses are deduplicated by the joint
-    canonical form of the ordered pair. The `at_proved_threshold` flag records
-    whether n reaches the regime where the extremal structure is actually
-    characterized; below it the winner is reported as a measurement.
+    covering numbers at least min_tau; witnesses are deduplicated up to
+    isomorphism of the ordered pair, keyed by the canonical form of F. The
+    `at_proved_threshold` flag records whether n reaches the regime where
+    the extremal structure is actually characterized; below it the winner is
+    reported as a measurement.
 
-    The pairs are walked by decreasing product, stably, so covering numbers
-    are computed only until the first product below the best qualifying one,
-    and the winners keep their enumeration order."""
-    pairs = enumerate_maximal_pairs(n, k1, k2, t)
+    The maximal cliques of the pair graph are grouped by product, read off
+    their bitmasks, and the groups are walked by decreasing product. Only the
+    groups that can still tie the best qualifying product are decoded into
+    families, each in enumeration order (sorted by the members of F, then
+    G), so covering numbers are computed only until the first product below
+    the best one, and the winners keep their enumeration order. A min_tau
+    above n is refused: [n] is a t-cover of every family over [n]."""
+    validate_params(n, k1, t)
+    validate_params(n, k2, t)
+    if min_tau > n:
+        raise ValueError(
+            f"min-tau {min_tau} > n = {n}: no family over [n] has a larger covering number, since [n] is a t-cover"
+        )
+    verts, colours, cliques = _coloured_cliques(full_mask(n), (k1, k2), t)
+    side1, side2 = colours
+    groups: dict[int, list[int]] = {}
+    for c in cliques:
+        product = (c & side1).bit_count() * (c & side2).bit_count()
+        if product:
+            groups.setdefault(product, []).append(c)
     best = 0
     winners: list[tuple[Family, Family]] = []
-    for f, g in sorted(pairs, key=lambda fg: -(len(fg[0]) * len(fg[1]))):
-        product = len(f) * len(g)
+    for product in sorted(groups, reverse=True):
         if product < best:
             break
-        if covering_number(f, t).tau >= min_tau and covering_number(g, t).tau >= min_tau:
-            best = product
-            winners.append((f, g))
+        for fm, gm in sorted(_decode(verts, colours, c) for c in groups[product]):
+            f, g = Family(n, k1, fm), Family(n, k2, gm)
+            if covering_number(f, t).tau >= min_tau and covering_number(g, t).tau >= min_tau:
+                best = product
+                winners.append((f, g))
+    # A maximal pair has G = star(F), the k2-sets meeting every member of F
+    # in >= t elements, and a permutation p of [n] preserves intersection
+    # sizes, so p(star(F)) = star(p(F)). Hence p maps (F, G) onto another
+    # maximal pair (F', G') iff it maps F onto F': the joint classes of the
+    # winners are the classes of F alone, and canonical_form(F) is a key
+    # for them.
     seen: set[bytes] = set()
     unique = []
     for f, g in winners:
-        key = canonical_form_tuple([f, g])
+        key = canonical_form(f)
         if key not in seen:
             seen.add(key)
             unique.append((f, g))
@@ -258,6 +304,6 @@ def extremal_product_search(n: int, k1: int, k2: int, t: int, min_tau: int) -> S
         min_tau=min_tau,
         best_product=best,
         witnesses=unique,
-        pairs_examined=len(pairs),
+        pairs_examined=sum(map(len, groups.values())),
         at_proved_threshold=n >= n_threshold(k1, k2, t),
     )

@@ -1,5 +1,6 @@
 import json
 import sys
+import time
 
 import xfam.classify
 import xfam.cli
@@ -221,6 +222,29 @@ def test_budget_refusals(capsys, monkeypatch):
         assert code == 2 and out == "" and "Traceback" not in err, argv
         assert err == "error: found more than the budget of 400 maximal cliques\n", argv
         assert sys.getrecursionlimit() == limit
+
+
+def test_cover_rows_count_against_the_budget(capsys):
+    # C(30,10) + C(30,11) cover rows of one 30-set: refused before any table
+    start = time.perf_counter()
+    code, out, err = run(capsys, "classify-all", "--n", "30", "--k", "30", "--t", "10")
+    assert code == 2 and out == "" and time.perf_counter() - start < 1
+    assert "84,672,315 cover rows of C(30,30) = 1 vertices need 84,672,315 comparisons, over the budget of 1,300,000" in err
+    # 490,314 rows of one vertex, and the classify benchmark point, fit
+    for argv in (("--n", "22", "--k", "22", "--t", "7"), ("--n", "8", "--k", "4", "--t", "2")):
+        code, out, _ = run(capsys, "classify-all", *argv)
+        assert code == 0 and json.loads(out)["verdict"] == "pass", argv
+
+
+def test_search_min_tau_above_n(capsys):
+    # [n] is a t-cover, so no family over [n] has tau_t > n: nothing to search
+    code, out, err = run(capsys, "search", "--n", "4", "--k1", "2", "--k2", "2", "--t", "1", "--min-tau", "99")
+    assert code == 2 and out == ""
+    assert err == "error: min-tau 99 > n = 4: no family over [n] has a larger covering number, since [n] is a t-cover\n"
+    # min-tau <= t filters nothing, and min-tau = n is still a question
+    for min_tau in ("0", "1", "4"):
+        code, out, _ = run(capsys, "search", "--n", "4", "--k1", "2", "--k2", "2", "--t", "1", "--min-tau", min_tau)
+        assert code == 0 and json.loads(out)["verdict"] == "pass", min_tau
 
 
 def test_empty_checks_are_usage_errors(capsys):

@@ -19,7 +19,7 @@ from xfam import (
 )
 from xfam.canon import canonical_form_tuple
 from xfam.core import full_mask, subsets
-from xfam.enumeration import maximal_cliques, maximal_cross_tuples
+from xfam.enumeration import maximal_cliques, maximal_cross_tuples, maximal_with_tau_t_plus_1
 from xfam.formulas import eval_g
 from helpers import brute_maximal_families, brute_maximal_pairs, sweep_maximal_pairs
 
@@ -211,7 +211,9 @@ def test_search_matches_oracle_with_covering_floor():
 def test_pruned_search_matches_unpruned_loop():
     # reference: covering numbers of both sides of every pair, in enumeration
     # order, then the canonical dedupe of the winners
-    for (n, k1, k2, t, min_tau) in [(5, 2, 2, 1, 1), (6, 2, 2, 1, 2), (6, 2, 3, 1, 2), (7, 2, 2, 1, 2), (5, 2, 2, 1, 3)]:
+    points = [(5, 2, 2, 1, 1), (6, 2, 2, 1, 2), (6, 2, 3, 1, 2), (7, 2, 2, 1, 2), (5, 2, 2, 1, 3)]
+    points += [(5, 3, 3, 1, 1), (5, 3, 3, 1, 2), (6, 3, 2, 2, 3)]
+    for (n, k1, k2, t, min_tau) in points:
         pairs = enumerate_maximal_pairs(n, k1, k2, t)
         best, winners = 0, []
         for f, g in pairs:
@@ -233,6 +235,50 @@ def test_pruned_search_matches_unpruned_loop():
         assert res.pairs_examined == len(pairs)
         if min_tau == 3:
             assert best == 0 and unique == []
+
+
+def test_search_builds_families_only_for_groups_that_can_tie(monkeypatch):
+    # (7,2,3,1) has 24,696 maximal pairs and best product 40; only the 2,478
+    # pairs with product >= 40 are decoded, two families each
+    built = []
+
+    def counting_family(*args):
+        built.append(args)
+        return Family(*args)
+
+    monkeypatch.setattr(xfam.enumeration, "Family", counting_family)
+    res = extremal_product_search(7, 2, 3, 1, 2)
+    assert (res.best_product, res.pairs_examined) == (40, 24_696)
+    assert len(built) == 2 * 2_478
+
+
+@pytest.mark.parametrize("n,k1,k2,t", [(5, 2, 2, 1), (5, 2, 3, 1), (6, 2, 3, 1), (5, 3, 3, 1)])
+def test_pair_classes_are_the_classes_of_f(n, k1, k2, t):
+    # G = star(F) for a maximal pair, so the search may dedupe winners by F
+    pairs = enumerate_maximal_pairs(n, k1, k2, t)
+
+    def partition(key):
+        classes = {}
+        for i, pair in enumerate(pairs):
+            classes.setdefault(key(pair), []).append(i)
+        return sorted(classes.values())
+
+    assert partition(lambda fg: canonical_form(fg[0])) == partition(lambda fg: canonical_form_tuple(list(fg)))
+
+
+def test_cover_rows_refused_before_any_cover_table(monkeypatch):
+    # 84,672,315 cover rows of one vertex: the walk runs, no cover table is built
+    def graph_table_only(universe, size):
+        assert size == 30, "a cover table was built"
+        return subsets(universe, size)
+
+    monkeypatch.setattr(xfam.enumeration, "subsets", graph_table_only)
+    message = (
+        r"C\(30,10\) \+ C\(30,11\) = 84,672,315 cover rows of C\(30,30\) = 1 vertices need 84,672,315 comparisons, "
+        r"over the budget of 1,300,000"
+    )
+    with pytest.raises(ValueError, match=message):
+        maximal_with_tau_t_plus_1(30, 30, 10)
 
 
 def test_covering_bound_observation(capsys):
