@@ -62,6 +62,14 @@ CASES = {
         ["classify-all", "--n", "6", "--k", "3", "--t", "1"],
         ["classify-all", "--n", "7", "--k", "4", "--t", "2"],
     ],
+    # (3,3,3) has no (t+1)-set; (4,3,1) is one complete family matching all
+    # four templates; (5,4,3) and (9,8,7) count no T1.2-iv, so the key is dropped
+    "classify-all-edges": [
+        ["classify-all", "--n", "3", "--k", "3", "--t", "3"],
+        ["classify-all", "--n", "4", "--k", "3", "--t", "1"],
+        ["classify-all", "--n", "5", "--k", "4", "--t", "3"],
+        ["classify-all", "--n", "9", "--k", "8", "--t", "7"],
+    ],
     "audit-json": [
         ["audit", "--lemma", "all", "--grid", "t=1;k=2,3;l=2,3;n=259,600"],
     ],
@@ -90,6 +98,7 @@ GOLDEN = {
     "audit-json": "4c60b70e373b2d79053d182ab4847a07f69d8f62a8750ab3fbe71df481f15863",
     "classify": "3ca79309b79c295c52f806a98e2e33d09f4949cb0c08885cb1e7a26d8394901d",
     "classify-all": "75240d30e601f61ad735f034be4700cabc415f915ca3ffece1a9a3d923f9c84a",
+    "classify-all-edges": "11e542885d4e3283c239f9b4c27998864b46dd6ad61a7539adcbc201fbd654cb",
     "construct": "61deb9a978fbfd00a809ad62173945c5c2115e04b49bca7874876f01da23376d",
     "enumerate-maximal": "de99b3f41005d2b8d2c41be3c6c268a7bbd72bf8946065119ac43013779831f7",
     "eval": "4e6cfe1749a4bedda6dd931e0fcfe6630eda774ae5f4b743753d6087dfb2bbf7",
