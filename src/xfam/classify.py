@@ -24,6 +24,10 @@ off the minimum covers (all of size t+1):
 The proof of each sits beside its test. Members are read only to count the
 residual sizes of T1.2-iii and T1.2-iv.
 
+`count_theorem_1_2`, behind `classify-all`, applies the same lookups to all
+families at once, as ANDs and sums of columns of the minimum-cover matrix of
+`enumeration`, decoding no family; the matcher is its test oracle.
+
 `theorem_1_2_instances` generates every template instance at canonical
 anchor positions, which gives the enumeration tests an independent second
 code path. Its T1.2-iii residual tuples and T1.2-iv residual pairs come from
@@ -38,6 +42,9 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import combinations, permutations
+from math import comb
+
+import numpy as np
 
 from .core import (
     CoverStructure,
@@ -54,7 +61,7 @@ from .core import (
     subsets,
 )
 from .constructions import _a_members, _h_members
-from .enumeration import maximal_cross_tuples
+from .enumeration import _min_cover_matrix, maximal_cross_tuples
 
 TEMPLATE_ORDER = ("T1.2-i", "T1.2-ii", "T1.2-iii", "T1.2-iv")
 
@@ -225,6 +232,59 @@ def match_theorem_1_2(F: Family, t: int, cov: CoverStructure) -> TemplateMatch:
         return _no_match()
     matches.sort(key=lambda m: TEMPLATE_ORDER.index(m[0]))
     return TemplateMatch(matches[0][0], matches[0][1], tuple(matches))
+
+
+def _anchor_columns(n: int, t: int, plus: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """Column indices into the (t+1)-sets `plus` (in table order): row i of
+    the first array holds the sets M0 - e of the i-th (t+2)-set M0, row i of
+    the second the sets T + x (x outside T) of the i-th t-set T. An anchor
+    of either kind lies inside the union of the covers it reads, so scanning
+    all of [n] matches the matcher's candidates, which come from that union."""
+    column = {M: j for j, M in enumerate(plus)}
+    full = full_mask(n)
+    m0s = subsets(full, t + 2).masks
+    a_cols = [column[M0 ^ (1 << (e - 1))] for M0 in m0s for e in elements_of(M0)]
+    ts = subsets(full, t).masks
+    spoke_cols = [column[T | 1 << (x - 1)] for T in ts for x in elements_of(full & ~T)]
+    return (
+        np.array(a_cols, dtype=np.intp).reshape(len(m0s), t + 2),
+        np.array(spoke_cols, dtype=np.intp).reshape(len(ts), n - t),
+    )
+
+
+def count_theorem_1_2(n: int, k: int, t: int) -> tuple[int, int, dict[str, int]]:
+    """The number of maximal t-intersecting k-uniform families over [n], the
+    number of those with covering number t+1, and, per template, the
+    `match_theorem_1_2(F, t, covering_number(F, t)).all_matches` entries
+    summed over the latter (templates counted 0 are left out). Each rule
+    counts the anchors its matcher accepts, off the minimum-cover matrix."""
+    _, plus, total, blocks = _min_cover_matrix(n, k, t)
+    found = iii = a_count = 0
+    spokes = [0] * (n - t + 1)  # spokes[s]: the (family, t-set) pairs with s spokes
+    for cliques, covers in blocks:
+        if not cliques:
+            continue
+        if not found:
+            # indexed at the first family only: with k = n there is none, and
+            # C(n, t+2) may be far larger than the budget-checked cover rows
+            a_cols, spoke_cols = _anchor_columns(n, t, plus)
+        found += len(cliques)
+        # T1.2-iii (_match_iii): every minimum cover is an anchor
+        iii += int(covers.sum())
+        # T1.2-i (_a_anchors): M0 is an anchor iff every M0 - e is a cover
+        a_count += int(covers[:, a_cols].all(axis=2).sum())
+        # (_spokes): the spokes of T are the x outside T with T + x a cover
+        hist = np.bincount(covers[:, spoke_cols].sum(axis=2).ravel(), minlength=n - t + 1).tolist()
+        spokes = [a + b for a, b in zip(spokes, hist)]
+    # T1.2-ii (_match_ii_iv at m = k+1): every choice of k-t+1 spokes of T;
+    # T1.2-iv (_match_ii_iv at m = t+2..k): every choice of m-t spokes of T
+    counts = {
+        "T1.2-i": a_count,
+        "T1.2-ii": sum(c * comb(s, k - t + 1) for s, c in enumerate(spokes)),
+        "T1.2-iii": iii,
+        "T1.2-iv": sum(c * comb(s, m - t) for s, c in enumerate(spokes) for m in range(t + 2, k + 1)),
+    }
+    return total, found, {name: c for name, c in counts.items() if c}
 
 
 def classify_pair_theorem_1_1(F1: Family, F2: Family, t: int) -> TemplateMatch:

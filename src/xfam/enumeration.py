@@ -4,8 +4,11 @@ Every enumeration here lists maximal cliques with one walk, a pivoting
 Bron-Kerbosch over bitset rows. Maximal t-intersecting families are the
 maximal cliques of the intersection graph on all k-subsets (edges between
 t-intersecting pairs). Those with covering number t+1, and their minimum
-covers, are read off the clique bitmasks: one AND per candidate cover
-against a shared row of the k-subsets it covers. Maximal tuples of pairwise
+covers, are read off the clique bitmasks by one kernel: blocks of cliques,
+packed as 64-bit words, are ANDed against one complemented row per candidate
+t- or (t+1)-cover, giving a boolean matrix of the tau = t+1 cliques against
+their minimum covers, which `classify.count_theorem_1_2` counts templates
+off without decoding a family. Maximal tuples of pairwise
 cross-t-intersecting families are the maximal cliques of the coloured graph
 on the pairs (i, R), with (i, R) ~ (j, R') iff i = j or |R ∩ R'| >= t.
 With two colours, those with both sides nonempty are the maximal
@@ -27,15 +30,19 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass
 from functools import reduce
+from itertools import compress
 from math import comb
 from operator import or_
 from typing import Sequence
+
+import numpy as np
 
 from .canon import canonical_form
 from .core import CoverStructure, Family, covering_number, full_mask, subsets, validate_params
 from .formulas import n_threshold
 
 BUDGET = 1_300_000  # vertex comparisons before a walk, maximal cliques during one
+COVER_CHUNK = 2048  # cliques per block of the minimum-cover matrix, bounding its temporaries
 
 
 def _check_budget(counted: str, nverts: int) -> None:
@@ -180,19 +187,31 @@ def enumerate_maximal_t_intersecting(n: int, k: int, t: int) -> list[Family]:
     return fams
 
 
-def maximal_with_tau_t_plus_1(n: int, k: int, t: int) -> tuple[int, list[tuple[Family, CoverStructure]]]:
-    """The number of maximal t-intersecting k-uniform families over [n], and
-    those with covering number t+1, sorted by members, each with its
-    `covering_number(F, t)`.
+def _words(masks: Sequence[int], nwords: int) -> np.ndarray:
+    """The masks as rows of `nwords` little-endian 64-bit words, converted
+    COVER_CHUNK at a time to bound the bytes objects alive at once."""
+    out = np.empty((len(masks), nwords), dtype="<u8")
+    for i in range(0, len(masks), COVER_CHUNK):
+        part = masks[i : i + COVER_CHUNK]
+        data = b"".join([m.to_bytes(8 * nwords, "little") for m in part])
+        out[i : i + len(part)] = np.frombuffer(data, dtype="<u8").reshape(len(part), nwords)
+    return out
 
-    Covers are read off the clique masks: one row per s-set T of [n]
-    (s = t, t+1) holds the vertices meeting T in >= t elements, stored
-    complemented, so T covers a clique iff `not clique & row`. tau = t+1
-    iff some (t+1)-set covers the clique and no t-set does; then the
-    (t+1)-covers are all the minimum covers, in table order. They lie inside
-    the union of the family, since a cover element outside it could be
-    dropped, so scanning all of [n] matches the library's candidates.
-    The C(n, t) + C(n, t+1) cover rows take one comparison per vertex each,
+
+def _min_cover_matrix(n: int, k: int, t: int):
+    """The k-subsets of [n] (the vertices), the (t+1)-subsets in table order
+    (the columns), the number of maximal t-intersecting families, and an
+    iterator over blocks of COVER_CHUNK cliques, each cut down to its tau =
+    t+1 cliques: their masks, and a boolean matrix true where a column is a
+    minimum cover of the row's clique.
+
+    One row per s-set T (s = t, t+1) holds the vertices meeting T in fewer
+    than t elements, so T covers a clique iff their AND is 0. tau = t+1 iff
+    some (t+1)-set covers the clique and no t-set does; then the
+    (t+1)-covers are all the minimum covers. They lie inside the union of
+    the family, since a cover element outside it could be dropped, so
+    scanning all of [n] matches the library's candidates. The
+    C(n, t) + C(n, t+1) cover rows take one comparison per vertex each,
     counted against BUDGET after the walk and before any cover table."""
     verts, cliques = maximal_cliques(n, k, t)
     nrows = comb(n, t) + comb(n, t + 1)
@@ -202,21 +221,47 @@ def maximal_with_tau_t_plus_1(n: int, k: int, t: int) -> tuple[int, list[tuple[F
             f"{nrows * len(verts):,} comparisons, over the budget of {BUDGET:,}"
         )
     full = (1 << len(verts)) - 1
+    nwords = -(-len(verts) // 64)
 
-    def missing(size: int) -> tuple[tuple[int, ...], list[int]]:
+    def missing(size: int) -> tuple[tuple[int, ...], np.ndarray]:
         table = subsets(full_mask(n), size).masks
-        return table, [full ^ row for row in _compat_rows(table, verts, t)]
+        return table, _words([full ^ row for row in _compat_rows(table, verts, t)], nwords)
 
     plus, plus_rows = missing(t + 1)
     _, t_rows = missing(t)
+
+    def covered(words: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        # entry (i, j): row j misses no vertex of clique i, one word at a time
+        hits = words[:, 0, None] & rows[:, 0]
+        for w in range(1, nwords):
+            hits |= words[:, w, None] & rows[:, w]
+        return hits == 0
+
+    def blocks():
+        for i in range(0, len(cliques), COVER_CHUNK):
+            chunk = cliques[i : i + COVER_CHUNK]
+            words = _words(chunk, nwords)
+            covers = covered(words, plus_rows)
+            keep = covers.any(axis=1) & ~covered(words, t_rows).any(axis=1)
+            yield list(compress(chunk, keep.tolist())), covers[keep]
+
+    return verts, plus, len(cliques), blocks()
+
+
+def maximal_with_tau_t_plus_1(n: int, k: int, t: int) -> tuple[int, list[tuple[Family, CoverStructure]]]:
+    """The number of maximal t-intersecting k-uniform families over [n], and
+    those with covering number t+1, sorted by members, each with its
+    `covering_number(F, t)`, decoded from `_min_cover_matrix` (minimum
+    covers in table order)."""
+    verts, plus, total, blocks = _min_cover_matrix(n, k, t)
     found = []
-    for clique in cliques:
-        covers = tuple([T for T, row in zip(plus, plus_rows) if not clique & row])
-        if covers and all(clique & row for row in t_rows):
+    for cliques, covers in blocks:
+        for clique, row in zip(cliques, covers):
             fam = Family(n, k, tuple([verts[i] for i in _bits(clique)]))
-            found.append((fam, CoverStructure(t + 1, covers, reduce(or_, covers))))
+            mins = tuple([plus[j] for j in np.flatnonzero(row).tolist()])
+            found.append((fam, CoverStructure(t + 1, mins, reduce(or_, mins))))
     found.sort(key=lambda fc: fc[0].members)
-    return len(cliques), found
+    return total, found
 
 
 def enumerate_maximal_pairs(n: int, k1: int, k2: int, t: int) -> list[tuple[Family, Family]]:

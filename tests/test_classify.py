@@ -1,9 +1,11 @@
 import sys
 import time
+from collections import Counter
 from math import comb
 
 import pytest
 
+import xfam.enumeration
 from xfam import (
     Family,
     anchored_family,
@@ -16,6 +18,7 @@ from xfam import (
     construct_C1,
     construct_C2,
     construct_H,
+    count_theorem_1_2,
     covering_number,
     enumerate_maximal_pairs,
     enumerate_maximal_t_intersecting,
@@ -78,11 +81,14 @@ def test_matcher_agrees_with_checked_entry():
                 assert got == match_theorem_1_2_reference(family, t, cov), (n, k, t, family.members)
 
 
-@pytest.mark.parametrize("n,k,t", [(6, 3, 1), (7, 3, 1), (7, 4, 2), (8, 3, 1), (4, 2, 2), (3, 3, 3), (5, 4, 3)])
+@pytest.mark.parametrize(
+    "n,k,t", [(6, 3, 1), (7, 3, 1), (7, 4, 2), (8, 3, 1), (8, 4, 3), (4, 2, 2), (3, 3, 3), (5, 4, 3)]
+)
 def test_clique_mask_kernel_agrees_with_library(n, k, t):
     # covers read off the clique masks against covering_number on each
-    # family; with k = t, as at (4,2,2) and (3,3,3), every clique is one
-    # k-set, a star, and (3,3,3) has no (t+1)-subset at all
+    # family; (8,4,3) has 70 vertices, two words per clique; with k = t, as
+    # at (4,2,2) and (3,3,3), every clique is one k-set, a star, and (3,3,3)
+    # has no (t+1)-subset at all
     from helpers import classify_all_reference
 
     total, found = maximal_with_tau_t_plus_1(n, k, t)
@@ -92,6 +98,42 @@ def test_clique_mask_kernel_agrees_with_library(n, k, t):
     assert [match_theorem_1_2(f, t, cov) for f, cov in found] == [m for _, _, m in ref]
     if k == t:
         assert found == []
+
+
+def _matcher_counts(n, k, t):
+    total, found = maximal_with_tau_t_plus_1(n, k, t)
+    counts = Counter(name for f, cov in found for name, _ in match_theorem_1_2(f, t, cov).all_matches)
+    return total, len(found), dict(counts)
+
+
+@pytest.mark.parametrize(
+    "n,k,t", [(4, 2, 2), (4, 3, 1), (5, 2, 1), (6, 3, 1), (6, 4, 2), (7, 4, 2), (8, 4, 2), (8, 5, 3)]
+)
+def test_cover_matrix_counts_agree_with_matcher(n, k, t):
+    # the counts of classify-all, read off the minimum-cover matrix, against
+    # the matcher run on every decoded family; (8,4,2) has 70 vertices, so
+    # two words per clique
+    assert count_theorem_1_2(n, k, t) == _matcher_counts(n, k, t)
+
+
+def test_cover_matrix_counts_across_chunk_boundaries(monkeypatch):
+    # 6,127 cliques at (7,4,2) in blocks of 7, the last one partial
+    expected = _matcher_counts(7, 4, 2)
+    monkeypatch.setattr(xfam.enumeration, "COVER_CHUNK", 7)
+    assert count_theorem_1_2(7, 4, 2) == expected
+    assert _matcher_counts(7, 4, 2) == expected
+
+
+@pytest.mark.parametrize("n,t", [(4, 1), (9, 7), (12, 3), (20, 5)])
+def test_cover_matrix_counts_of_the_complete_family(n, t):
+    # For k = n-1 >= t+1 the complete family is the only maximal one, and its
+    # minimum covers are all (t+1)-sets: each member misses one element. So
+    # every (t+2)-set is an A anchor, and each t-set has n-t spokes. At
+    # (20,19,5) the matcher would list 507,771,504 T1.2-iv anchors.
+    k, s = n - 1, n - t
+    iv = comb(n, t) * sum(comb(s, m - t) for m in range(t + 2, k + 1))
+    counts = {"T1.2-i": comb(n, t + 2), "T1.2-ii": comb(n, t), "T1.2-iii": comb(n, t + 1), "T1.2-iv": iv}
+    assert count_theorem_1_2(n, k, t) == (1, 1, {name: c for name, c in counts.items() if c})
 
 
 def test_pair_matcher_agrees_with_reference():

@@ -298,8 +298,8 @@ def test_grid_points():
 
 
 def test_classify_all_calls_no_covering_number(capsys, monkeypatch, tmp_path):
-    # classify-all reads the covers off the clique masks; the library
-    # covering_number is only its test oracle
+    # classify-all counts templates off the minimum-cover matrix; the library
+    # covering_number, the matcher and Family objects are only its test oracle
     from test_golden import CASES, GOLDEN, _digest
 
     def refuse(*args, **kwargs):
@@ -307,6 +307,26 @@ def test_classify_all_calls_no_covering_number(capsys, monkeypatch, tmp_path):
 
     for module in (xfam.core, xfam.cli, xfam.classify):
         monkeypatch.setattr(module, "covering_number", refuse, raising=False)
+    matched, built = [], []
+    match = xfam.classify.match_theorem_1_2
+
+    def counting_match(*args):
+        matched.append(args)
+        return match(*args)
+
+    for module in (xfam, xfam.cli, xfam.classify):
+        monkeypatch.setattr(module, "match_theorem_1_2", counting_match, raising=False)
+    # every Family construction, from any module, passes __post_init__
+    check = Family.__post_init__
+
+    def counting_check(self):
+        built.append(self)
+        check(self)
+
+    monkeypatch.setattr(Family, "__post_init__", counting_check)
     monkeypatch.chdir(tmp_path)
     # the golden case runs (6,3,1) and (7,4,2); its digest covers the exit codes
     assert _digest(CASES["classify-all"], lambda: capsys.readouterr().out) == GOLDEN["classify-all"]
+    assert (len(matched), len(built)) == (0, 0)
+    Family(3, 1, (1,))
+    assert len(built) == 1  # the counter sees a construction
