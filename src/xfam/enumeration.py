@@ -4,13 +4,14 @@ Every enumeration here lists maximal cliques with one walk, a pivoting
 Bron-Kerbosch over bitset rows. Maximal t-intersecting families are the
 maximal cliques of the intersection graph on all k-subsets (edges between
 t-intersecting pairs). Those with covering number t+1, and their minimum
-covers, are read off the clique bitmasks by one kernel: blocks of cliques,
-packed as 64-bit words, are ANDed against one complemented row per candidate
-t- or (t+1)-cover, giving a boolean matrix of the tau = t+1 cliques against
-their minimum covers, which `classify.count_theorem_1_2` counts templates
-off without decoding a family. Maximal tuples of pairwise
-cross-t-intersecting families are the maximal cliques of the coloured graph
-on the pairs (i, R), with (i, R) ~ (j, R') iff i = j or |R ∩ R'| >= t.
+covers, are read off the clique bitmasks by one kernel: blocks of cliques
+(sized by COVER_CHUNK), packed as 64-bit words, are ANDed against one
+complemented row per candidate t- or (t+1)-cover, giving a boolean matrix
+of the tau = t+1 cliques against their minimum covers, which
+`classify.count_theorem_1_2` counts templates off without decoding a
+family. Maximal tuples of pairwise cross-t-intersecting families are the
+maximal cliques of the coloured graph on the pairs (i, R), with
+(i, R) ~ (j, R') iff i = j or |R ∩ R'| >= t.
 With two colours, those with both sides nonempty are the maximal
 cross-t-intersecting pairs: the fixed points F = star(star(F)) of the double
 star map. The same kernel lists the residual tuples of `classify`. The
@@ -42,7 +43,8 @@ from .core import CoverStructure, Family, covering_number, full_mask, subsets, v
 from .formulas import n_threshold
 
 BUDGET = 1_300_000  # vertex comparisons before a walk, maximal cliques during one
-COVER_CHUNK = 2048  # cliques per block of the minimum-cover matrix, bounding its temporaries
+COVER_CHUNK = 1 << 16  # cover-row tests (cliques x cover rows) per block of the cover matrix
+_PACK = 2048  # masks per bytes conversion in _words
 
 
 def _check_budget(counted: str, nverts: int) -> None:
@@ -189,10 +191,10 @@ def enumerate_maximal_t_intersecting(n: int, k: int, t: int) -> list[Family]:
 
 def _words(masks: Sequence[int], nwords: int) -> np.ndarray:
     """The masks as rows of `nwords` little-endian 64-bit words, converted
-    COVER_CHUNK at a time to bound the bytes objects alive at once."""
+    _PACK at a time to bound the bytes objects alive at once."""
     out = np.empty((len(masks), nwords), dtype="<u8")
-    for i in range(0, len(masks), COVER_CHUNK):
-        part = masks[i : i + COVER_CHUNK]
+    for i in range(0, len(masks), _PACK):
+        part = masks[i : i + _PACK]
         data = b"".join([m.to_bytes(8 * nwords, "little") for m in part])
         out[i : i + len(part)] = np.frombuffer(data, dtype="<u8").reshape(len(part), nwords)
     return out
@@ -201,9 +203,11 @@ def _words(masks: Sequence[int], nwords: int) -> np.ndarray:
 def _min_cover_matrix(n: int, k: int, t: int):
     """The k-subsets of [n] (the vertices), the (t+1)-subsets in table order
     (the columns), the number of maximal t-intersecting families, and an
-    iterator over blocks of COVER_CHUNK cliques, each cut down to its tau =
-    t+1 cliques: their masks, and a boolean matrix true where a column is a
-    minimum cover of the row's clique.
+    iterator over blocks of cliques, each cut down to its tau = t+1 cliques:
+    their masks, and a boolean matrix true where a column is a minimum cover
+    of the row's clique. A block holds COVER_CHUNK // (cover rows) cliques,
+    at least one, so its temporaries stay near COVER_CHUNK words however
+    many cover rows there are.
 
     One row per s-set T (s = t, t+1) holds the vertices meeting T in fewer
     than t elements, so T covers a clique iff their AND is 0. tau = t+1 iff
@@ -238,8 +242,9 @@ def _min_cover_matrix(n: int, k: int, t: int):
         return hits == 0
 
     def blocks():
-        for i in range(0, len(cliques), COVER_CHUNK):
-            chunk = cliques[i : i + COVER_CHUNK]
+        step = max(1, COVER_CHUNK // nrows)
+        for i in range(0, len(cliques), step):
+            chunk = cliques[i : i + step]
             words = _words(chunk, nwords)
             covers = covered(words, plus_rows)
             keep = covers.any(axis=1) & ~covered(words, t_rows).any(axis=1)

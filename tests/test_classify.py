@@ -116,10 +116,12 @@ def test_cover_matrix_counts_agree_with_matcher(n, k, t):
     assert count_theorem_1_2(n, k, t) == _matcher_counts(n, k, t)
 
 
-def test_cover_matrix_counts_across_chunk_boundaries(monkeypatch):
-    # 6,127 cliques at (7,4,2) in blocks of 7, the last one partial
+@pytest.mark.parametrize("chunk", [7, 7 * (21 + 35)])
+def test_cover_matrix_counts_across_chunk_boundaries(monkeypatch, chunk):
+    # (7,4,2) has 6,127 cliques and 21 + 35 cover rows: blocks of one
+    # clique, then of 7 with the last one partial
     expected = _matcher_counts(7, 4, 2)
-    monkeypatch.setattr(xfam.enumeration, "COVER_CHUNK", 7)
+    monkeypatch.setattr(xfam.enumeration, "COVER_CHUNK", chunk)
     assert count_theorem_1_2(7, 4, 2) == expected
     assert _matcher_counts(7, 4, 2) == expected
 
