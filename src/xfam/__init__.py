@@ -60,14 +60,11 @@ from .formulas import (
     tilde_h,
 )
 from .enumeration import (
-    IntersectionGraph,
     SearchResult,
-    build_intersection_graph,
     enumerate_maximal_pairs,
     enumerate_maximal_t_intersecting,
     extremal_product_search,
     maximal_cross_tuples,
-    maximal_with_tau_t_plus_1,
 )
 from .classify import (
     TemplateMatch,

@@ -24,9 +24,14 @@ off the minimum covers (all of size t+1):
 The proof of each sits beside its test. Members are read only to count the
 residual sizes of T1.2-iii and T1.2-iv.
 
-`count_theorem_1_2`, behind `classify-all`, applies the same lookups to all
-families at once, as ANDs and sums of columns of the minimum-cover matrix of
-`enumeration`, decoding no family; the matcher is its test oracle.
+`count_theorem_1_2`, behind `classify-all`, applies the same lookups to
+many families at once, as ANDs and sums of columns of the minimum-cover
+matrix of `enumeration`, decoding no family. It walks only the families
+through v0 = {1..k}, one vertex orbit of S_n: each count, an S_n-invariant
+sum over all families, is C(n, k) times the sum of its per-family value
+divided by |F| over those, kept per size |F| as exact integers and summed as
+a Fraction whose denominator must be 1. The matcher, and the same lookups
+over the full walk, are its test oracles.
 
 `theorem_1_2_instances` generates every template instance at canonical
 anchor positions, which gives the enumeration tests an independent second
@@ -61,7 +66,7 @@ from .core import (
     subsets,
 )
 from .constructions import _a_members, _h_members
-from .enumeration import _min_cover_matrix, maximal_cross_tuples
+from .enumeration import _min_cover_matrix, _orbit_count, maximal_cliques, maximal_cross_tuples
 
 TEMPLATE_ORDER = ("T1.2-i", "T1.2-ii", "T1.2-iii", "T1.2-iv")
 
@@ -257,34 +262,50 @@ def count_theorem_1_2(n: int, k: int, t: int) -> tuple[int, int, dict[str, int]]
     number of those with covering number t+1, and, per template, the
     `match_theorem_1_2(F, t, covering_number(F, t)).all_matches` entries
     summed over the latter (templates counted 0 are left out). Each rule
-    counts the anchors its matcher accepts, off the minimum-cover matrix."""
-    _, plus, total, blocks = _min_cover_matrix(n, k, t)
-    found = iii = a_count = 0
-    spokes = [0] * (n - t + 1)  # spokes[s]: the (family, t-set) pairs with s spokes
-    for cliques, covers in blocks:
-        if not cliques:
+    counts the anchors its matcher accepts, off the minimum-cover matrix of
+    the families through v0 = {1..k}. Every count is a sum of an
+    S_n-invariant g(F), so it is C(n, k) times the sum of g(F)/|F| over
+    those families: each count is kept per family size as an exact integer,
+    and `_orbit_count` weighs them."""
+    verts, cliques = maximal_cliques(n, k, t, through_v0=True)
+    plus, blocks = _min_cover_matrix(n, t, verts, cliques)
+    top, width = len(verts) + 1, n - t + 1
+    every = np.bincount([c.bit_count() for c in cliques], minlength=top)
+    found, iii, a_count = (np.zeros(top, dtype=np.int64) for _ in range(3))
+    spokes = np.zeros(top * width, dtype=np.int64)  # (size, s): the (family, t-set) pairs with s spokes
+    a_cols = spoke_cols = None
+    for kept, covers in blocks:
+        if not kept:
             continue
-        if not found:
+        if a_cols is None:
             # indexed at the first family only: with k = n there is none, and
             # C(n, t+2) may be far larger than the budget-checked cover rows
             a_cols, spoke_cols = _anchor_columns(n, t, plus)
-        found += len(cliques)
+        sizes = np.array([c.bit_count() for c in kept])
+        np.add.at(found, sizes, 1)
         # T1.2-iii (_match_iii): every minimum cover is an anchor
-        iii += int(covers.sum())
+        np.add.at(iii, sizes, covers.sum(axis=1))
         # T1.2-i (_a_anchors): M0 is an anchor iff every M0 - e is a cover
-        a_count += int(covers[:, a_cols].all(axis=2).sum())
+        np.add.at(a_count, sizes, covers[:, a_cols].all(axis=2).sum(axis=1))
         # (_spokes): the spokes of T are the x outside T with T + x a cover
-        hist = np.bincount(covers[:, spoke_cols].sum(axis=2).ravel(), minlength=n - t + 1).tolist()
-        spokes = [a + b for a, b in zip(spokes, hist)]
+        keys = sizes[:, None] * width + covers[:, spoke_cols].sum(axis=2)
+        spokes += np.bincount(keys.ravel(), minlength=top * width)
+    hist = spokes.reshape(top, width).tolist()
+
+    def weigh(per_size) -> int:
+        return _orbit_count(comb(n, k), enumerate(per_size))
+
     # T1.2-ii (_match_ii_iv at m = k+1): every choice of k-t+1 spokes of T;
     # T1.2-iv (_match_ii_iv at m = t+2..k): every choice of m-t spokes of T
     counts = {
-        "T1.2-i": a_count,
-        "T1.2-ii": sum(c * comb(s, k - t + 1) for s, c in enumerate(spokes)),
-        "T1.2-iii": iii,
-        "T1.2-iv": sum(c * comb(s, m - t) for s, c in enumerate(spokes) for m in range(t + 2, k + 1)),
+        "T1.2-i": weigh(a_count.tolist()),
+        "T1.2-ii": weigh([sum(c * comb(s, k - t + 1) for s, c in enumerate(row)) for row in hist]),
+        "T1.2-iii": weigh(iii.tolist()),
+        "T1.2-iv": weigh(
+            [sum(c * comb(s, m - t) for s, c in enumerate(row) for m in range(t + 2, k + 1)) for row in hist]
+        ),
     }
-    return total, found, {name: c for name, c in counts.items() if c}
+    return weigh(every.tolist()), weigh(found.tolist()), {name: c for name, c in counts.items() if c}
 
 
 def classify_pair_theorem_1_1(F1: Family, F2: Family, t: int) -> TemplateMatch:

@@ -3,43 +3,51 @@
 Every enumeration here lists maximal cliques with one walk, a pivoting
 Bron-Kerbosch over bitset rows. Maximal t-intersecting families are the
 maximal cliques of the intersection graph on all k-subsets (edges between
-t-intersecting pairs). Those with covering number t+1, and their minimum
-covers, are read off the clique bitmasks by one kernel: blocks of cliques
-(sized by COVER_CHUNK), packed as 64-bit words, are ANDed against one
-complemented row per candidate t- or (t+1)-cover, giving a boolean matrix
-of the tau = t+1 cliques against their minimum covers, which
-`classify.count_theorem_1_2` counts templates off without decoding a
-family. Maximal tuples of pairwise cross-t-intersecting families are the
-maximal cliques of the coloured graph on the pairs (i, R), with
-(i, R) ~ (j, R') iff i = j or |R ∩ R'| >= t.
-With two colours, those with both sides nonempty are the maximal
-cross-t-intersecting pairs: the fixed points F = star(star(F)) of the double
-star map. The same kernel lists the residual tuples of `classify`. The
-product search groups the pair cliques by |F| |G|, read off their bitmasks,
-and decodes into families only the groups that can still tie the best
-product, computing covering numbers for those alone.
+t-intersecting pairs). Maximal tuples of pairwise cross-t-intersecting
+families are the maximal cliques of the coloured graph on the pairs (i, R),
+with (i, R) ~ (j, R') iff i = j or |R ∩ R'| >= t. With two colours, those
+with both sides nonempty are the maximal cross-t-intersecting pairs: the
+fixed points F = star(star(F)) of the double star map. The same kernel lists
+the residual tuples of `classify`.
 
-One budget, BUDGET, bounds every enumeration, checked twice: before any row
-is built, the V^2 vertex comparisons of a V-vertex graph (and the
-comparisons of the cover rows against the V vertices), and during the walk,
-the number of maximal cliques. Exceeding it is an error, never silent
-truncation.
+Listing walks every maximal clique. Counting walks one vertex orbit: S_n
+permutes the k-sets transitively and maps maximal families onto maximal
+families, so for any S_n-invariant g, double counting the pairs (F, v in F)
+gives sum_F g(F) = C(n,k) * sum_{F ∋ v0} g(F)/|F| exactly, where v0 =
+{1..k} is the vertex of index 0. The maximal cliques through v0 are v0 plus
+the maximal cliques of the graph induced on its neighbourhood, so
+`through_v0` walks from v0 over the rows of N[v0] alone. `_orbit_count`
+sums such weights as a Fraction and refuses a non-integer total.
+`classify.count_theorem_1_2` counts its families and templates this way,
+reading the covering numbers off one kernel: blocks of cliques (sized by
+COVER_CHUNK), packed as 64-bit words, are ANDed against one complemented
+row per candidate t- or (t+1)-cover, giving a boolean matrix of the
+tau = t+1 cliques against their minimum covers. The product search walks
+the pair cliques whose side 1 holds v0, groups them by |F| |G|, read off
+their bitmasks, and decodes into families only the groups that can still
+tie the best product, computing covering numbers for those alone.
+
+One budget, BUDGET, bounds every enumeration, checked three times: before
+any row is built, the V^2 vertex comparisons of a V-vertex graph (V counts
+N[v0] alone for an orbit walk); before any cover table, the comparisons of
+the cover rows against the V vertices; and during the walk, the number of
+maximal cliques walked. Exceeding it is an error, never silent truncation.
 """
 
 from __future__ import annotations
 
 import sys
+from collections import Counter
 from dataclasses import dataclass
-from functools import reduce
-from itertools import compress
+from fractions import Fraction
+from itertools import compress, islice
 from math import comb
-from operator import or_
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from .canon import canonical_form
-from .core import CoverStructure, Family, covering_number, full_mask, subsets, validate_params
+from .core import Family, covering_number, full_mask, subsets, validate_params
 from .formulas import n_threshold
 
 BUDGET = 1_300_000  # vertex comparisons before a walk, maximal cliques during one
@@ -56,22 +64,35 @@ def _check_budget(counted: str, nverts: int) -> None:
         )
 
 
-@dataclass(frozen=True)
-class IntersectionGraph:
-    """All k-subsets of [n] with adjacency i~j iff |F_i ∩ F_j| >= t."""
-
-    n: int
-    k: int
-    t: int
-    vertices: tuple[int, ...]
-    rows: tuple[int, ...]
+def _meeting(universe: int, v0: int, size: int, t: int) -> list[tuple[int, int]]:
+    """Each intersection size j >= t that a `size`-subset of `universe` can
+    have with v0 (a subset of it), with the number of such subsets."""
+    k, m = v0.bit_count(), (universe & ~v0).bit_count()
+    counts = [(j, comb(k, j) * comb(m, size - j)) for j in range(t, min(k, size) + 1)]
+    return [(j, c) for j, c in counts if c]
 
 
-def build_intersection_graph(n: int, k: int, t: int) -> IntersectionGraph:
-    _check_budget(f"C({n},{k})", comb(n, k))
-    verts = subsets(full_mask(n), k).masks
-    rows = tuple(row & ~(1 << i) for i, row in enumerate(_compat_rows(verts, verts, t)))
-    return IntersectionGraph(n, k, t, verts, rows)
+def _neighbourhood(universe: int, v0: int, size: int, t: int) -> list[int]:
+    """The `size`-subsets of `universe` meeting v0 in >= t elements, in
+    increasing mask order, from one table per intersection size: none holds
+    more subsets than the result."""
+    rest = universe & ~v0
+    return sorted(
+        a | b
+        for j, _ in _meeting(universe, v0, size, t)
+        for a in subsets(v0, j).masks
+        for b in subsets(rest, size - j).masks
+    )
+
+
+def _orbit_count(orbit: int, per_size: Iterable[tuple[int, int]]) -> int:
+    """sum over (s, c) of orbit * c / s, which must be an integer: with
+    c = the sum of g(F) over the cliques F of size s through one vertex of
+    an orbit of `orbit` vertices, it is the sum of g over all cliques."""
+    total = sum((Fraction(orbit * c, s) for s, c in per_size if c), Fraction(0))
+    if total.denominator != 1:
+        raise ArithmeticError(f"an orbit count came out as {total}, not an integer")
+    return total.numerator
 
 
 def _compat_rows(verts: tuple[int, ...], other: tuple[int, ...], t: int) -> list[int]:
@@ -94,14 +115,19 @@ def _bits(mask: int):
         mask ^= low
 
 
-def _bron_kerbosch(rows: Sequence[int], nverts: int) -> list[int]:
-    """All maximal cliques as vertex bitmasks, with the max-degree pivot rule
-    (pivot maximizes its candidate neighbourhood, ties to the lowest index).
-    The only enumeration walk in xfam: the intersection graph and the
-    coloured graphs of `maximal_cross_tuples` both come here. The walk stops
-    with an error at clique BUDGET + 1. Each recursion level adds one vertex,
-    so the recursion limit is raised by nverts for the walk and restored
-    however it ends."""
+def _set_text(mask: int) -> str:
+    return "{" + ",".join(str(i + 1) for i in _bits(mask)) + "}"
+
+
+def _bron_kerbosch(rows: Sequence[int], nverts: int, start: int | None = None) -> list[int]:
+    """All maximal cliques as vertex bitmasks, or with `start` those holding
+    that vertex, with the max-degree pivot rule (pivot maximizes its
+    candidate neighbourhood, ties to the lowest index). The only enumeration
+    walk in xfam: the intersection graph and the coloured graphs of
+    `maximal_cross_tuples` both come here. The walk stops with an error at
+    clique BUDGET + 1. Each recursion level adds one vertex, so the
+    recursion limit is raised by nverts for the walk and restored however it
+    ends."""
     out: list[int] = []
     budget = BUDGET
 
@@ -133,19 +159,36 @@ def _bron_kerbosch(rows: Sequence[int], nverts: int) -> list[int]:
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(limit + nverts)
     try:
-        expand(0, (1 << nverts) - 1, 0)
+        if start is None:
+            expand(0, (1 << nverts) - 1, 0)
+        else:
+            expand(1 << start, rows[start], 0)
     finally:
         sys.setrecursionlimit(limit)
     return out
 
 
-def _coloured_cliques(universe: int, sizes: tuple[int, ...], t: int) -> tuple[list[int], list[int], list[int]]:
+def _coloured_cliques(
+    universe: int, sizes: tuple[int, ...], t: int, through_v0: bool = False
+) -> tuple[list[int], list[int], list[int]]:
     """The vertices of the coloured graph of `maximal_cross_tuples` (the
     `sizes[i]`-subsets of `universe`, block after block), one bitmask of
-    vertex indices per colour, and every maximal clique as such a bitmask."""
+    vertex indices per colour, and every maximal clique as such a bitmask.
+    With `through_v0`, v0 is the smallest `sizes[0]`-subset of `universe`,
+    the vertex of index 0: the graph is cut down to N[v0] (all of colour 0,
+    and the sets of the other colours meeting v0 in >= t elements) and only
+    the cliques holding v0 are walked."""
     m = universe.bit_count()
-    _check_budget(" + ".join(f"C({m},{size})" for size in sizes), sum(comb(m, size) for size in sizes))
-    blocks = [subsets(universe, size).masks for size in sizes]
+    counted = " + ".join(f"C({m},{size})" for size in sizes)
+    if not through_v0:
+        _check_budget(counted, sum(comb(m, size) for size in sizes))
+        blocks = [subsets(universe, size).masks for size in sizes]
+    else:
+        v0 = sum(1 << i for i in islice(_bits(universe), sizes[0]))
+        others = sum(c for size in sizes[1:] for _, c in _meeting(universe, v0, size, t))
+        _check_budget(f"N[{_set_text(v0)}] in {counted}", comb(m, sizes[0]) + others)
+        blocks = [subsets(universe, sizes[0]).masks]
+        blocks += [_neighbourhood(universe, v0, size, t) for size in sizes[1:]]
     verts = [R for block in blocks for R in block]
     rows: list[int] = []
     colours = []
@@ -153,7 +196,7 @@ def _coloured_cliques(universe: int, sizes: tuple[int, ...], t: int) -> tuple[li
         low = len(rows)
         colours.append(((1 << len(block)) - 1) << low)
         rows += [(row | colours[-1]) & ~(1 << v) for v, row in enumerate(_compat_rows(block, verts, t), low)]
-    return verts, colours, _bron_kerbosch(rows, len(verts))
+    return verts, colours, _bron_kerbosch(rows, len(verts), 0 if through_v0 else None)
 
 
 def _decode(verts: list[int], colours: list[int], clique: int) -> tuple[tuple[int, ...], ...]:
@@ -173,12 +216,21 @@ def maximal_cross_tuples(
     return sorted(_decode(verts, colours, c) for c in cliques)
 
 
-def maximal_cliques(n: int, k: int, t: int) -> tuple[tuple[int, ...], list[int]]:
+def maximal_cliques(n: int, k: int, t: int, through_v0: bool = False) -> tuple[tuple[int, ...], list[int]]:
     """The k-subsets of [n] in increasing mask order, and every maximal
-    t-intersecting family over them once, as a bitmask of vertex indices."""
+    t-intersecting family over them once, as a bitmask of vertex indices.
+    With `through_v0`, only the k-sets in N[v0], those meeting v0 = {1..k}
+    in >= t elements (v0 first), and only the families holding v0."""
     validate_params(n, k, t)
-    graph = build_intersection_graph(n, k, t)
-    return graph.vertices, _bron_kerbosch(graph.rows, len(graph.vertices))
+    if through_v0:
+        v0 = full_mask(k)
+        _check_budget(f"N[{_set_text(v0)}] in C({n},{k})", sum(c for _, c in _meeting(full_mask(n), v0, k, t)))
+        verts = tuple(_neighbourhood(full_mask(n), v0, k, t))
+    else:
+        _check_budget(f"C({n},{k})", comb(n, k))
+        verts = subsets(full_mask(n), k).masks
+    rows = [row & ~(1 << i) for i, row in enumerate(_compat_rows(verts, verts, t))]
+    return verts, _bron_kerbosch(rows, len(verts), 0 if through_v0 else None)
 
 
 def enumerate_maximal_t_intersecting(n: int, k: int, t: int) -> list[Family]:
@@ -200,14 +252,14 @@ def _words(masks: Sequence[int], nwords: int) -> np.ndarray:
     return out
 
 
-def _min_cover_matrix(n: int, k: int, t: int):
-    """The k-subsets of [n] (the vertices), the (t+1)-subsets in table order
-    (the columns), the number of maximal t-intersecting families, and an
-    iterator over blocks of cliques, each cut down to its tau = t+1 cliques:
-    their masks, and a boolean matrix true where a column is a minimum cover
-    of the row's clique. A block holds COVER_CHUNK // (cover rows) cliques,
-    at least one, so its temporaries stay near COVER_CHUNK words however
-    many cover rows there are.
+def _min_cover_matrix(n: int, t: int, verts: Sequence[int], cliques: Sequence[int]):
+    """The (t+1)-subsets of [n] in table order (the columns), and an
+    iterator over blocks of `cliques` (bitmasks of indices into the k-sets
+    `verts`), each cut down to its tau = t+1 cliques: their masks, and a
+    boolean matrix true where a column is a minimum cover of the row's
+    clique. A block holds COVER_CHUNK // (cover rows) cliques, at least one,
+    so its temporaries stay near COVER_CHUNK words however many cover rows
+    there are.
 
     One row per s-set T (s = t, t+1) holds the vertices meeting T in fewer
     than t elements, so T covers a clique iff their AND is 0. tau = t+1 iff
@@ -216,12 +268,11 @@ def _min_cover_matrix(n: int, k: int, t: int):
     the family, since a cover element outside it could be dropped, so
     scanning all of [n] matches the library's candidates. The
     C(n, t) + C(n, t+1) cover rows take one comparison per vertex each,
-    counted against BUDGET after the walk and before any cover table."""
-    verts, cliques = maximal_cliques(n, k, t)
+    counted against BUDGET before any cover table."""
     nrows = comb(n, t) + comb(n, t + 1)
     if nrows * len(verts) > BUDGET:
         raise ValueError(
-            f"C({n},{t}) + C({n},{t + 1}) = {nrows:,} cover rows of C({n},{k}) = {len(verts):,} vertices need "
+            f"C({n},{t}) + C({n},{t + 1}) = {nrows:,} cover rows of {len(verts):,} vertices need "
             f"{nrows * len(verts):,} comparisons, over the budget of {BUDGET:,}"
         )
     full = (1 << len(verts)) - 1
@@ -250,23 +301,7 @@ def _min_cover_matrix(n: int, k: int, t: int):
             keep = covers.any(axis=1) & ~covered(words, t_rows).any(axis=1)
             yield list(compress(chunk, keep.tolist())), covers[keep]
 
-    return verts, plus, len(cliques), blocks()
-
-
-def maximal_with_tau_t_plus_1(n: int, k: int, t: int) -> tuple[int, list[tuple[Family, CoverStructure]]]:
-    """The number of maximal t-intersecting k-uniform families over [n], and
-    those with covering number t+1, sorted by members, each with its
-    `covering_number(F, t)`, decoded from `_min_cover_matrix` (minimum
-    covers in table order)."""
-    verts, plus, total, blocks = _min_cover_matrix(n, k, t)
-    found = []
-    for cliques, covers in blocks:
-        for clique, row in zip(cliques, covers):
-            fam = Family(n, k, tuple([verts[i] for i in _bits(clique)]))
-            mins = tuple([plus[j] for j in np.flatnonzero(row).tolist()])
-            found.append((fam, CoverStructure(t + 1, mins, reduce(or_, mins))))
-    found.sort(key=lambda fc: fc[0].members)
-    return total, found
+    return plus, blocks()
 
 
 def enumerate_maximal_pairs(n: int, k1: int, k2: int, t: int) -> list[tuple[Family, Family]]:
@@ -303,26 +338,42 @@ def extremal_product_search(n: int, k1: int, k2: int, t: int, min_tau: int) -> S
     the extremal structure is actually characterized; below it the winner is
     reported as a measurement.
 
-    The maximal cliques of the pair graph are grouped by product, read off
-    their bitmasks, and the groups are walked by decreasing product. Only the
-    groups that can still tie the best qualifying product are decoded into
-    families, each in enumeration order (sorted by the members of F, then
-    G), so covering numbers are computed only until the first product below
-    the best one, and the winners keep their enumeration order. A min_tau
-    above n is refused: [n] is a t-cover of every family over [n]."""
+    Only the maximal cliques of the pair graph whose side 1 holds v0 =
+    {1..k1} are walked (see the comment in the body). They are grouped by
+    product, read off their bitmasks, and the groups are walked by
+    decreasing product. Only the groups that can still tie the best
+    qualifying product are decoded into families, each in enumeration order
+    (sorted by the members of F, then G), so covering numbers are computed
+    only until the first product below the best one, and the winners keep
+    their enumeration order. A min_tau above n is refused: [n] is a t-cover
+    of every family over [n]."""
     validate_params(n, k1, t)
     validate_params(n, k2, t)
     if min_tau > n:
         raise ValueError(
             f"min-tau {min_tau} > n = {n}: no family over [n] has a larger covering number, since [n] is a t-cover"
         )
-    verts, colours, cliques = _coloured_cliques(full_mask(n), (k1, k2), t)
+    # A permutation p of [n] maps maximal pairs onto maximal pairs,
+    # preserving |F|, |G| and both covering numbers, and S_n is transitive
+    # on the k1-sets. So walking only the pairs with v0 = {1..k1} in F keeps
+    # the report:
+    # - every pair has an image with v0 in F, so the best qualifying product
+    #   is the same;
+    # - every winner class (below) has a member with v0 in F, and those
+    #   members come first in the full decode order, since F is sorted and
+    #   v0 is the smallest k1-set mask: the first winner of each class, the
+    #   one kept, is the same;
+    # - double counting the pairs ((F, G), v in F) gives the number of pairs
+    #   as C(n, k1) times the sum of 1/|F| over the pairs with v0 in F.
+    verts, colours, cliques = _coloured_cliques(full_mask(n), (k1, k2), t, through_v0=True)
     side1, side2 = colours
     groups: dict[int, list[int]] = {}
+    f_sizes: Counter[int] = Counter()
     for c in cliques:
-        product = (c & side1).bit_count() * (c & side2).bit_count()
-        if product:
-            groups.setdefault(product, []).append(c)
+        f, g = (c & side1).bit_count(), (c & side2).bit_count()
+        if g:
+            f_sizes[f] += 1
+            groups.setdefault(f * g, []).append(c)
     best = 0
     winners: list[tuple[Family, Family]] = []
     for product in sorted(groups, reverse=True):
@@ -354,6 +405,6 @@ def extremal_product_search(n: int, k1: int, k2: int, t: int, min_tau: int) -> S
         min_tau=min_tau,
         best_product=best,
         witnesses=unique,
-        pairs_examined=sum(map(len, groups.values())),
+        pairs_examined=_orbit_count(comb(n, k1), f_sizes.items()),
         at_proved_threshold=n >= n_threshold(k1, k2, t),
     )

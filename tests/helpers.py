@@ -25,7 +25,13 @@ anchor sets; the rebuild matchers below use them too.
 
 `classify_all_reference` is the `classify-all` loop in its library shape
 (every maximal family through `covering_number`, then `match_theorem_1_2`),
-kept as the oracle of the clique-mask kernel `maximal_with_tau_t_plus_1`.
+kept as the oracle of the cover-matrix kernel as `maximal_with_tau_t_plus_1`
+decodes it over the full walk.
+
+`count_theorem_1_2_reference` and `extremal_product_search_reference` are
+`classify-all` and `search` over the full walk, every maximal family or pair
+counted once, kept as the oracles of the orbit-weighted walk through v0 in
+`xfam.classify.count_theorem_1_2` and `xfam.extremal_product_search`.
 
 `match_theorem_1_2_reference` and `classify_pair_reference` are the template
 matchers in their rebuild shape (every candidate template rebuilt over all
@@ -47,9 +53,13 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from functools import reduce
 from itertools import combinations, permutations, product
 from math import comb
+from operator import or_
 from typing import Sequence
+
+import numpy as np
 
 from xfam import (
     Family,
@@ -60,7 +70,7 @@ from xfam import (
     mask_of,
     match_theorem_1_2,
 )
-from xfam.classify import TEMPLATE_ORDER, TemplateMatch, _iii_members, _no_match
+from xfam.classify import TEMPLATE_ORDER, TemplateMatch, _anchor_columns, _iii_members, _no_match
 from xfam.constructions import ConstructionSpec, _a_members
 from xfam.core import (
     CoverStructure,
@@ -74,7 +84,8 @@ from xfam.core import (
     select,
     subsets,
 )
-from xfam.formulas import AuditPoint, _point, tilde_g
+from xfam.enumeration import SearchResult, _coloured_cliques, _decode, _min_cover_matrix, maximal_cliques
+from xfam.formulas import AuditPoint, _point, n_threshold, tilde_g
 
 Cells = tuple[tuple[int, ...], ...]
 
@@ -622,6 +633,90 @@ def classify_all_reference(n: int, k: int, t: int) -> tuple[int, list[tuple[Fami
         if cov.tau == t + 1:
             found.append((fam, cov, match_theorem_1_2(fam, t, cov)))
     return len(fams), found
+
+
+def maximal_with_tau_t_plus_1(n: int, k: int, t: int) -> tuple[int, list[tuple[Family, CoverStructure]]]:
+    """The number of maximal t-intersecting k-uniform families over [n], and
+    those with covering number t+1, sorted by members, each with its
+    `covering_number(F, t)`, decoded from the minimum-cover matrix of the
+    full walk (minimum covers in table order)."""
+    verts, cliques = maximal_cliques(n, k, t)
+    plus, blocks = _min_cover_matrix(n, t, verts, cliques)
+    found = []
+    for kept, covers in blocks:
+        for clique, row in zip(kept, covers):
+            fam = Family(n, k, tuple([verts[i] for i in _bits(clique)]))
+            mins = tuple([plus[j] for j in row.nonzero()[0].tolist()])
+            found.append((fam, CoverStructure(t + 1, mins, reduce(or_, mins))))
+    found.sort(key=lambda fc: fc[0].members)
+    return len(cliques), found
+
+
+def count_theorem_1_2_reference(n: int, k: int, t: int) -> tuple[int, int, dict[str, int]]:
+    """`xfam.count_theorem_1_2` over every maximal family: the same lookups
+    on the minimum-cover matrix of the full walk, each family counted once."""
+    verts, cliques = maximal_cliques(n, k, t)
+    plus, blocks = _min_cover_matrix(n, t, verts, cliques)
+    found = iii = a_count = 0
+    spokes = [0] * (n - t + 1)  # spokes[s]: the (family, t-set) pairs with s spokes
+    for kept, covers in blocks:
+        if not kept:
+            continue
+        if not found:
+            a_cols, spoke_cols = _anchor_columns(n, t, plus)
+        found += len(kept)
+        iii += int(covers.sum())
+        a_count += int(covers[:, a_cols].all(axis=2).sum())
+        hist = np.bincount(covers[:, spoke_cols].sum(axis=2).ravel(), minlength=n - t + 1).tolist()
+        spokes = [a + b for a, b in zip(spokes, hist)]
+    counts = {
+        "T1.2-i": a_count,
+        "T1.2-ii": sum(c * comb(s, k - t + 1) for s, c in enumerate(spokes)),
+        "T1.2-iii": iii,
+        "T1.2-iv": sum(c * comb(s, m - t) for s, c in enumerate(spokes) for m in range(t + 2, k + 1)),
+    }
+    return len(cliques), found, {name: c for name, c in counts.items() if c}
+
+
+def extremal_product_search_reference(n: int, k1: int, k2: int, t: int, min_tau: int) -> SearchResult:
+    """`xfam.extremal_product_search` over every maximal pair: the product
+    groups of the full walk, decoded in enumeration order, and
+    `pairs_examined` counted one by one."""
+    verts, colours, cliques = _coloured_cliques(full_mask(n), (k1, k2), t)
+    side1, side2 = colours
+    groups: dict[int, list[int]] = {}
+    for c in cliques:
+        product = (c & side1).bit_count() * (c & side2).bit_count()
+        if product:
+            groups.setdefault(product, []).append(c)
+    best = 0
+    winners: list[tuple[Family, Family]] = []
+    for product in sorted(groups, reverse=True):
+        if product < best:
+            break
+        for fm, gm in sorted(_decode(verts, colours, c) for c in groups[product]):
+            f, g = Family(n, k1, fm), Family(n, k2, gm)
+            if covering_number(f, t).tau >= min_tau and covering_number(g, t).tau >= min_tau:
+                best = product
+                winners.append((f, g))
+    seen: set[bytes] = set()
+    unique = []
+    for f, g in winners:
+        key = canonical_form(f)
+        if key not in seen:
+            seen.add(key)
+            unique.append((f, g))
+    return SearchResult(
+        n=n,
+        k1=k1,
+        k2=k2,
+        t=t,
+        min_tau=min_tau,
+        best_product=best,
+        witnesses=unique,
+        pairs_examined=sum(map(len, groups.values())),
+        at_proved_threshold=n >= n_threshold(k1, k2, t),
+    )
 
 
 def classify_pair_reference(F1: Family, F2: Family, t: int) -> TemplateMatch:

@@ -25,9 +25,9 @@ from xfam import (
     mask_of,
     match_theorem_1_2,
     maximal_cross_tuples,
-    maximal_with_tau_t_plus_1,
     theorem_1_2_instances,
 )
+from helpers import count_theorem_1_2_reference, maximal_with_tau_t_plus_1
 
 
 def fam(n, k, *sets):
@@ -124,6 +124,28 @@ def test_cover_matrix_counts_across_chunk_boundaries(monkeypatch, chunk):
     monkeypatch.setattr(xfam.enumeration, "COVER_CHUNK", chunk)
     assert count_theorem_1_2(7, 4, 2) == expected
     assert _matcher_counts(7, 4, 2) == expected
+
+
+_ORBIT_POINTS = [(4, 2, 1), (5, 3, 1), (6, 3, 1), (6, 4, 2), (7, 4, 2), (8, 4, 2), (8, 5, 3), (9, 4, 2), (10, 4, 2)]
+
+
+@pytest.mark.parametrize("n,k,t", _ORBIT_POINTS)
+def test_orbit_counts_agree_with_the_full_walk(n, k, t):
+    # every count summed as C(n, k) / |F| over the families through v0,
+    # against the same lookups run on every maximal family once; (11,4,2)
+    # is past the full walk's budget, and
+    # test_cli.test_classify_all_past_the_full_walk checks it another way
+    assert count_theorem_1_2(n, k, t) == count_theorem_1_2_reference(n, k, t)
+
+
+def test_orbit_counts_across_chunk_boundaries(monkeypatch):
+    # blocks of 3 cliques at (7,4,2) (21 + 35 cover rows), whose 1,860
+    # cliques through v0 come in walk order with sizes 15, 13, 13, 12, 13,
+    # ..., so blocks mix sizes and boundaries fall between sizes; blocks of
+    # 1 to 16 cliques at the other points
+    expected = {point: count_theorem_1_2_reference(*point) for point in _ORBIT_POINTS[:7]}
+    monkeypatch.setattr(xfam.enumeration, "COVER_CHUNK", 3 * (21 + 35))
+    assert {point: count_theorem_1_2(*point) for point in expected} == expected
 
 
 @pytest.mark.parametrize("n,t", [(4, 1), (9, 7), (12, 3), (20, 5)])

@@ -1,6 +1,7 @@
 import json
 import sys
 import time
+from math import comb
 
 import xfam.classify
 import xfam.cli
@@ -205,12 +206,16 @@ def test_search_past_the_old_subset_cap(capsys):
 
 
 def test_budget_refusals(capsys, monkeypatch):
-    # before any table: V^2 vertex comparisons over the budget
+    # before any table: V^2 vertex comparisons over the budget, V counting
+    # N[v0] alone (all 715 4-sets of side 1 and the 589 of side 2 meeting v0)
     code, out, err = run(capsys, "search", "--n", "13", "--k1", "4", "--k2", "4", "--t", "1", "--min-tau", "2")
     assert code == 2 and out == "" and "Traceback" not in err
-    assert "C(13,4) + C(13,4) = 1,430 vertices need 2,044,900 comparisons, over the budget of 1,300,000" in err
-    # during the walk: 20 vertices fit a budget of 400, their 1,024 maximal
-    # cliques do not; the walk restores the recursion limit it raised
+    message = "N[{1,2,3,4}] in C(13,4) + C(13,4) = 1,304 vertices need 1,700,416 comparisons"
+    assert f"{message}, over the budget of 1,300,000" in err
+    # during the walk: the 20 vertices of enumerate-maximal, and the 19 of
+    # N[v0] for classify-all and search, fit a budget of 400; their 1,024
+    # maximal cliques, and the 512 through v0, do not. The walk restores the
+    # recursion limit it raised
     monkeypatch.setattr(xfam.enumeration, "BUDGET", 400)
     limit = sys.getrecursionlimit()
     for argv in (
@@ -229,11 +234,23 @@ def test_cover_rows_count_against_the_budget(capsys):
     start = time.perf_counter()
     code, out, err = run(capsys, "classify-all", "--n", "30", "--k", "30", "--t", "10")
     assert code == 2 and out == "" and time.perf_counter() - start < 1
-    assert "84,672,315 cover rows of C(30,30) = 1 vertices need 84,672,315 comparisons, over the budget of 1,300,000" in err
+    assert "84,672,315 cover rows of 1 vertices need 84,672,315 comparisons, over the budget of 1,300,000" in err
     # 490,314 rows of one vertex, and the classify benchmark point, fit
     for argv in (("--n", "22", "--k", "22", "--t", "7"), ("--n", "8", "--k", "4", "--t", "2")):
         code, out, _ = run(capsys, "classify-all", *argv)
         assert code == 0 and json.loads(out)["verdict"] == "pass", argv
+
+
+def test_classify_all_past_the_full_walk(capsys):
+    # 2,050,807 maximal families, past the budget of the full walk; 74,494
+    # through v0. Independent path: T1.2-iii counts each family once per
+    # minimum cover, and each (t+1)-set carries as many instances as [t+1]
+    code, out, _ = run(capsys, "classify-all", "--n", "11", "--k", "4", "--t", "2")
+    assert code == 0
+    results = json.loads(out)["results"]
+    iii = sum(1 for _, name, _ in xfam.classify.theorem_1_2_instances(11, 4, 2) if name == "T1.2-iii")
+    assert results["matches_per_template"]["T1.2-iii"] == comb(11, 3) * iii == 800_580
+    assert results["maximal_families"] == 2_050_807
 
 
 def test_search_min_tau_above_n(capsys):

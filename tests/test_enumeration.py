@@ -5,7 +5,6 @@ import xfam.enumeration
 from xfam import (
     Family,
     anchored_family,
-    build_intersection_graph,
     canonical_form,
     covering_number,
     enumerate_maximal_pairs,
@@ -19,22 +18,33 @@ from xfam import (
 )
 from xfam.canon import canonical_form_tuple
 from xfam.core import full_mask, subsets
-from xfam.enumeration import maximal_cliques, maximal_cross_tuples, maximal_with_tau_t_plus_1
+from xfam.classify import count_theorem_1_2
+from xfam.enumeration import maximal_cliques, maximal_cross_tuples
 from xfam.formulas import eval_g
-from helpers import brute_maximal_families, brute_maximal_pairs, sweep_maximal_pairs
+from helpers import (
+    brute_maximal_families,
+    brute_maximal_pairs,
+    extremal_product_search_reference,
+    sweep_maximal_pairs,
+)
 
 
-def test_intersection_graph():
-    g = build_intersection_graph(4, 2, 1)
-    assert len(g.vertices) == 6
-    # {1,2} misses exactly {3,4}
-    i = g.vertices.index(mask_of([1, 2]))
-    j = g.vertices.index(mask_of([3, 4]))
-    assert not (g.rows[i] >> j) & 1
-    assert (g.rows[i]).bit_count() == 4
-    # 1,365 vertices need 1,863,225 comparisons: refused before the rows
+def test_intersection_graph(monkeypatch):
+    verts, cliques = maximal_cliques(4, 2, 1)
+    assert len(verts) == 6
+    # {1,2} misses {3,4}: no clique holds both, though each lies in four
+    # (two stars and two triangles)
+    i = verts.index(mask_of([1, 2]))
+    j = verts.index(mask_of([3, 4]))
+    assert not any(c >> i & 1 and c >> j & 1 for c in cliques)
+    assert sum(c >> i & 1 for c in cliques) == sum(c >> j & 1 for c in cliques) == 4
+    # 1,365 vertices need 1,863,225 comparisons: refused before any table or row
+    def no_table(*args):
+        raise AssertionError("a subset table was built")
+
+    monkeypatch.setattr(xfam.enumeration, "subsets", no_table)
     with pytest.raises(ValueError, match=r"C\(15,4\) = 1,365 vertices need 1,863,225 comparisons, over the budget of 1,300,000"):
-        build_intersection_graph(15, 4, 1)
+        maximal_cliques(15, 4, 1)
 
 
 def test_enumeration_matches_brute_force():
@@ -238,8 +248,9 @@ def test_pruned_search_matches_unpruned_loop():
 
 
 def test_search_builds_families_only_for_groups_that_can_tie(monkeypatch):
-    # (7,2,3,1) has 24,696 maximal pairs and best product 40; only the 2,478
-    # pairs with product >= 40 are decoded, two families each
+    # (7,2,3,1) has 24,696 maximal pairs and best product 40; the walk
+    # through v0 = {1,2} finds 6,540 pair cliques, and only the 568 pairs
+    # among them with product >= 40 are decoded, two families each
     built = []
 
     def counting_family(*args):
@@ -249,7 +260,17 @@ def test_search_builds_families_only_for_groups_that_can_tie(monkeypatch):
     monkeypatch.setattr(xfam.enumeration, "Family", counting_family)
     res = extremal_product_search(7, 2, 3, 1, 2)
     assert (res.best_product, res.pairs_examined) == (40, 24_696)
-    assert len(built) == 2 * 2_478
+    assert len(built) == 2 * 568
+
+
+@pytest.mark.parametrize(
+    "n,k1,k2,t,min_tau",
+    [(5, 2, 2, 1, 1), (6, 2, 3, 1, 2), (6, 3, 3, 2, 2), (7, 2, 3, 1, 2), (8, 2, 2, 1, 2), (6, 3, 2, 2, 3)],
+)
+def test_search_through_v0_matches_the_full_walk(n, k1, k2, t, min_tau):
+    # best product, witnesses (members and order) and pairs_examined, the
+    # last summed as C(n, k1) / |F| over the pairs with v0 in F
+    assert extremal_product_search(n, k1, k2, t, min_tau) == extremal_product_search_reference(n, k1, k2, t, min_tau)
 
 
 @pytest.mark.parametrize("n,k1,k2,t", [(5, 2, 2, 1), (5, 2, 3, 1), (6, 2, 3, 1), (5, 3, 3, 1)])
@@ -267,18 +288,19 @@ def test_pair_classes_are_the_classes_of_f(n, k1, k2, t):
 
 
 def test_cover_rows_refused_before_any_cover_table(monkeypatch):
-    # 84,672,315 cover rows of one vertex: the walk runs, no cover table is built
-    def graph_table_only(universe, size):
-        assert size == 30, "a cover table was built"
+    # 84,672,315 cover rows of one vertex: the walk runs, no cover table
+    # (of 10- or 11-sets) is built
+    def graph_tables_only(universe, size):
+        assert size not in (10, 11), "a cover table was built"
         return subsets(universe, size)
 
-    monkeypatch.setattr(xfam.enumeration, "subsets", graph_table_only)
+    monkeypatch.setattr(xfam.enumeration, "subsets", graph_tables_only)
     message = (
-        r"C\(30,10\) \+ C\(30,11\) = 84,672,315 cover rows of C\(30,30\) = 1 vertices need 84,672,315 comparisons, "
+        r"C\(30,10\) \+ C\(30,11\) = 84,672,315 cover rows of 1 vertices need 84,672,315 comparisons, "
         r"over the budget of 1,300,000"
     )
     with pytest.raises(ValueError, match=message):
-        maximal_with_tau_t_plus_1(30, 30, 10)
+        count_theorem_1_2(30, 30, 10)
 
 
 def test_covering_bound_observation(capsys):
