@@ -27,39 +27,107 @@ automorphism maps the new leaf's path onto the best leaf's path and fixes
 their common prefix, so, as in nauty, the search backjumps to that prefix:
 every leaf below the abandoned nodes is the image of a leaf already seen.
 
+`canonical_form_tuple` also keeps a bounded memo of the forms that complete
+searches proved, and a search ends at the first leaf whose form is in it.
+
 None of this changes the bytes: they are those of the plain search that
 sorts color tuples and encodes every leaf, which the tests keep as the
-oracle. Incremental cell splitting or invariant-based leaf pruning would
+oracle. The memo is exact too. A leaf is the input relabeled, so a leaf
+equal to the proved minimum leaf of an earlier input X (under the same
+header: n, and k and m per family) shows that the two inputs are
+isomorphic, and isomorphic inputs have the same form, X's. Only the
+winner of a search that ran to its end is stored, never a first or
+best-so-far leaf. A stored form is the minimum of every leaf of the
+current input, so only leaves that improve on the best so far are looked
+up. Incremental cell splitting or invariant-based leaf pruning would
 change the cell order or which leaf is minimal, and so the bytes.
 """
 
 from __future__ import annotations
 
 from math import comb
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
-from .core import Family, elements_of
+from .core import Family
 
 Cells = tuple[tuple[int, ...], ...]
+
+# the memo holds at most this many member masks (8 bytes each), oldest
+# forms evicted first
+_MEMO_MASKS = 1 << 16
+
+
+class FormCacheInfo(NamedTuple):
+    hits: int
+    misses: int
+    forms: int
+    masks: int
+    max_masks: int
+
+
+class _FormMemo:
+    """Canonical forms proved by complete searches, oldest first, with the
+    number of member masks each holds; `hits` and `misses` count the
+    searches that did and did not end at a stored form."""
+
+    def __init__(self, max_masks: int):
+        self.max_masks = max_masks
+        self.forms: dict[bytes, int] = {}
+        self.masks = self.hits = self.misses = 0
+
+    def store(self, form: bytes, masks: int) -> None:
+        self.misses += 1
+        if masks > self.max_masks:
+            return  # it would evict every stored form, then itself
+        self.forms[form] = masks
+        self.masks += masks
+        while self.masks > self.max_masks:
+            self.masks -= self.forms.pop(next(iter(self.forms)))
+
+    def info(self) -> FormCacheInfo:
+        return FormCacheInfo(self.hits, self.misses, len(self.forms), self.masks, self.max_masks)
+
+
+_FORMS = _FormMemo(_MEMO_MASKS)
+
+
+def form_cache_info() -> FormCacheInfo:
+    """Hits, misses, forms and member masks stored, and the mask bound, of
+    the memo behind `canonical_form_tuple` (read-only, like
+    `functools.lru_cache`'s `cache_info`)."""
+    return _FORMS.info()
 
 
 class _Canonicalizer:
     """One individualization-refinement search over a tuple of families.
 
-    `nodes` and `leaves` count the search nodes and leaves visited."""
+    With a `memo`, the search ends at the first leaf whose form (`head`
+    plus the leaf's bytes) the memo holds, and a search that runs to its end
+    stores its winner there; without one it is the plain search. `nodes`
+    and `leaves` count the search nodes and leaves visited."""
 
-    def __init__(self, n: int, families: Sequence[tuple[int, ...]]):
+    def __init__(
+        self, n: int, families: Sequence[tuple[int, ...]], memo: _FormMemo | None = None, head: bytes = b""
+    ):
         self.n = n
-        # members as element-index tuples (0-based) for refinement speed
-        self.fam_members = [
-            [tuple(e - 1 for e in elements_of(m)) for m in fam] for fam in families
-        ]
+        self.memo, self.head = memo, head
+        # members as element-index tuples (0-based) for refinement speed,
+        # and per element the indices of the members through it
+        self.fam_members: list[list[tuple[int, ...]]] = []
         self.elem_members: list[list[list[int]]] = []
-        for members in self.fam_members:
+        for fam in families:
+            members = []
             by_elem: list[list[int]] = [[] for _ in range(n)]
-            for mi, mem in enumerate(members):
-                for e in mem:
+            for mi, m in enumerate(fam):
+                mem = []
+                while m:
+                    low = m & -m
+                    e = low.bit_length() - 1
+                    mem.append(e)
                     by_elem[e].append(mi)
+                    m ^= low
+                members.append(tuple(mem))
+            self.fam_members.append(members)
             self.elem_members.append(by_elem)
         # color c weighs -(k+1)^(n-1-c) in a family of k-sets (module docstring)
         self.weights = [
@@ -74,9 +142,16 @@ class _Canonicalizer:
         self.leaves = 0
 
     def run(self) -> bytes:
-        self._search(tuple((tuple(range(self.n)),)), [])
+        """The canonical leaf's bytes (without the header)."""
+        hit = self._search(tuple((tuple(range(self.n)),)), []) < 0
         assert self.best is not None
-        return _encode(self.best)
+        leaf = _encode(self.best)
+        if self.memo is not None:
+            if hit:
+                self.memo.hits += 1
+            else:
+                self.memo.store(self.head + leaf, sum(map(len, self.best)))
+        return leaf
 
     def _refine(self, cells: Cells) -> Cells:
         """Iterated degree refinement to the fixpoint: an element's signature
@@ -127,7 +202,8 @@ class _Canonicalizer:
         )
 
     def _leaf(self, cells: Cells, path: list[int]) -> int:
-        """Compare the leaf with the best one; return the depth to resume at."""
+        """Compare the leaf with the best one; return the depth to resume at,
+        or -1 when the leaf's form is in the memo."""
         self.leaves += 1
         pos = [0] * self.n
         for i, cell in enumerate(cells):
@@ -135,6 +211,8 @@ class _Canonicalizer:
         key = self._key(pos)
         if self.best is None or key < self.best:
             self.best, self.best_pos, self.best_path = key, pos, path
+            if self.memo is not None and self.head + _encode(key) in self.memo.forms:
+                return -1  # a proved minimum: end the whole search
             return len(path)
         if key > self.best:
             return len(path)
@@ -156,7 +234,8 @@ class _Canonicalizer:
 
     def _search(self, cells: Cells, fixed: list[int]) -> int:
         """Search below the node reached by individualizing `fixed`; return
-        the depth to resume at (below len(fixed) abandons this node)."""
+        the depth to resume at (below len(fixed) abandons this node, and -1
+        ends the search)."""
         self.nodes += 1
         cells = self._refine(cells)
         if len(cells) == self.n:
@@ -224,11 +303,10 @@ def canonical_form_tuple(families: Sequence[Family], n: int | None = None) -> by
     if any(f.n != n for f in families):
         raise ValueError("families live over different ground sets")
     head = _header(n, families)
-    engine = _Canonicalizer(n, [f.members for f in families])
     if all(len(f.members) in (0, comb(n, f.k)) for f in families):
         # empty and complete families are fixed by every permutation
-        return head + _encode(engine._key(list(range(n))))
-    return head + engine.run()
+        return head + _encode(tuple(f.members for f in families))
+    return head + _Canonicalizer(n, [f.members for f in families], _FORMS, head).run()
 
 
 def canonical_form(family: Family) -> bytes:

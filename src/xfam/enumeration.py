@@ -345,10 +345,12 @@ def extremal_product_search(n: int, k1: int, k2: int, t: int, min_tau: int) -> S
     qualifying product are decoded into families, each in enumeration order
     (sorted by the members of F, then G), so covering numbers are computed
     only until the first product below the best one, and the winners keep
-    their enumeration order. A min_tau above n is refused: [n] is a t-cover
-    of every family over [n]."""
+    their enumeration order. A min_tau above n is refused, since [n] is a
+    t-cover of every family over [n], and so is a negative one."""
     validate_params(n, k1, t)
     validate_params(n, k2, t)
+    if min_tau < 0:
+        raise ValueError(f"min-tau {min_tau} < 0: a covering number is never negative")
     if min_tau > n:
         raise ValueError(
             f"min-tau {min_tau} > n = {n}: no family over [n] has a larger covering number, since [n] is a t-cover"

@@ -111,8 +111,9 @@ def test_forms_equal_reference_on_maximal_families():
             assert canonical_form(g) == canonical_form_reference([g]), (n, k, t, g.members)
 
 
-def test_forms_equal_reference_on_pairs():
-    rng = random.Random(17)
+def pair_cases(rng):
+    """Random pairs with empty and complete sides, a few fixed ones, and
+    every maximal pair of the smoke-size `search` instance."""
     cases = []
     for _ in range(120):
         n = rng.randint(4, 7)
@@ -134,7 +135,12 @@ def test_forms_equal_reference_on_pairs():
     ]
     # the smoke-size `search` instance: every maximal pair, its witnesses included
     cases += [list(fg) for fg in enumerate_maximal_pairs(5, 2, 2, 1)]
-    for f, g in cases:
+    return cases
+
+
+def test_forms_equal_reference_on_pairs():
+    rng = random.Random(17)
+    for f, g in pair_cases(rng):
         perm = shuffled(rng, f.n)
         for pair in ([f, g], [g, f], [relabel(f, perm), relabel(g, perm)]):
             assert canonical_form_tuple(pair) == canonical_form_reference(pair), pair
@@ -189,6 +195,83 @@ def test_backjumping_visits_fewer_nodes(family):
     new = _Canonicalizer(family.n, [family.members])
     assert new.run() == ref.run()
     assert new.leaves <= new.nodes < ref.nodes
+
+
+@pytest.fixture
+def memo(monkeypatch):
+    """An empty form memo behind `canonical_form_tuple`, so that hit counts
+    do not depend on which tests ran before."""
+    fresh = canon._FormMemo(canon._MEMO_MASKS)
+    monkeypatch.setattr(canon, "_FORMS", fresh)
+    return fresh
+
+
+def test_warm_memo_forms_equal_reference(memo):
+    inputs = [[f] for f in enumerate_maximal_t_intersecting(7, 3, 1)]
+    inputs += pair_cases(random.Random(17))
+    inputs += [[f] for f in graph_unions(10)]
+    for families in inputs:
+        canonical_form_tuple(families)
+    warm = canon.form_cache_info()
+    assert warm.misses == warm.forms and warm.hits > 0
+    rng = random.Random(31)
+    for families in inputs:
+        perm = shuffled(rng, families[0].n)
+        copy = [relabel(f, perm) for f in families]
+        assert canonical_form_tuple(copy) == canonical_form_reference(copy), copy
+    # every class was searched to its end once while warming; every copy
+    # that was searched ended at its class's stored form
+    info = canon.form_cache_info()
+    assert (info.misses, info.forms, info.masks) == (warm.misses, warm.forms, warm.masks)
+    assert info.hits == 2 * warm.hits + warm.misses
+
+
+def test_memo_entries_never_cross_headers(memo):
+    f = fam(7, 3, (1, 2, 3), (1, 2, 4), (3, 6, 7))
+    # the same member masks over a larger ground set, and beside an empty
+    # side of either size: [E_2, f] and [E_4, f] have equal leaf bytes
+    cases = ([f], [Family(8, 3, f.members)], [f, Family(7, 2, ())], [Family(7, 2, ()), f], [Family(7, 4, ()), f])
+    for families in cases:
+        before = canon.form_cache_info()
+        assert canonical_form_tuple(families) == canonical_form_reference(families), families
+        after = canon.form_cache_info()
+        assert (after.hits, after.misses) == (before.hits, before.misses + 1), families
+    assert memo.info().forms == len(cases)
+
+
+def test_canonical_copy_ends_at_its_first_leaf(memo):
+    # relabelled by its own canonical labelling, a family's first leaf is its
+    # minimum: a warm search stops there, the plain one certifies symmetry
+    f = construct_H(8, 3, 1, (2, 3, 4), (2, 3, 5))
+    first = _Canonicalizer(f.n, [f.members])
+    form = canonical_form(f)
+    assert form == canon._header(f.n, [f]) + first.run()
+    rep = Family(f.n, f.k, first.best[0])
+    plain = _Canonicalizer(f.n, [rep.members])
+    warm = _Canonicalizer(f.n, [rep.members], memo, canon._header(f.n, [rep]))
+    assert warm.run() == plain.run()
+    assert warm.leaves == 1 < plain.leaves
+    assert memo.hits == 1
+
+
+def test_memo_stays_within_its_bound(monkeypatch):
+    small = canon._FormMemo(40)
+    monkeypatch.setattr(canon, "_FORMS", small)
+    rng = random.Random(37)
+    for f in enumerate_maximal_t_intersecting(6, 3, 1) + list(graph_unions(10)):
+        g = relabel(f, shuffled(rng, f.n))
+        assert canonical_form(g) == canonical_form_reference([g]), g.members
+        assert small.masks == sum(small.forms.values()) <= 40
+    info = canon.form_cache_info()
+    assert info.max_masks == 40 and info.misses > info.forms  # the oldest forms were evicted
+    # the newest form stays; a form that cannot fit is not kept, and evicts
+    # nothing
+    kept = dict(small.forms)
+    assert next(reversed(kept)) == canonical_form(g)
+    big = anchored_family(9, 4, mask_of([1]))
+    assert len(big.members) > 40
+    assert canonical_form(big) == canonical_form_reference([big])
+    assert small.forms == kept
 
 
 def test_pairs_of_other_shape_rejected_before_search(monkeypatch):

@@ -264,6 +264,14 @@ def test_search_min_tau_above_n(capsys):
         assert code == 0 and json.loads(out)["verdict"] == "pass", min_tau
 
 
+def test_search_negative_min_tau(capsys):
+    # a covering number is never negative; min-tau 0 stays a valid filter
+    for min_tau in ("-1", "-3"):
+        code, out, err = run(capsys, "search", "--n", "4", "--k1", "2", "--k2", "2", "--t", "1", "--min-tau", min_tau)
+        assert code == 2 and out == ""
+        assert err == f"error: min-tau {min_tau} < 0: a covering number is never negative\n"
+
+
 def test_empty_checks_are_usage_errors(capsys):
     # a run that would check nothing must not report a pass
     for argv in (
