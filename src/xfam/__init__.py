@@ -3,17 +3,13 @@
 from .core import (
     CoverStructure,
     Family,
-    Params,
     anchored_family,
     closure_pair,
-    closure_tuple,
     covering_number,
     elements_of,
     family_from_text,
     family_to_text,
     full_mask,
-    intersection_size,
-    interval_family,
     is_cross_t_intersecting,
     is_maximal_pair,
     is_maximal_t_intersecting,
@@ -21,11 +17,9 @@ from .core import (
     mask_of,
     read_family,
     relabel,
-    restrict,
     star,
-    write_family,
 )
-from .canon import are_isomorphic, are_isomorphic_pairs, canonical_form, canonical_form_tuple
+from .canon import canonical_form, canonical_form_tuple
 from .constructions import (
     ConstructionSpec,
     construct_A,
@@ -50,7 +44,6 @@ from .formulas import (
     eval_g,
     eval_h,
     eval_tau_bound,
-    eval_tilde,
     leading_constant,
     leading_constant_check,
     n_threshold,

@@ -313,19 +313,3 @@ def canonical_form(family: Family) -> bytes:
     """Canonical byte string: equal for two families iff some permutation of
     [n] maps one onto the other."""
     return canonical_form_tuple([family], family.n)
-
-
-def are_isomorphic(F: Family, G: Family) -> bool:
-    if F.n != G.n or F.k != G.k or len(F.members) != len(G.members):
-        return False
-    return canonical_form(F) == canonical_form(G)
-
-
-def are_isomorphic_pairs(pair1: tuple[Family, Family], pair2: tuple[Family, Family]) -> bool:
-    a1, b1 = pair1
-    a2, b2 = pair2
-    if a1.n != a2.n or any(
-        f.k != g.k or len(f.members) != len(g.members) for f, g in ((a1, a2), (b1, b2))
-    ):
-        return False
-    return canonical_form_tuple([a1, b1]) == canonical_form_tuple([a2, b2])

@@ -214,14 +214,12 @@ def _cmd_search(args) -> int:
 
 def _cmd_classify(args) -> int:
     if args.theorem == "1.1" and not args.infile2:
-        sys.stderr.write("--theorem 1.1 needs --in2 with the partner family\n")
-        return 2
+        raise ValueError("--theorem 1.1 needs --in2 with the partner family")
     try:
         fam = read_family(args.infile)
         partner = read_family(args.infile2) if args.theorem == "1.1" else None
     except OSError as exc:
-        sys.stderr.write(f"cannot read family file: {exc}\n")
-        return 2
+        raise ValueError(f"cannot read family file: {exc}") from exc
     if args.theorem == "1.2":
         match = classify_theorem_1_2(fam, args.t)
     elif args.theorem == "fact2.1":
@@ -318,21 +316,21 @@ def _cmd_evaluate(args) -> int:
     kv = {}
     for item in args.args:
         name, _, val = item.partition("=")
-        kv[name] = int(val)
+        try:
+            kv[name] = int(val)
+        except ValueError:
+            raise ValueError(f"bad argument {item!r}: need name=integer") from None
     if args.formula not in _FORMULAS:
-        sys.stderr.write(f"unknown formula {args.formula!r}\n")
-        return 2
+        raise ValueError(f"unknown formula {args.formula!r}")
     if args.formula == "tau-bound":
         side = kv.get("side", 0)
         if side not in (0, 1):
-            sys.stderr.write(f"side must be 0 (F) or 1 (G), got {side}\n")
-            return 2
+            raise ValueError(f"side must be 0 (F) or 1 (G), got {side}")
         kv["side"] = "FG"[side]
     fn, names = _FORMULAS[args.formula]
     missing = [x for x in names if x not in kv]
     if missing:
-        sys.stderr.write(f"missing arguments: {', '.join(missing)}\n")
-        return 2
+        raise ValueError(f"missing arguments: {', '.join(missing)}")
     value = fn(*(kv[x] for x in names))
     if isinstance(value, Fraction):
         sys.stdout.write(f"{value.numerator}/{value.denominator}\n")

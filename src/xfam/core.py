@@ -24,7 +24,7 @@ candidates member by member; wider ones count bits over the chunked
 On top of the raw masks this module provides the intersection predicates,
 exact t-covering-number computation (all minimum covers, not just one), the
 star operator (largest m-uniform family cross-t-intersecting a given one),
-closure of pairs/tuples to maximal cross-t-intersecting position, and the
+closure of pairs to maximal cross-t-intersecting position, and the
 family text format used by the command line tools.
 """
 
@@ -83,15 +83,6 @@ def elements_of(mask: int) -> tuple[int, ...]:
 
 def full_mask(n: int) -> int:
     return (1 << n) - 1
-
-
-def popcount(mask: int) -> int:
-    return mask.bit_count()
-
-
-def intersection_size(a: int, b: int) -> int:
-    """|a ∩ b| for two subset masks over the same ground set."""
-    return (a & b).bit_count()
 
 
 class SubsetTable(NamedTuple):
@@ -212,18 +203,6 @@ def validate_params(n: int, k: int, t: int) -> None:
 
 
 @dataclass(frozen=True)
-class Params:
-    """Ground-set size, uniformity and intersection threshold."""
-
-    n: int
-    k: int
-    t: int
-
-    def __post_init__(self) -> None:
-        validate_params(self.n, self.k, self.t)
-
-
-@dataclass(frozen=True)
 class Family:
     """A k-uniform family over [n]; members are masks, strictly increasing."""
 
@@ -296,24 +275,14 @@ def relabel(family: Family, perm: Sequence[int]) -> Family:
     return Family.from_masks(family.n, family.k, masks)
 
 
-def interval_family(n: int, k: int, S: int, M: int) -> Family:
-    """All k-subsets F with S ⊆ F ⊆ M; rejects S ⊄ M and k out of range."""
-    if S & ~M:
-        raise ValueError("anchor S must be contained in M")
-    s, mm = S.bit_count(), M.bit_count()
-    if not (s <= k <= mm):
-        raise ValueError(f"need |S| <= k <= |M|, got |S|={s} k={k} |M|={mm}")
-    return Family(n, k, tuple(S | m for m in subsets(M & ~S, k - s).masks))
-
-
 def anchored_family(n: int, k: int, S: int) -> Family:
-    """All k-subsets of [n] containing S."""
-    return interval_family(n, k, S, full_mask(n))
-
-
-def restrict(family: Family, S: int) -> Family:
-    """Subfamily of members containing S."""
-    return Family(family.n, family.k, tuple(m for m in family.members if S & ~m == 0))
+    """All k-subsets of [n] containing S; rejects S outside [n] and |S| > k."""
+    if S & ~full_mask(n):
+        raise ValueError(f"anchor S must lie in [{n}]")
+    s = S.bit_count()
+    if not (s <= k <= n):
+        raise ValueError(f"need |S| <= k <= n, got |S|={s} k={k} n={n}")
+    return Family(n, k, tuple(S | m for m in subsets(full_mask(n) & ~S, k - s).masks))
 
 
 def is_cross_t_intersecting(F: Family, G: Family, t: int) -> bool:
@@ -420,35 +389,19 @@ def star(family: Family, m: int, t: int, universe: int | None = None) -> Family:
 
 
 def closure_pair(F: Family, G: Family, t: int) -> tuple[Family, Family]:
-    """Alternate star applications until a fixed point: the unique maximal
-    cross-t-intersecting pair containing (F, G). Rejects invalid input."""
-    return closure_tuple((F, G), t)
-
-
-def closure_tuple(families: Sequence[Family], t: int) -> tuple[Family, ...]:
-    """Round-robin star updates until a fixed point for r pairwise
-    cross-t-intersecting families."""
-    fams = list(families)
-    if any(not f.members for f in fams):
-        raise ValueError("closure of a tuple with an empty side is degenerate")
-    for i in range(len(fams)):
-        for j in range(i + 1, len(fams)):
-            if not is_cross_t_intersecting(fams[i], fams[j], t):
-                raise ValueError(f"families {i} and {j} are not cross t-intersecting")
-    n = fams[0].n
-    # update order 2..r then 1: for a pair, the first star application grows
-    # the second side, which is the alternation closure_pair documents
-    order = list(range(1, len(fams))) + [0]
-    changed = True
-    while changed:
-        changed = False
-        for i in order:
-            others = [m for j, f in enumerate(fams) if j != i for m in f.members]
-            new = Family(n, fams[i].k, select(subsets(full_mask(n), fams[i].k), others, t))
-            if new.members != fams[i].members:
-                fams[i] = new
-                changed = True
-    return tuple(fams)
+    """Set G <- star(F, l), then F <- star(G, k), until neither changes: the
+    unique maximal cross-t-intersecting pair containing (F, G). Rejects an
+    empty side and a pair that is not cross t-intersecting."""
+    if not (F.members and G.members):
+        raise ValueError("closure of a pair with an empty side is degenerate")
+    if not is_cross_t_intersecting(F, G, t):
+        raise ValueError("the pair is not cross t-intersecting")
+    while True:
+        new_g = star(F, G.k, t)
+        new_f = star(new_g, F.k, t)
+        if (new_f.members, new_g.members) == (F.members, G.members):
+            return F, G
+        F, G = new_f, new_g
 
 
 def is_maximal_pair(F: Family, G: Family, t: int) -> bool:
@@ -492,6 +445,8 @@ def family_from_text(text: str) -> Family:
         rows.append(tuple(sorted(int(x) for x in line.split())))
         if not all(1 <= e <= MAX_GROUND_SET for e in rows[-1]):
             raise ValueError(f"line {lineno} ({line!r}): elements must lie in 1..{MAX_GROUND_SET}")
+        if len(set(rows[-1])) < len(rows[-1]):
+            raise ValueError(f"line {lineno} ({line!r}): repeats an element")
     if rows:
         sizes = {len(r) for r in rows}
         if len(sizes) != 1:
@@ -506,11 +461,6 @@ def family_from_text(text: str) -> Family:
     if n is None:
         n = max((max(r) for r in rows), default=0)
     return Family.from_sets(n, inferred_k, rows)
-
-
-def write_family(family: Family, path: str | os.PathLike[str]) -> None:
-    with io.open(path, "w", encoding="utf-8") as fh:
-        fh.write(family_to_text(family))
 
 
 def read_family(path: str | os.PathLike[str]) -> Family:

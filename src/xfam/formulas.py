@@ -70,19 +70,6 @@ def _norm(x: int, t: int, n: int) -> int:
     return d
 
 
-def eval_tilde(kind: str, n: int, **args: int) -> Fraction:
-    """Dispatch on kind in {'a', 'h', 'g', 'c1c2'}."""
-    if kind == "a":
-        return tilde_a(args["x"], args["t"], n)
-    if kind == "h":
-        return tilde_h(args["x"], args["y"], args["t"], n)
-    if kind == "g":
-        return tilde_g(args["m"], args["x"], args["y"], args["t"], n)
-    if kind == "c1c2":
-        return tilde_c1c2(args["x"], args["y"], args["t"], n)
-    raise ValueError(f"unknown tilde kind {kind!r}")
-
-
 def eval_f(m: int, k: int, l: int, n: int, t: int, rational: bool = False) -> int | Fraction:
     """k^(m-t-2) (k-t+1)^2 C(m, t) C(n-m, l-m); integer mode rejects m < t+2."""
     if not (t <= m <= l):

@@ -78,7 +78,6 @@ from xfam.core import (
     anchored_family,
     covering_number,
     full_mask,
-    interval_family,
     is_maximal_pair,
     is_maximal_t_intersecting,
     select,
@@ -477,7 +476,7 @@ def classify_fact_2_1_reference(F: Family, t: int) -> TemplateMatch:
             degrees[e] += 1
     form = canonical_form(F)
     if len(F) == t + 2 and max(degrees[1:]) <= t + 1:
-        template = interval_family(n, t + 1, 0, full_mask(t + 2))
+        template = Family(n, t + 1, subsets(full_mask(t + 2), t + 1).masks)
         if form == canonical_form(template):
             return TemplateMatch(
                 "F2.1-simplex", {"M": elements_of(F.union_mask())}, (("F2.1-simplex", {}),)

@@ -182,6 +182,18 @@ def test_usage_errors_exit_2(capsys, tmp_path):
         path.write_text(bad + "\n")
         code, out, err = run(capsys, "classify", "--in", str(path), "--theorem", "1.2", "--t", "1")
         assert code == 2 and out == "" and f"line {lineno}" in err and "1..64" in err, bad
+    # as is a line that repeats an element
+    path.write_text("1 1 2\n1 2 3\n")
+    code, out, err = run(capsys, "classify", "--in", str(path), "--theorem", "1.2", "--t", "1")
+    assert code == 2 and out == "" and "line 1" in err and "repeats an element" in err
+    # every usage error goes through main's one "error: " path
+    for argv, message in (
+        (("eval", "--formula", "a", "--args", "x3", "t=1", "n=259"), "bad argument 'x3'"),
+        (("eval", "--formula", "zz", "--args", "x=1"), "unknown formula 'zz'"),
+        (("classify", "--in", str(path), "--theorem", "1.1", "--t", "1"), "needs --in2"),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "" and err.startswith("error: ") and message in err, argv
 
 
 def test_tau_bound_side(capsys):

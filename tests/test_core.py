@@ -7,23 +7,19 @@ import pytest
 
 from xfam import (
     Family,
-    Params,
+    anchored_family,
     closure_pair,
-    closure_tuple,
     covering_number,
     elements_of,
     family_from_text,
     family_to_text,
     full_mask,
-    intersection_size,
-    interval_family,
     is_cross_t_intersecting,
     is_maximal_pair,
     is_maximal_t_intersecting,
     is_t_intersecting,
     mask_of,
     relabel,
-    restrict,
     star,
 )
 from xfam import core
@@ -41,22 +37,6 @@ def test_mask_roundtrip():
     assert elements_of(mask_of([3, 1, 5])) == (1, 3, 5)
     assert mask_of([]) == 0
     assert full_mask(4) == 0b1111
-
-
-def test_intersection_size():
-    assert intersection_size(mask_of([1, 2]), mask_of([2, 3])) == 1
-    assert intersection_size(mask_of([1, 2, 3]), mask_of([1, 2, 3])) == 3
-    assert intersection_size(mask_of([1, 2]), mask_of([3, 4])) == 0
-
-
-def test_params_invariants():
-    Params(6, 3, 1)
-    with pytest.raises(ValueError):
-        Params(6, 7, 1)
-    with pytest.raises(ValueError):
-        Params(6, 3, 4)
-    with pytest.raises(ValueError):
-        Params(65, 3, 1)
 
 
 def test_family_validation():
@@ -144,7 +124,7 @@ def _select_cases():
         yield subsets(0, 0), [0] * 3, t
         yield subsets(0, 0), [0] * 3000, t
         yield full(4, 2), [0], t
-    # members of mixed sizes, as closure_tuple passes
+    # members of mixed sizes
     for count in (4, 20, 300):
         for t in (1, 2, 3):
             yield full(12, 4), sets(12, range(max(t, 2), 7), count), t
@@ -188,23 +168,15 @@ def test_select_matches_reference_on_every_path(select_paths):
     assert seen == set(SELECT_PATHS)
 
 
-def test_interval_family():
-    f = interval_family(3, 2, mask_of([1]), mask_of([1, 2, 3]))
-    assert f.to_sets() == ((1, 2), (1, 3))
-    assert len(interval_family(4, 2, 0, full_mask(4))) == 6
-    f = interval_family(5, 3, mask_of([1, 2]), full_mask(5))
+def test_anchored_family():
+    assert anchored_family(3, 2, mask_of([1])).to_sets() == ((1, 2), (1, 3))
+    assert len(anchored_family(4, 2, 0)) == 6
+    f = anchored_family(5, 3, mask_of([1, 2]))
     assert f.to_sets() == ((1, 2, 3), (1, 2, 4), (1, 2, 5))
     with pytest.raises(ValueError):
-        interval_family(5, 2, mask_of([1, 4]), mask_of([1, 2, 3]))
+        anchored_family(3, 2, mask_of([1, 4]))  # S outside [n]
     with pytest.raises(ValueError):
-        interval_family(5, 1, mask_of([1, 2]), full_mask(5))
-
-
-def test_restrict():
-    f = fam(3, 2, (1, 2), (1, 3), (2, 3))
-    assert restrict(f, mask_of([1])).to_sets() == ((1, 2), (1, 3))
-    assert restrict(f, 0).members == f.members
-    assert len(restrict(fam(3, 2, (1, 2)), mask_of([3]))) == 0
+        anchored_family(5, 1, mask_of([1, 2]))  # |S| > k
 
 
 def test_is_cross_t_intersecting():
@@ -299,24 +271,12 @@ def test_closure_pair():
         closure_pair(Family.complete(4, 2), Family.complete(4, 2), 1)
     with pytest.raises(ValueError):
         closure_pair(Family(4, 2, ()), fam(4, 2, (1, 2)), 1)
-
-
-def test_closure_tuple():
-    # two components agree with closure_pair
-    f0, g0 = fam(4, 2, (1, 2)), fam(4, 2, (1, 2))
-    pair = closure_pair(f0, g0, 1)
-    tup = closure_tuple([f0, g0], 1)
-    assert (tup[0].members, tup[1].members) == (pair[0].members, pair[1].members)
-    # three singleton families sharing one element stay put
-    fams = [fam(6, 1, (5,)) for _ in range(3)]
-    out = closure_tuple(fams, 1)
-    assert all(x.to_sets() == ((5,),) for x in out)
     # a 1-set against a 2-set: the 2-uniform side fills the whole star
-    out = closure_tuple([fam(6, 1, (3,)), fam(6, 2, (3, 4))], 1)
-    assert out[0].to_sets() == ((3,),)
-    assert set(out[1].to_sets()) == {(1, 3), (2, 3), (3, 4), (3, 5), (3, 6)}
-    with pytest.raises(ValueError):
-        closure_tuple([fam(4, 2, (1, 2)), fam(4, 2, (3, 4))], 1)
+    f, g = closure_pair(fam(6, 1, (3,)), fam(6, 2, (3, 4)), 1)
+    assert f.to_sets() == ((3,),)
+    assert set(g.to_sets()) == {(1, 3), (2, 3), (3, 4), (3, 5), (3, 6)}
+    with pytest.raises(ValueError):  # not cross t-intersecting
+        closure_pair(fam(4, 2, (1, 2)), fam(4, 2, (3, 4)), 1)
 
 
 def test_is_maximal_t_intersecting():

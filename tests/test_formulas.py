@@ -16,7 +16,6 @@ from xfam.formulas import (
     eval_g,
     eval_h,
     eval_tau_bound,
-    eval_tilde,
     leading_constant_check,
     n_threshold,
     tilde_a,
@@ -48,10 +47,8 @@ def test_tilde_values():
         assert tilde_a(2, 1, n) == 3
     assert tilde_g(1, 2, 2, 1, 259) == 1
     assert tilde_h(2, 2, 1, 6) == 3
-    assert eval_tilde("a", 6, x=2, t=1) == 3
-    assert eval_tilde("c1c2", 10, x=3, y=4, t=1) == tilde_c1c2(3, 4, 1, 10)
-    with pytest.raises(ValueError):
-        eval_tilde("zz", 6, x=2, t=1)
+    # c1 and c2 are normalized jointly
+    assert tilde_c1c2(3, 4, 1, 10) == Fraction(eval_c1(4, 1, 10) * eval_c2(3, 4, 1, 10), binom(8, 2) * binom(8, 1))
 
 
 def test_tilde_closed_form_identities():
