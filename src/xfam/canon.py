@@ -293,13 +293,12 @@ def _header(n: int, families: Sequence[Family]) -> bytes:
     return (";".join(parts) + ":").encode()
 
 
-def canonical_form_tuple(families: Sequence[Family], n: int | None = None) -> bytes:
+def canonical_form_tuple(families: Sequence[Family]) -> bytes:
     """Relabeling-invariant encoding of an ordered tuple of families over a
     common ground set (one permutation applied to all of them)."""
     if not families:
         raise ValueError("need at least one family")
-    if n is None:
-        n = families[0].n
+    n = families[0].n
     if any(f.n != n for f in families):
         raise ValueError("families live over different ground sets")
     head = _header(n, families)
@@ -312,4 +311,4 @@ def canonical_form_tuple(families: Sequence[Family], n: int | None = None) -> by
 def canonical_form(family: Family) -> bytes:
     """Canonical byte string: equal for two families iff some permutation of
     [n] maps one onto the other."""
-    return canonical_form_tuple([family], family.n)
+    return canonical_form_tuple([family])

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import inspect
 import io
 import json
 import re
@@ -147,19 +148,17 @@ def _family_json(fam) -> dict:
 
 
 def _cmd_construct(args) -> int:
-    quad = _parse_ints(args.quad) if args.quad else None
-    T, xs = default_D_anchors(args.t) if args.kind == "D" else (None, None)
+    T, quad = default_D_anchors(args.t) if args.kind == "D" else (None, None)
     spec = ConstructionSpec(
         kind=args.kind,
         n=args.n,
         k=args.k,
         t=args.t,
         l=args.l,
-        quad=quad,
+        quad=_parse_ints(args.quad) if args.quad else quad,
         X=_parse_ints(args.x) if args.x else None,
         Y=_parse_ints(args.y) if args.y else None,
         T=_parse_ints(args.anchor) if args.anchor else T,
-        xs=quad if xs and quad is not None else xs,
     )
     _write(family_to_text(spec.build()), args.out)
     return 0
@@ -298,18 +297,24 @@ def _cmd_audit(args) -> int:
 
 
 _FORMULAS = {
-    "g": (eval_g, ("m", "x", "y", "t", "n")),
-    "a": (eval_a, ("x", "t", "n")),
-    "c1": (eval_c1, ("y", "t", "n")),
-    "c2": (eval_c2, ("x", "y", "t", "n")),
-    "h": (eval_h, ("x", "y", "t", "n")),
-    "f": (eval_f, ("m", "k", "l", "n", "t")),
-    "tilde-a": (tilde_a, ("x", "t", "n")),
-    "tilde-h": (tilde_h, ("x", "y", "t", "n")),
-    "tilde-g": (tilde_g, ("m", "x", "y", "t", "n")),
-    "tilde-c1c2": (tilde_c1c2, ("x", "y", "t", "n")),
-    "tau-bound": (eval_tau_bound, ("side", "tau_f", "tau_g", "k", "l", "n", "t")),
+    "g": eval_g,
+    "a": eval_a,
+    "c1": eval_c1,
+    "c2": eval_c2,
+    "h": eval_h,
+    "f": eval_f,
+    "tilde-a": tilde_a,
+    "tilde-h": tilde_h,
+    "tilde-g": tilde_g,
+    "tilde-c1c2": tilde_c1c2,
+    "tau-bound": eval_tau_bound,
 }
+
+
+def _arguments(fn) -> list[str]:
+    """The names of `fn`'s parameters without a default, in order: the
+    arguments `eval` needs."""
+    return [p.name for p in inspect.signature(fn).parameters.values() if p.default is p.empty]
 
 
 def _cmd_evaluate(args) -> int:
@@ -327,7 +332,8 @@ def _cmd_evaluate(args) -> int:
         if side not in (0, 1):
             raise ValueError(f"side must be 0 (F) or 1 (G), got {side}")
         kv["side"] = "FG"[side]
-    fn, names = _FORMULAS[args.formula]
+    fn = _FORMULAS[args.formula]
+    names = _arguments(fn)
     missing = [x for x in names if x not in kv]
     if missing:
         raise ValueError(f"missing arguments: {', '.join(missing)}")
@@ -428,7 +434,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_audit)
 
     p = sub.add_parser("eval", help="print one exact formula value")
-    p.add_argument("--formula", required=True, help="g|a|c1|c2|h|f|tilde-a|tilde-h|tilde-g|tilde-c1c2|tau-bound")
+    p.add_argument("--formula", required=True, help="|".join(_FORMULAS))
     p.add_argument("--args", nargs="*", default=[], help="name=value pairs")
     p.set_defaults(fn=_cmd_evaluate)
 
@@ -439,7 +445,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_threshold)
 
     p = sub.add_parser("leading-term", help="normalized product convergence check")
-    p.add_argument("--pair", required=True, choices=["AA", "HH", "CC", "BB"])
+    p.add_argument("--pair", required=True, choices=PAIR_KINDS)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--l", type=int, required=True)
     p.add_argument("--t", type=int, required=True)

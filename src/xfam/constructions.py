@@ -38,7 +38,7 @@ from .core import (
     subsets,
     validate_params,
 )
-from .formulas import binom, eval_a, eval_c1, eval_c2, eval_h
+from .formulas import PAIR_FORMULAS, binom, eval_a, eval_c1, eval_c2, eval_h
 
 
 # ---------------------------------------------------------------------------
@@ -181,7 +181,6 @@ class ConstructionSpec:
     X: tuple[int, ...] | None = None
     Y: tuple[int, ...] | None = None
     T: tuple[int, ...] | None = None
-    xs: tuple[int, int, int, int] | None = None
 
     def __post_init__(self) -> None:
         validate_params(self.n, self.k, self.t)
@@ -208,8 +207,8 @@ class ConstructionSpec:
             self._need(X=self.X, Y=self.Y)
             return construct_H(self.n, self.k, self.t, self.X, self.Y)
         if self.kind == "D":
-            self._need(T=self.T, xs=self.xs)
-            return construct_D(self.n, self.k, self.t, self.T, self.xs)
+            self._need(T=self.T, quad=self.quad)
+            return construct_D(self.n, self.k, self.t, self.T, self.quad)
         raise ValueError(f"unknown construction kind {self.kind!r}")
 
     def closed_form(self) -> int:
@@ -229,7 +228,7 @@ class ConstructionSpec:
         raise ValueError(f"unknown construction kind {self.kind!r}")
 
 
-PAIR_KINDS = ("AA", "BB", "CC", "HH")
+PAIR_KINDS = tuple(PAIR_FORMULAS)
 
 
 def construction_pair(pair_kind: str, n: int, k: int, l: int, t: int) -> tuple[ConstructionSpec, ConstructionSpec]:
@@ -263,8 +262,8 @@ def construction_pair(pair_kind: str, n: int, k: int, l: int, t: int) -> tuple[C
         T, xs = default_D_anchors(t)
         x1, x2, x3, x4 = xs
         return (
-            ConstructionSpec("D", n, k, t, T=T, xs=xs),
-            ConstructionSpec("D", n, l, t, T=T, xs=(x1, x3, x2, x4)),
+            ConstructionSpec("D", n, k, t, T=T, quad=xs),
+            ConstructionSpec("D", n, l, t, T=T, quad=(x1, x3, x2, x4)),
         )
     raise ValueError(f"unknown pair kind {pair_kind!r}")
 
@@ -303,22 +302,22 @@ def verify_construction(spec: ConstructionSpec, partner: ConstructionSpec, check
     return report
 
 
-def default_grid(t_values=(1, 2, 3), spread: int = 3, n_max: int = 16) -> list[tuple[int, int, int, int]]:
-    """(t, k, l, n) with k, l in [t+1, t+1+spread] and n in [l+2, n_max];
+def default_grid() -> list[tuple[int, int, int, int]]:
+    """(t, k, l, n) with t in {1,2,3}, k, l in [t+1, t+4] and n in [l+2, 16];
     points without room for the anchors (n <= max(k, l)) are dropped."""
     return [
         (t, k, l, n)
-        for t in t_values
-        for k in range(t + 1, t + 2 + spread)
-        for l in range(t + 1, t + 2 + spread)
-        for n in range(max(l + 2, k + 1, l + 1), n_max + 1)
+        for t in (1, 2, 3)
+        for k in range(t + 1, t + 5)
+        for l in range(t + 1, t + 5)
+        for n in range(max(l + 2, k + 1), 17)
     ]
 
 
-def verify_grid(kinds=PAIR_KINDS, grid=None, check_maximal: bool = False) -> list[dict]:
+def verify_grid(kinds, grid, check_maximal: bool) -> list[dict]:
     """Run verify_construction for every kind at every grid point; reports
     arrive sorted by (kind, point) so reruns are byte-identical."""
-    pts = sorted(grid) if grid is not None else default_grid()
+    pts = sorted(grid)
     out = []
     for kind in sorted(kinds):
         for t, k, l, n in pts:

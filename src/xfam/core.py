@@ -257,8 +257,6 @@ class Family:
         return u
 
     def common_mask(self) -> int:
-        if not self.members:
-            return full_mask(self.n)
         c = full_mask(self.n)
         for m in self.members:
             c &= m
@@ -377,15 +375,12 @@ def covering_number(family: Family, t: int) -> CoverStructure:
     return CoverStructure(size, covers, reduce(or_, covers, 0))
 
 
-def star(family: Family, m: int, t: int, universe: int | None = None) -> Family:
+def star(family: Family, m: int, t: int) -> Family:
     """The largest m-uniform family cross-t-intersecting with `family`.
 
     Antitone in the input; star of the empty family is the complete family.
-    `universe` restricts candidate members to subsets of the given mask.
     """
-    if universe is None:
-        universe = full_mask(family.n)
-    return Family(family.n, m, select(subsets(universe, m), family.members, t))
+    return Family(family.n, m, select(subsets(full_mask(family.n), m), family.members, t))
 
 
 def closure_pair(F: Family, G: Family, t: int) -> tuple[Family, Family]:
@@ -431,6 +426,7 @@ def family_to_text(family: Family) -> str:
 def family_from_text(text: str) -> Family:
     n = k = None
     rows: list[tuple[int, ...]] = []
+    lines: list[str] = []  # "line <number> (<text>)" of each row, for errors
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
         if not line:
@@ -442,11 +438,15 @@ def family_from_text(text: str) -> Family:
                 elif token.startswith("k="):
                     k = int(token[2:])
             continue
-        rows.append(tuple(sorted(int(x) for x in line.split())))
+        lines.append(f"line {lineno} ({line!r})")
+        try:
+            rows.append(tuple(sorted(int(x) for x in line.split())))
+        except ValueError:
+            raise ValueError(f"{lines[-1]}: elements must be integers") from None
         if not all(1 <= e <= MAX_GROUND_SET for e in rows[-1]):
-            raise ValueError(f"line {lineno} ({line!r}): elements must lie in 1..{MAX_GROUND_SET}")
+            raise ValueError(f"{lines[-1]}: elements must lie in 1..{MAX_GROUND_SET}")
         if len(set(rows[-1])) < len(rows[-1]):
-            raise ValueError(f"line {lineno} ({line!r}): repeats an element")
+            raise ValueError(f"{lines[-1]}: repeats an element")
     if rows:
         sizes = {len(r) for r in rows}
         if len(sizes) != 1:
@@ -460,6 +460,10 @@ def family_from_text(text: str) -> Family:
         raise ValueError(f"header says k={k} but members have size {inferred_k}")
     if n is None:
         n = max((max(r) for r in rows), default=0)
+    else:
+        for where, row in zip(lines, rows):
+            if row[-1] > n:
+                raise ValueError(f"{where}: element {row[-1]} lies above the header's n={n}")
     return Family.from_sets(n, inferred_k, rows)
 
 

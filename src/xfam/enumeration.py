@@ -55,13 +55,11 @@ COVER_CHUNK = 1 << 16  # cover-row tests (cliques x cover rows) per block of the
 _PACK = 2048  # masks per bytes conversion in _words
 
 
-def _check_budget(counted: str, nverts: int) -> None:
-    """Refuse a graph on `nverts` vertices before its rows are built: they
-    take nverts^2 comparisons. `counted` says how the vertices were counted."""
-    if nverts * nverts > BUDGET:
-        raise ValueError(
-            f"{counted} = {nverts:,} vertices need {nverts * nverts:,} comparisons, over the budget of {BUDGET:,}"
-        )
+def _check_budget(what: str, comparisons: int) -> None:
+    """Refuse a table of `comparisons` comparisons before it is built; `what`
+    names the rows and vertices compared."""
+    if comparisons > BUDGET:
+        raise ValueError(f"{what} need {comparisons:,} comparisons, over the budget of {BUDGET:,}")
 
 
 def _meeting(universe: int, v0: int, size: int, t: int) -> list[tuple[int, int]]:
@@ -180,15 +178,17 @@ def _coloured_cliques(
     the cliques holding v0 are walked."""
     m = universe.bit_count()
     counted = " + ".join(f"C({m},{size})" for size in sizes)
-    if not through_v0:
-        _check_budget(counted, sum(comb(m, size) for size in sizes))
-        blocks = [subsets(universe, size).masks for size in sizes]
+    v0 = sum(1 << i for i in islice(_bits(universe), sizes[0]))
+    if through_v0:
+        counted = f"N[{_set_text(v0)}] in {counted}"
+        nverts = comb(m, sizes[0]) + sum(c for size in sizes[1:] for _, c in _meeting(universe, v0, size, t))
     else:
-        v0 = sum(1 << i for i in islice(_bits(universe), sizes[0]))
-        others = sum(c for size in sizes[1:] for _, c in _meeting(universe, v0, size, t))
-        _check_budget(f"N[{_set_text(v0)}] in {counted}", comb(m, sizes[0]) + others)
-        blocks = [subsets(universe, sizes[0]).masks]
-        blocks += [_neighbourhood(universe, v0, size, t) for size in sizes[1:]]
+        nverts = sum(comb(m, size) for size in sizes)
+    _check_budget(f"{counted} = {nverts:,} vertices", nverts * nverts)
+    blocks = [subsets(universe, sizes[0]).masks]
+    blocks += [
+        _neighbourhood(universe, v0, size, t) if through_v0 else subsets(universe, size).masks for size in sizes[1:]
+    ]
     verts = [R for block in blocks for R in block]
     rows: list[int] = []
     colours = []
@@ -222,13 +222,13 @@ def maximal_cliques(n: int, k: int, t: int, through_v0: bool = False) -> tuple[t
     With `through_v0`, only the k-sets in N[v0], those meeting v0 = {1..k}
     in >= t elements (v0 first), and only the families holding v0."""
     validate_params(n, k, t)
+    v0 = full_mask(k)
     if through_v0:
-        v0 = full_mask(k)
-        _check_budget(f"N[{_set_text(v0)}] in C({n},{k})", sum(c for _, c in _meeting(full_mask(n), v0, k, t)))
-        verts = tuple(_neighbourhood(full_mask(n), v0, k, t))
+        counted, nverts = f"N[{_set_text(v0)}] in C({n},{k})", sum(c for _, c in _meeting(full_mask(n), v0, k, t))
     else:
-        _check_budget(f"C({n},{k})", comb(n, k))
-        verts = subsets(full_mask(n), k).masks
+        counted, nverts = f"C({n},{k})", comb(n, k)
+    _check_budget(f"{counted} = {nverts:,} vertices", nverts * nverts)
+    verts = tuple(_neighbourhood(full_mask(n), v0, k, t)) if through_v0 else subsets(full_mask(n), k).masks
     rows = [row & ~(1 << i) for i, row in enumerate(_compat_rows(verts, verts, t))]
     return verts, _bron_kerbosch(rows, len(verts), 0 if through_v0 else None)
 
@@ -270,11 +270,7 @@ def _min_cover_matrix(n: int, t: int, verts: Sequence[int], cliques: Sequence[in
     C(n, t) + C(n, t+1) cover rows take one comparison per vertex each,
     counted against BUDGET before any cover table."""
     nrows = comb(n, t) + comb(n, t + 1)
-    if nrows * len(verts) > BUDGET:
-        raise ValueError(
-            f"C({n},{t}) + C({n},{t + 1}) = {nrows:,} cover rows of {len(verts):,} vertices need "
-            f"{nrows * len(verts):,} comparisons, over the budget of {BUDGET:,}"
-        )
+    _check_budget(f"C({n},{t}) + C({n},{t + 1}) = {nrows:,} cover rows of {len(verts):,} vertices", nrows * len(verts))
     full = (1 << len(verts)) - 1
     nwords = -(-len(verts) // 64)
 

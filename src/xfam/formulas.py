@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 
 def binom(n: int, r: int) -> int:
@@ -84,20 +84,19 @@ def eval_f(m: int, k: int, l: int, n: int, t: int, rational: bool = False) -> in
 
 def eval_tau_bound(side: str, tau_f: int, tau_g: int, k: int, l: int, n: int, t: int) -> int:
     """Upper bound on the size of one side of a maximal cross-t-intersecting
-    pair, as a function of both covering numbers (both branches)."""
+    pair, as a function of both covering numbers (both branches). The G
+    bound is the F bound with the sides swapped."""
     if side == "F":
-        if tau_g == t + 1:
-            return (l - t + 1) * binom(tau_f, t) * binom(n - t - 1, k - t - 1)
-        if tau_g >= t + 2:
-            return l ** (tau_g - t - 2) * (l - t + 1) ** 2 * binom(tau_f, t) * binom(n - tau_g, k - tau_g)
-        raise ValueError(f"tau_g={tau_g} below t+1")
-    if side == "G":
-        if tau_f == t + 1:
-            return (k - t + 1) * binom(tau_g, t) * binom(n - t - 1, l - t - 1)
-        if tau_f >= t + 2:
-            return k ** (tau_f - t - 2) * (k - t + 1) ** 2 * binom(tau_g, t) * binom(n - tau_f, l - tau_f)
-        raise ValueError(f"tau_f={tau_f} below t+1")
-    raise ValueError(f"side must be 'F' or 'G', got {side!r}")
+        tau, other, x, y, other_name = tau_f, tau_g, k, l, "tau_g"
+    elif side == "G":
+        tau, other, x, y, other_name = tau_g, tau_f, l, k, "tau_f"
+    else:
+        raise ValueError(f"side must be 'F' or 'G', got {side!r}")
+    if other == t + 1:
+        return (y - t + 1) * binom(tau, t) * binom(n - t - 1, x - t - 1)
+    if other >= t + 2:
+        return y ** (other - t - 2) * (y - t + 1) ** 2 * binom(tau, t) * binom(n - other, x - other)
+    raise ValueError(f"{other_name}={other} below t+1")
 
 
 def n_threshold(k: int, l: int, t: int) -> int:
@@ -387,13 +386,13 @@ _AUDITORS: dict[str, Callable[[int, int, int, int], list[AuditPoint]]] = {
 ALL_LEMMAS = tuple(_AUDITORS)
 
 
-def default_grid(t_values: Iterable[int] = (1, 2, 3), spread: int = 4) -> list[tuple[int, int, int, int]]:
-    """t in {1,2,3}, k,l in [t+1, t+1+spread], n in {N, N+1, 2N} at the
-    threshold N for the point."""
+def default_grid() -> list[tuple[int, int, int, int]]:
+    """t in {1,2,3}, k,l in [t+1, t+5], n in {N, N+1, 2N} at the threshold N
+    for the point."""
     grid = []
-    for t in t_values:
-        for k in range(t + 1, t + 2 + spread):
-            for l in range(t + 1, t + 2 + spread):
+    for t in (1, 2, 3):
+        for k in range(t + 1, t + 6):
+            for l in range(t + 1, t + 6):
                 base = n_threshold(k, l, t)
                 for n in (base, base + 1, 2 * base):
                     grid.append((t, k, l, n))
@@ -419,25 +418,21 @@ def audit_lemma(lemma: str, grid: Sequence[tuple[int, int, int, int]] | None = N
 # ---------------------------------------------------------------------------
 # leading-term convergence
 
-# the audit's pair products, keyed (t, k, l, n); BB has the sizes of AA at t = 1
-_PAIR_PRODUCTS: dict[str, Callable[[int, int, int, int], int]] = {
-    "AA": _aa,
-    "HH": _hh,
-    "CC": _cc,
-    "BB": lambda t, k, l, n: _aa(1, k, l, n),
+# each extremal pair of Theorem 1.1: its size product, called (t, k, l, n),
+# and the leading constant its normalized product tends to, called (t, k, l);
+# BB has the sizes of AA at t = 1
+PAIR_FORMULAS: dict[str, tuple[Callable[[int, int, int, int], int], Callable[[int, int, int], int]]] = {
+    "AA": (_aa, lambda t, k, l: (t + 2) ** 2),
+    "BB": (lambda t, k, l, n: _aa(1, k, l, n), lambda t, k, l: 9),
+    "CC": (_cc, lambda t, k, l: (t + 1) * (l - t) + 1),
+    "HH": (_hh, lambda t, k, l: (k - t + 1) * (l - t + 1)),
 }
 
 
 def leading_constant(pair_kind: str, k: int, l: int, t: int) -> int:
-    if pair_kind == "AA":
-        return (t + 2) ** 2
-    if pair_kind == "HH":
-        return (k - t + 1) * (l - t + 1)
-    if pair_kind == "CC":
-        return (t + 1) * (l - t) + 1
-    if pair_kind == "BB":
-        return 9
-    raise ValueError(f"unknown pair kind {pair_kind!r}")
+    if pair_kind not in PAIR_FORMULAS:
+        raise ValueError(f"unknown pair kind {pair_kind!r}")
+    return PAIR_FORMULAS[pair_kind][1](t, k, l)
 
 
 def leading_constant_check(
@@ -450,8 +445,7 @@ def leading_constant_check(
 ) -> dict:
     """Normalized size product along n_sequence, compared with the limit
     constant; passes when the relative gap at the largest n is within tol."""
-    if pair_kind not in _PAIR_PRODUCTS:
-        raise ValueError(f"unknown pair kind {pair_kind!r}")
+    c = leading_constant(pair_kind, k, l, t)
     if pair_kind == "BB" and t != 1:
         raise ValueError("the three-interval pair only exists at t = 1")
     if min(k, l) < t + 2:
@@ -460,10 +454,9 @@ def leading_constant_check(
         raise ValueError("need at least one ground-set size, each n >= 1")
     exponent = k + l - 2 * t - 2
     scale = math.factorial(k - t - 1) * math.factorial(l - t - 1)
-    c = leading_constant(pair_kind, k, l, t)
     rows = []
     for n in sorted(n_sequence):
-        product = _PAIR_PRODUCTS[pair_kind](t, k, l, n)
+        product = PAIR_FORMULAS[pair_kind][0](t, k, l, n)
         ratio = Fraction(product * scale, n**exponent)
         rows.append({"n": n, "product": str(product), "ratio": ratio})
     final_gap = abs(rows[-1]["ratio"] - c) / c

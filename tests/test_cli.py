@@ -1,7 +1,11 @@
+import argparse
+import inspect
 import json
+import re
 import sys
 import time
 from math import comb
+from pathlib import Path
 
 import xfam.classify
 import xfam.cli
@@ -182,10 +186,13 @@ def test_usage_errors_exit_2(capsys, tmp_path):
         path.write_text(bad + "\n")
         code, out, err = run(capsys, "classify", "--in", str(path), "--theorem", "1.2", "--t", "1")
         assert code == 2 and out == "" and f"line {lineno}" in err and "1..64" in err, bad
-    # as is a line that repeats an element
+    # as is a line that repeats an element, and one with a token that is no integer
     path.write_text("1 1 2\n1 2 3\n")
     code, out, err = run(capsys, "classify", "--in", str(path), "--theorem", "1.2", "--t", "1")
     assert code == 2 and out == "" and "line 1" in err and "repeats an element" in err
+    path.write_text("1 a 2\n")
+    code, out, err = run(capsys, "classify", "--in", str(path), "--theorem", "1.2", "--t", "1")
+    assert code == 2 and out == "" and err.startswith("error: line 1 ('1 a 2'): ")
     # every usage error goes through main's one "error: " path
     for argv, message in (
         (("eval", "--formula", "a", "--args", "x3", "t=1", "n=259"), "bad argument 'x3'"),
@@ -194,6 +201,44 @@ def test_usage_errors_exit_2(capsys, tmp_path):
     ):
         code, out, err = run(capsys, *argv)
         assert code == 2 and out == "" and err.startswith("error: ") and message in err, argv
+
+
+def test_header_n_below_an_element_exits_2(capsys, tmp_path):
+    path = tmp_path / "bad.txt"
+    path.write_text("# n=3 k=2\n1 5\n")
+    code, out, err = run(capsys, "classify", "--in", str(path), "--theorem", "1.2", "--t", "1")
+    assert code == 2 and out == "" and err.startswith("error: line 2 ('1 5'): ") and "n=3" in err
+
+
+def test_eval_lists_missing_arguments_in_signature_order(capsys):
+    # side, the first parameter of tau-bound, defaults to 0 (F) on the command line
+    expected = {
+        "g": "m, x, y, t, n",
+        "a": "x, t, n",
+        "c1": "y, t, n",
+        "c2": "x, y, t, n",
+        "h": "x, y, t, n",
+        "f": "m, k, l, n, t",
+        "tilde-a": "x, t, n",
+        "tilde-h": "x, y, t, n",
+        "tilde-g": "m, x, y, t, n",
+        "tilde-c1c2": "x, y, t, n",
+        "tau-bound": "tau_f, tau_g, k, l, n, t",
+    }
+    assert sorted(expected) == sorted(xfam.cli._FORMULAS)
+    for formula, names in expected.items():
+        code, out, err = run(capsys, "eval", "--formula", formula)
+        assert code == 2 and out == "" and err == f"error: missing arguments: {names}\n", formula
+
+
+def test_readme_library_api_names_every_export():
+    # the backticked names of README's Library API paragraph, less the CLI
+    # commands, the package and the benchmark workload it names
+    section = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8").split("## Library API")[1]
+    named = set(re.findall(r"`([^`]+)`", section.split("\n## ")[0]))
+    (commands,) = [a.choices for a in xfam.cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    exports = {name for name, value in vars(xfam).items() if not name.startswith("_") and not inspect.ismodule(value)}
+    assert named - set(commands) - {"xfam", "iso"} == exports
 
 
 def test_tau_bound_side(capsys):

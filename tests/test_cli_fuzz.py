@@ -12,7 +12,7 @@ import io
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from xfam.cli import _FORMULAS, main
+from xfam.cli import _FORMULAS, _arguments, main
 from xfam.formulas import ALL_LEMMAS
 
 OUT_OF_RANGE = st.sampled_from([-1, 0, 65])
@@ -86,7 +86,7 @@ def command(name, required, optional=None, always=None, sep=" "):
 
 def eval_argv():
     def with_args(formula):
-        names = _FORMULAS[formula][1] if formula in _FORMULAS else ("x",)
+        names = _arguments(_FORMULAS[formula]) if formula in _FORMULAS else ("x",)
         args = command("eval", {x: mostly(num(0, 6), JUNK) for x in names}, {"z": num(0, 6)}, sep="=")
         return args.map(lambda words: ["eval", "--formula", formula, "--args", *words[1:]])
 

@@ -16,6 +16,7 @@ from xfam.formulas import (
     eval_g,
     eval_h,
     eval_tau_bound,
+    leading_constant,
     leading_constant_check,
     n_threshold,
     tilde_a,
@@ -84,6 +85,27 @@ def test_tau_bound():
         eval_tau_bound("X", 2, 2, 2, 2, 259, 1)
 
 
+def test_tau_bound_sides_swap():
+    # the G bound is the F bound with the sides swapped, and equals the G
+    # branch as the paper states it
+    for t in (1, 2):
+        for k in range(t + 1, t + 4):
+            for l in range(t + 1, t + 4):
+                for tf in range(t + 1, l + 2):
+                    for tg in range(t + 1, k + 2):
+                        n = 4 * (k + l)
+                        g = eval_tau_bound("G", tf, tg, k, l, n, t)
+                        assert eval_tau_bound("F", tg, tf, l, k, n, t) == g
+                        if tf == t + 1:
+                            assert g == (k - t + 1) * binom(tg, t) * binom(n - t - 1, l - t - 1)
+                        else:
+                            assert g == k ** (tf - t - 2) * (k - t + 1) ** 2 * binom(tg, t) * binom(n - tf, l - tf)
+    with pytest.raises(ValueError, match=r"^tau_g=1 below t\+1$"):
+        eval_tau_bound("F", 2, 1, 2, 2, 259, 1)
+    with pytest.raises(ValueError, match=r"^tau_f=1 below t\+1$"):
+        eval_tau_bound("G", 1, 2, 2, 2, 259, 1)
+
+
 def test_n_threshold():
     assert n_threshold(2, 2, 1) == 259
     assert n_threshold(3, 2, 1) == 604
@@ -114,7 +136,8 @@ def test_audit_examples():
 
 
 def test_audit_determinism():
-    grid = default_grid(t_values=(1,), spread=2)
+    bases = {(k, l): n_threshold(k, l, 1) for k in (2, 3, 4) for l in (2, 3, 4)}
+    grid = [(1, k, l, n) for (k, l), base in bases.items() for n in (base, base + 1, 2 * base)]
     a = audit_lemma("4.3i", grid)
     b = audit_lemma("4.3i", grid)
     assert a.points == b.points
@@ -139,6 +162,18 @@ def test_three_cover_size_identity():
                 )
                 via_a = eval_a(k, t, n) - (t - 1) * binom(n - t - 3, k - t - 1)
                 assert direct == via_a
+
+
+def test_leading_constant():
+    for t in (1, 2, 3):
+        for k in range(t + 2, t + 5):
+            for l in range(t + 2, t + 5):
+                assert leading_constant("AA", k, l, t) == (t + 2) ** 2
+                assert leading_constant("HH", k, l, t) == (k - t + 1) * (l - t + 1)
+                assert leading_constant("CC", k, l, t) == (t + 1) * (l - t) + 1
+                assert leading_constant("BB", k, l, t) == 9
+    with pytest.raises(ValueError, match="unknown pair kind 'DD'"):
+        leading_constant("DD", 3, 3, 1)
 
 
 def test_leading_constant_check():
