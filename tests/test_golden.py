@@ -26,6 +26,11 @@ CASES = {
     "verify-constructions-small": [
         ["verify-constructions", "--maximal", "--grid", "t=1,2;k=t+1..t+2;l=t+1..t+2;n=l+2..8"],
     ],
+    # every pair kind, DD (outside the default kinds) included, at points
+    # holding both (k, l) and (l, k), so both orders of one pair's stars
+    "verify-constructions-kinds": [
+        ["verify-constructions", "--maximal", "--kinds", "AA,BB,CC,DD,HH", "--grid", "t=1,2;k=t+1..t+2;l=t+1..t+2;n=l+2..8"],
+    ],
     # star and covering sweeps on families large enough for the numpy branch
     "verify-constructions-n12": [
         ["verify-constructions", "--maximal", "--grid", "t=1;k=4;l=4;n=12"],
@@ -107,6 +112,7 @@ GOLDEN = {
     "search-equal-sizes": "4354fd1daa534b7916891fb3951ebe7e68e7f00dd5e1e1e3e4d68952ceddba7c",
     "search-none-qualifies": "2443ff992868c04b83f5bb37a91f7d2daa8a38a7785f176fde2904a3c1704f88",
     "threshold": "857089a9b70b38f1a73771efea60119d0f17639bfb6c36c579ce0e5f4dc71e01",
+    "verify-constructions-kinds": "36f9535debf0d642659676baa6ba6b25da1bdd76d85e6f7b5cd5a13cd26b4fc2",
     "verify-constructions-n12": "4240a0c09d6f21d5ee65283fcb284da26d1fd5097af6ce63c1c7773c33e9ac20",
     "verify-constructions-small": "5427cf4091bde85ce41c0a17db6057cf3bc12d3a3518250e77976c36505218ea",
 }
