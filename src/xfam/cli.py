@@ -51,16 +51,57 @@ from .formulas import (
 )
 
 
-def _jsonable(value):
-    if isinstance(value, Fraction):
-        return f"{value.numerator}/{value.denominator}"
-    if isinstance(value, int) and abs(value) >= 2**53:
-        return str(value)
-    if isinstance(value, dict):
-        return {k: _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    return value
+_quote = json.encoder.encode_basestring_ascii  # the escaper json.dumps uses
+
+
+def _dumps(value) -> str:
+    """The text of json.dumps(value, indent=2, sort_keys=True), with each
+    Fraction written as "p/q" and each int of 2^53 or more in size as a
+    decimal string, built in one list and joined once. Dict keys must be
+    strings; a float, a set or any other type raises TypeError."""
+    parts: list[str] = []
+    _dump(value, "", parts.append)
+    return "".join(parts)
+
+
+def _dump(v, indent: str, append) -> None:
+    """Append the pieces of `v`'s text, its nested lines indented past `indent`."""
+    if isinstance(v, str):
+        append(_quote(v))
+    elif v is None or v is True or v is False:
+        append("null" if v is None else "true" if v else "false")
+    elif isinstance(v, int):
+        append(f'"{v}"' if abs(v) >= 2**53 else str(v))
+    elif isinstance(v, Fraction):
+        append(f'"{v.numerator}/{v.denominator}"')
+    elif isinstance(v, dict):
+        if not v:
+            append("{}")
+            return
+        inner = indent + "  "
+        sep, rest = "{\n" + inner, ",\n" + inner
+        for key in sorted(v):
+            if not isinstance(key, str):
+                raise TypeError(f"report keys must be strings, got {key!r}")
+            append(sep)
+            append(_quote(key))
+            append(": ")
+            _dump(v[key], inner, append)
+            sep = rest
+        append("\n" + indent + "}")
+    elif isinstance(v, (list, tuple)):
+        if not v:
+            append("[]")
+            return
+        inner = indent + "  "
+        sep, rest = "[\n" + inner, ",\n" + inner
+        for item in v:
+            append(sep)
+            _dump(item, inner, append)
+            sep = rest
+        append("\n" + indent + "]")
+    else:
+        raise TypeError(f"a report cannot hold {type(v).__name__} {v!r}")
 
 
 def _write(text: str, out: str | None) -> None:
@@ -76,7 +117,7 @@ def _write(text: str, out: str | None) -> None:
 
 
 def _emit(payload: dict, out: str | None) -> None:
-    _write(json.dumps(_jsonable(payload), indent=2, sort_keys=True) + "\n", out)
+    _write(_dumps(payload) + "\n", out)
 
 
 def _report(command: str, params: dict, results, verdict: bool) -> dict:

@@ -8,10 +8,14 @@ generators here place the anchors at the low indices of [n]; closed-form
 sizes live in `formulas` and the test suite cross-checks both paths against
 inclusion-exclusion counts.
 
-`verify_construction` caches each built family's covers across pairs and
-computes one star per pair: since F's members are k-subsets of [n], F and G are
-cross t-intersecting iff F lies inside star(G, k), and the pair is a star
-fixed point iff that star equals F and star(F, l) equals G.
+`verify_construction` caches each built family's covers across pairs, and
+for each ordered (family, partner) two facts about star(partner, |family|):
+whether the family lies inside it and whether it equals it. Since F's members
+are k-subsets of [n], F and G are cross t-intersecting iff F lies inside
+star(G, k), and the pair is a star fixed point iff that star equals F and
+star(F, l) equals G; star(F, l) is computed only when the first star equals
+F. An AA or HH pair at (t, l, k, n) holds the two sides of the pair at
+(t, k, l, n) in swapped order, so it reads both facts from the cache.
 
 Kinds, by their anchor sets:
   A(M0)        - M0 alone, met in t+1 elements;
@@ -274,18 +278,26 @@ def _covers(family: Family, t: int) -> CoverStructure:
     return covering_number(family, t)
 
 
+@lru_cache(maxsize=4096)
+def _in_star(X: Family, Y: Family, t: int) -> tuple[bool, bool]:
+    """Whether X lies inside star(Y, |X|), and whether it equals it. The
+    cache keeps these two booleans, not the star."""
+    star = select(subsets(full_mask(X.n), X.k), Y.members, t)
+    fixed = star == X.members
+    return fixed or set(star).issuperset(X.members), fixed
+
+
 def verify_construction(spec: ConstructionSpec, partner: ConstructionSpec, check_maximal: bool = True) -> dict:
     """Verify one pair: sizes match the closed forms, the pair is cross
     t-intersecting, both covering numbers equal t+1, and (measured, not
     required) the pair is a closure fixed point."""
     t = spec.t
     F, G = spec.build(), partner.build()
-    # star(G, k): every k-set cross t-intersecting with G, F's members among them
-    star_g = select(subsets(full_mask(F.n), F.k), G.members, t)
+    inside, fixed = _in_star(F, G, t)
     checks = {
         "size_first": len(F) == spec.closed_form(),
         "size_second": len(G) == partner.closed_form(),
-        "cross_intersecting": set(star_g).issuperset(F.members),
+        "cross_intersecting": inside,
         "tau_first": _covers(F, t).tau == t + 1,
         "tau_second": _covers(G, t).tau == t + 1,
     }
@@ -296,9 +308,8 @@ def verify_construction(spec: ConstructionSpec, partner: ConstructionSpec, check
         "pass": all(checks.values()),
     }
     if check_maximal:
-        report["maximal_measured"] = star_g == F.members and (
-            select(subsets(full_mask(G.n), G.k), F.members, t) == G.members
-        )
+        # star(F, l) is computed only when star(G, k) is F itself
+        report["maximal_measured"] = fixed and _in_star(G, F, t)[1]
     return report
 
 

@@ -433,10 +433,15 @@ def family_from_text(text: str) -> Family:
             continue
         if line.startswith("#"):
             for token in line[1:].replace(",", " ").split():
-                if token.startswith("n="):
-                    n = int(token[2:])
-                elif token.startswith("k="):
-                    k = int(token[2:])
+                name, value = token[:2], token[2:]
+                if name not in ("n=", "k="):
+                    continue
+                if not (value.isascii() and value.isdigit() and int(value) <= MAX_GROUND_SET):
+                    raise ValueError(f"line {lineno} ({line!r}): {name[0]} must be an integer in 0..{MAX_GROUND_SET}")
+                if name == "n=":
+                    n = int(value)
+                else:
+                    k = int(value)
             continue
         lines.append(f"line {lineno} ({line!r})")
         try:

@@ -44,9 +44,13 @@ containment decision in `xfam.classify_fact_2_1`.
 `verify_construction_reference` is the pair verifier in its recomputing
 shape (`covering_number` on each side per call, `is_cross_t_intersecting`
 and `is_maximal_pair`), kept as the oracle of `verify_construction`, which
-caches covers and reads the cross check off one star. `audit_42iv_reference`
-is the Lemma 4.2(iv) auditor as a `Fraction` double loop, the oracle of the
-integer-gap `formulas._audit_42iv`.
+caches covers and reads the cross check and the fixed point off cached star
+tests. `audit_42iv_reference` is the Lemma 4.2(iv) auditor as a `Fraction`
+double loop, the oracle of the integer-gap `formulas._audit_42iv`.
+
+`jsonable_reference` is the report converter the CLI once ran before
+`json.dumps(..., indent=2, sort_keys=True)`, kept as the oracle of the
+direct writer `xfam.cli._dumps`.
 """
 
 from __future__ import annotations
@@ -827,3 +831,17 @@ def audit_42iv_reference(t: int, k: int, l: int, n: int) -> list[AuditPoint]:
                 worst_gap, worst = gap, (lhs, rhs, m, mp)
     assert worst is not None
     return [_point({**params, "m": worst[2], "m'": worst[3], "m_max": cap}, True, worst[0], worst[1])]
+
+
+def jsonable_reference(value):
+    """`value` with each Fraction as "p/q" and each int of 2^53 or more in
+    size as a decimal string, ready for json.dumps."""
+    if isinstance(value, Fraction):
+        return f"{value.numerator}/{value.denominator}"
+    if isinstance(value, int) and abs(value) >= 2**53:
+        return str(value)
+    if isinstance(value, dict):
+        return {k: jsonable_reference(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [jsonable_reference(v) for v in value]
+    return value

@@ -4,15 +4,20 @@ import json
 import re
 import sys
 import time
+from fractions import Fraction
 from math import comb
 from pathlib import Path
+
+import pytest
+from helpers import jsonable_reference
+from hypothesis import example, given, settings, strategies as st
 
 import xfam.classify
 import xfam.cli
 import xfam.core
 import xfam.enumeration
 from xfam import Family, covering_number, is_cross_t_intersecting, is_maximal_pair
-from xfam.cli import main
+from xfam.cli import _dumps, main
 
 
 def run(capsys, *argv):
@@ -412,3 +417,41 @@ def test_classify_all_calls_no_covering_number(capsys, monkeypatch, tmp_path):
     assert (len(matched), len(built)) == (0, 0)
     Family(3, 1, (1,))
     assert len(built) == 1  # the counter sees a construction
+
+
+EDGE_INTS = [sign * (2**53 + d) for sign in (1, -1) for d in (-1, 0)]
+REPORT_LEAVES = st.one_of(
+    st.text(),
+    st.sampled_from(['"', "\\", "\x00\x1f\x7f", "\u00e9\u2014\U0001d11e", "a\"b\\c\nd\te"]),
+    st.integers(),
+    st.sampled_from(EDGE_INTS),
+    st.fractions(),
+    st.booleans(),
+    st.none(),
+)
+REPORTS = st.recursive(
+    REPORT_LEAVES,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        st.dictionaries(st.text(), inner, max_size=4),
+    ),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(REPORTS)
+@example({})
+@example([])
+@example(())
+@example({"": {"b": [], "a": ()}, "\u00e9": [{}, EDGE_INTS, Fraction(-7, 3)]})
+def test_report_writer_matches_json_dumps(value):
+    assert _dumps(value) == json.dumps(jsonable_reference(value), indent=2, sort_keys=True)
+
+
+def test_report_writer_refuses_what_no_report_holds():
+    # the lab has no floating point; sets and non-string keys have no JSON order
+    for value in (1.5, {"a": [0.0]}, {1, 2}, [frozenset()], {1: "a"}, {"a": {None: 1}}):
+        with pytest.raises(TypeError):
+            _dumps(value)

@@ -169,3 +169,12 @@ def test_cli_never_crashes(family_file):
         assert "Traceback" not in err, argv
 
     check()
+
+
+@pytest.mark.parametrize("header", ["# n=x", "# n=-3", "# n=65", "# n=6 k=1.5", "# n=6 k=-1", "# k=99"])
+def test_bad_header_names_its_line(tmp_path, header):
+    path = tmp_path / "fam.txt"
+    path.write_text(f"{header}\n1 2\n")
+    code, err = run_cli(["classify", "--in", str(path), "--theorem", "1.2", "--t", "1"])
+    assert code == 2 and err.startswith(f"error: line 1 ({header!r}): "), err
+    assert "must be an integer in 0..64" in err

@@ -39,10 +39,11 @@ from xfam.constructions import (
     _c1_members,
     _c2_members,
     _h_members,
+    _in_star,
     default_D_anchors,
     default_grid,
 )
-from xfam.core import select, subsets
+from xfam.core import is_maximal_pair, select, subsets
 from xfam.formulas import binom, eval_a, eval_c1, eval_c2, eval_h
 
 
@@ -358,6 +359,37 @@ def test_verify_construction_matches_recomputing_oracle():
         rep = verify_construction(spec, partner, check_maximal)
         assert rep == verify_construction_reference(spec, partner, check_maximal)
         assert not rep["checks"]["tau_first"] and rep["checks"]["tau_second"]
+
+
+def test_star_tests_match_core_in_both_orders():
+    # every pair kind, DD included, at points holding (k, l) and (l, k); the
+    # pair is verified as built and with its sides swapped, and the swapped
+    # order (like the AA and HH pairs at (t, l, k, n)) reads the cache
+    _in_star.cache_clear()
+    kinds = {}
+    for kind in (*PAIR_KINDS, "DD"):
+        for t in (1, 2):
+            for k in (t + 1, t + 2):
+                for l in (t + 1, t + 2):
+                    for n in range(l + 2, 9):
+                        if kind == "BB" and t != 1:
+                            continue
+                        spec, partner = construction_pair(kind, n, k, l, t)
+                        F, G = spec.build(), partner.build()
+                        cross, maximal = is_cross_t_intersecting(F, G, t), is_maximal_pair(F, G, t)
+                        for first, second in ((spec, partner), (partner, spec)):
+                            rep = verify_construction(first, second)
+                            assert rep["checks"]["cross_intersecting"] == cross, (kind, t, k, l, n)
+                            assert rep["maximal_measured"] == maximal, (kind, t, k, l, n)
+                        kinds.setdefault(kind, set()).add(maximal)
+    # each kind meets both outcomes of the fixed-point test on this grid
+    assert kinds == {kind: {False, True} for kind in (*PAIR_KINDS, "DD")}
+    assert _in_star.cache_info().hits > 0
+    # a pair that is not cross t-intersecting, in both orders
+    spec, partner = ConstructionSpec("A", 8, 3, 1), ConstructionSpec("B", 8, 3, 1, quad=(5, 6, 7, 8))
+    for first, second in ((spec, partner), (partner, spec)):
+        rep = verify_construction(first, second)
+        assert rep["checks"]["cross_intersecting"] is False and rep["maximal_measured"] is False
 
 
 def test_spec_validation():
