@@ -52,6 +52,14 @@ CASES = {
     "search-none-qualifies": [
         ["search", "--n", "6", "--k1", "2", "--k2", "3", "--t", "1", "--min-tau", "3"],
     ],
+    # min-tau t+2 with a qualifying pair at (5,3,3,1) and (6,4,4,2), so the
+    # (t+1)-sets keep a clique; min-tau = n, where none qualifies; min-tau 0
+    "search-tau-edges": [
+        ["search", "--n", "5", "--k1", "3", "--k2", "3", "--t", "1", "--min-tau", "3"],
+        ["search", "--n", "6", "--k1", "4", "--k2", "4", "--t", "2", "--min-tau", "4"],
+        ["search", "--n", "4", "--k1", "2", "--k2", "2", "--t", "1", "--min-tau", "4"],
+        ["search", "--n", "5", "--k1", "2", "--k2", "2", "--t", "1", "--min-tau", "0"],
+    ],
     "classify": [
         ["construct", "--kind", "A", "--n", "7", "--k", "3", "--t", "1", "--out", "a.txt"],
         ["classify", "--in", "a.txt", "--theorem", "1.2", "--t", "1"],
@@ -111,6 +119,7 @@ GOLDEN = {
     "search": "0f711bacfd11b527fc0395021815f745188db78d024a96750820c1fe2cac95c8",
     "search-equal-sizes": "4354fd1daa534b7916891fb3951ebe7e68e7f00dd5e1e1e3e4d68952ceddba7c",
     "search-none-qualifies": "2443ff992868c04b83f5bb37a91f7d2daa8a38a7785f176fde2904a3c1704f88",
+    "search-tau-edges": "990f8aa255639baec612ae42332b3b09343db69fc776ef11d923781f676cce0c",
     "threshold": "857089a9b70b38f1a73771efea60119d0f17639bfb6c36c579ce0e5f4dc71e01",
     "verify-constructions-kinds": "36f9535debf0d642659676baa6ba6b25da1bdd76d85e6f7b5cd5a13cd26b4fc2",
     "verify-constructions-n12": "4240a0c09d6f21d5ee65283fcb284da26d1fd5097af6ce63c1c7773c33e9ac20",
