@@ -43,7 +43,7 @@ print(f"star of {{{{1,2}}}} among 2-sets of [4]: {st.to_sets()}")
 print("only {3,4} is missing: it is disjoint from the seed.")
 
 print()
-print("Closure: alternate star applications until a fixed point")
+print("Closure: one star each way reaches a maximal pair")
 print("-" * 64)
 f, g = closure_pair(single, single, 1)
 print(f"closure of ({{{{1,2}}}}, {{{{1,2}}}}):")

@@ -54,7 +54,6 @@ from .formulas import (
 )
 from .enumeration import (
     SearchResult,
-    enumerate_maximal_pairs,
     enumerate_maximal_t_intersecting,
     extremal_product_search,
     maximal_cross_tuples,

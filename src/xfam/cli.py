@@ -139,7 +139,7 @@ def _grid_value(expr: str, env: dict[str, int]) -> int:
     total = 0
     for sign, term in zip(parts[1::2], parts[2::2]):
         term = term.strip()
-        if not (term.isdigit() or term in env):
+        if not (term.isascii() and term.isdigit() or term in env):
             raise ValueError(f"bad grid bound {expr!r}: join integers and names ({', '.join(env) or 'none here'}) by + or -")
         total += (env[term] if term in env else int(term)) * (1 if sign == "+" else -1)
     return total

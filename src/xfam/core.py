@@ -384,19 +384,19 @@ def star(family: Family, m: int, t: int) -> Family:
 
 
 def closure_pair(F: Family, G: Family, t: int) -> tuple[Family, Family]:
-    """Set G <- star(F, l), then F <- star(G, k), until neither changes: the
-    unique maximal cross-t-intersecting pair containing (F, G). Rejects an
-    empty side and a pair that is not cross t-intersecting."""
+    """(star(star(F, l), k), star(F, l)): the maximal cross-t-intersecting
+    pair generated by F, which contains (F, G). One step is a fixed point,
+    since the two star maps are antitone and star(star(X)) contains X, so
+    star(star(star(F))) = star(F). It is a maximal pair containing (F, G),
+    not the only one: at (4,2,2,1), ({12}, {13}) closes to ({12}, star{12})
+    from F, but to (star{13}, {13}) from G. Rejects an empty side and a pair
+    that is not cross t-intersecting."""
     if not (F.members and G.members):
         raise ValueError("closure of a pair with an empty side is degenerate")
     if not is_cross_t_intersecting(F, G, t):
         raise ValueError("the pair is not cross t-intersecting")
-    while True:
-        new_g = star(F, G.k, t)
-        new_f = star(new_g, F.k, t)
-        if (new_f.members, new_g.members) == (F.members, G.members):
-            return F, G
-        F, G = new_f, new_g
+    G = star(F, G.k, t)
+    return star(G, F.k, t), G
 
 
 def is_maximal_pair(F: Family, G: Family, t: int) -> bool:

@@ -18,20 +18,20 @@ gives sum_F g(F) = C(n,k) * sum_{F ∋ v0} g(F)/|F| exactly, where v0 =
 the maximal cliques of the graph induced on its neighbourhood, so
 `through_v0` walks from v0 over the rows of N[v0] alone. `_orbit_count`
 sums such weights as a Fraction and refuses a non-integer total.
-`classify.count_theorem_1_2` counts its families and templates this way,
-reading the covering numbers off one kernel: blocks of cliques (sized by
-COVER_CHUNK), packed as 64-bit words, are ANDed against one complemented
-row per candidate t- or (t+1)-cover, giving a boolean matrix of the
-tau = t+1 cliques against their minimum covers. The product search walks
-the pair cliques whose side 1 holds v0, groups them by |F| |G|, read off
-their bitmasks, and decodes into families only the groups that can still
-tie the best product, computing covering numbers for those alone.
+Every covering number is decided on clique masks by one kernel,
+`_cover_blocks`: blocks of cliques (sized by COVER_CHUNK), packed as 64-bit
+words, are ANDed against one complemented row per candidate s-set cover.
+`classify.count_theorem_1_2` reads the tau = t+1 families and their minimum
+covers off the t- and (t+1)-set rows. The product search groups the pair
+cliques through v0 by |F| |G| and, in the groups that can still tie the best
+product, decodes only the pairs with no (min_tau - 1)-set covering either
+side, since tau_t >= m iff no (m-1)-set is a t-cover.
 
 One budget, BUDGET, bounds every enumeration, checked three times: before
 any row is built, the V^2 vertex comparisons of a V-vertex graph (V counts
-N[v0] alone for an orbit walk); before any cover table, the comparisons of
-the cover rows against the V vertices; and during the walk, the number of
-maximal cliques walked. Exceeding it is an error, never silent truncation.
+N[v0] alone for an orbit walk); before any cover row (for the search, before
+the walk), the cover rows times the V vertices; and during the walk, the
+number of maximal cliques walked. Exceeding it is an error, never truncation.
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .canon import canonical_form
-from .core import Family, covering_number, full_mask, subsets, validate_params
+from .core import Family, full_mask, subsets, validate_params
 from .formulas import n_threshold
 
 BUDGET = 1_300_000  # vertex comparisons before a walk, maximal cliques during one
@@ -166,16 +166,16 @@ def _bron_kerbosch(rows: Sequence[int], nverts: int, start: int | None = None) -
     return out
 
 
-def _coloured_cliques(
+def _coloured_graph(
     universe: int, sizes: tuple[int, ...], t: int, through_v0: bool = False
 ) -> tuple[list[int], list[int], list[int]]:
     """The vertices of the coloured graph of `maximal_cross_tuples` (the
     `sizes[i]`-subsets of `universe`, block after block), one bitmask of
-    vertex indices per colour, and every maximal clique as such a bitmask.
+    vertex indices per colour, and the adjacency rows, for `_bron_kerbosch`.
     With `through_v0`, v0 is the smallest `sizes[0]`-subset of `universe`,
-    the vertex of index 0: the graph is cut down to N[v0] (all of colour 0,
-    and the sets of the other colours meeting v0 in >= t elements) and only
-    the cliques holding v0 are walked."""
+    the vertex of index 0, and the graph is cut down to N[v0]: all of
+    colour 0, and the sets of the other colours meeting v0 in >= t
+    elements."""
     m = universe.bit_count()
     counted = " + ".join(f"C({m},{size})" for size in sizes)
     v0 = sum(1 << i for i in islice(_bits(universe), sizes[0]))
@@ -196,7 +196,7 @@ def _coloured_cliques(
         low = len(rows)
         colours.append(((1 << len(block)) - 1) << low)
         rows += [(row | colours[-1]) & ~(1 << v) for v, row in enumerate(_compat_rows(block, verts, t), low)]
-    return verts, colours, _bron_kerbosch(rows, len(verts), 0 if through_v0 else None)
+    return verts, colours, rows
 
 
 def _decode(verts: list[int], colours: list[int], clique: int) -> tuple[tuple[int, ...], ...]:
@@ -212,8 +212,8 @@ def maximal_cross_tuples(
     (empty components allowed), in sorted order. They are the maximal cliques
     of the coloured graph on the pairs (i, R), with (i, R) ~ (j, R') iff
     i = j or |R & R'| >= t, split by colour."""
-    verts, colours, cliques = _coloured_cliques(universe, sizes, t)
-    return sorted(_decode(verts, colours, c) for c in cliques)
+    verts, colours, rows = _coloured_graph(universe, sizes, t)
+    return sorted(_decode(verts, colours, c) for c in _bron_kerbosch(rows, len(verts)))
 
 
 def maximal_cliques(n: int, k: int, t: int, through_v0: bool = False) -> tuple[tuple[int, ...], list[int]]:
@@ -252,63 +252,57 @@ def _words(masks: Sequence[int], nwords: int) -> np.ndarray:
     return out
 
 
+def _cover_blocks(n: int, t: int, sizes: Sequence[int], verts: Sequence[int]):
+    """The one cover-row kernel, on cliques as bitmasks of indices into the
+    k-sets `verts`. One row per s-set T of [n], for each s in `sizes`, in
+    table order, holds the vertices meeting T in fewer than t elements, so T
+    t-covers a clique iff their AND is 0. The rows times the vertices are
+    counted against BUDGET before any row is built. Returns a function from
+    cliques to an iterator over blocks of them, each with one boolean matrix
+    per size, true where the column covers the row's clique. A block holds
+    COVER_CHUNK // (cover rows) cliques, at least one, so its temporaries
+    stay near COVER_CHUNK words however many cover rows there are."""
+    nrows = sum(comb(n, s) for s in sizes)
+    counted = " + ".join(f"C({n},{s})" for s in sizes)
+    _check_budget(f"{counted} = {nrows:,} cover rows of {len(verts):,} vertices", nrows * len(verts))
+    full, nwords = (1 << len(verts)) - 1, -(-len(verts) // 64)
+    cands = [subsets(full_mask(n), s).masks for s in sizes]
+    tables = [_words([full ^ row for row in _compat_rows(c, verts, t)], nwords) for c in cands]
+    step = max(1, COVER_CHUNK // nrows)
+
+    def blocks(cliques: Iterable[int]):
+        it = iter(cliques)
+        while chunk := list(islice(it, step)):
+            words = _words(chunk, nwords)
+            covered = []
+            for rows in tables:
+                # entry (i, j): row j misses no vertex of clique i, one word at a time
+                hits = words[:, 0, None] & rows[:, 0]
+                for w in range(1, nwords):
+                    hits |= words[:, w, None] & rows[:, w]
+                covered.append(hits == 0)
+            yield chunk, covered
+
+    return blocks
+
+
 def _min_cover_matrix(n: int, t: int, verts: Sequence[int], cliques: Sequence[int]):
     """The (t+1)-subsets of [n] in table order (the columns), and an
-    iterator over blocks of `cliques` (bitmasks of indices into the k-sets
-    `verts`), each cut down to its tau = t+1 cliques: their masks, and a
-    boolean matrix true where a column is a minimum cover of the row's
-    clique. A block holds COVER_CHUNK // (cover rows) cliques, at least one,
-    so its temporaries stay near COVER_CHUNK words however many cover rows
-    there are.
+    iterator over the blocks of `_cover_blocks` for `cliques`, each cut down
+    to its tau = t+1 cliques: their masks, and a boolean matrix true where a
+    column is a minimum cover of the row's clique. tau = t+1 iff some
+    (t+1)-set covers the clique and no t-set does; then the (t+1)-covers are
+    all the minimum covers. They lie inside the union of the family, since a
+    cover element outside it could be dropped, so scanning all of [n]
+    matches the library's candidates."""
+    blocks = _cover_blocks(n, t, (t, t + 1), verts)
 
-    One row per s-set T (s = t, t+1) holds the vertices meeting T in fewer
-    than t elements, so T covers a clique iff their AND is 0. tau = t+1 iff
-    some (t+1)-set covers the clique and no t-set does; then the
-    (t+1)-covers are all the minimum covers. They lie inside the union of
-    the family, since a cover element outside it could be dropped, so
-    scanning all of [n] matches the library's candidates. The
-    C(n, t) + C(n, t+1) cover rows take one comparison per vertex each,
-    counted against BUDGET before any cover table."""
-    nrows = comb(n, t) + comb(n, t + 1)
-    _check_budget(f"C({n},{t}) + C({n},{t + 1}) = {nrows:,} cover rows of {len(verts):,} vertices", nrows * len(verts))
-    full = (1 << len(verts)) - 1
-    nwords = -(-len(verts) // 64)
-
-    def missing(size: int) -> tuple[tuple[int, ...], np.ndarray]:
-        table = subsets(full_mask(n), size).masks
-        return table, _words([full ^ row for row in _compat_rows(table, verts, t)], nwords)
-
-    plus, plus_rows = missing(t + 1)
-    _, t_rows = missing(t)
-
-    def covered(words: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        # entry (i, j): row j misses no vertex of clique i, one word at a time
-        hits = words[:, 0, None] & rows[:, 0]
-        for w in range(1, nwords):
-            hits |= words[:, w, None] & rows[:, w]
-        return hits == 0
-
-    def blocks():
-        step = max(1, COVER_CHUNK // nrows)
-        for i in range(0, len(cliques), step):
-            chunk = cliques[i : i + step]
-            words = _words(chunk, nwords)
-            covers = covered(words, plus_rows)
-            keep = covers.any(axis=1) & ~covered(words, t_rows).any(axis=1)
+    def minimum():
+        for chunk, (t_covers, covers) in blocks(cliques):
+            keep = covers.any(axis=1) & ~t_covers.any(axis=1)
             yield list(compress(chunk, keep.tolist())), covers[keep]
 
-    return plus, blocks()
-
-
-def enumerate_maximal_pairs(n: int, k1: int, k2: int, t: int) -> list[tuple[Family, Family]]:
-    """Every maximal cross-t-intersecting pair (F, G) with F k1-uniform and G
-    k2-uniform, both nonempty, ordered by the members of F (which determine
-    G). Each is a maximal clique of the two-coloured graph with both colours
-    present: F is the star of G and G the star of F."""
-    validate_params(n, k1, t)
-    validate_params(n, k2, t)
-    pairs = maximal_cross_tuples(full_mask(n), (k1, k2), t)
-    return [(Family(n, k1, f), Family(n, k2, g)) for f, g in pairs if f and g]
+    return subsets(full_mask(n), t + 1).masks, minimum()
 
 
 @dataclass
@@ -337,11 +331,12 @@ def extremal_product_search(n: int, k1: int, k2: int, t: int, min_tau: int) -> S
     Only the maximal cliques of the pair graph whose side 1 holds v0 =
     {1..k1} are walked (see the comment in the body). They are grouped by
     product, read off their bitmasks, and the groups are walked by
-    decreasing product. Only the groups that can still tie the best
-    qualifying product are decoded into families, each in enumeration order
-    (sorted by the members of F, then G), so covering numbers are computed
-    only until the first product below the best one, and the winners keep
-    their enumeration order. A min_tau above n is refused, since [n] is a
+    decreasing product until the first one below the best qualifying
+    product. In each, both sides of every clique are tested against the
+    cover rows of `_cover_blocks`, and only the qualifying pairs are decoded
+    into families, in enumeration order (sorted by the members of F, then
+    G), so the winners keep that order. The cover rows are counted against
+    BUDGET before the walk. A min_tau above n is refused, since [n] is a
     t-cover of every family over [n], and so is a negative one."""
     validate_params(n, k1, t)
     validate_params(n, k2, t)
@@ -363,11 +358,14 @@ def extremal_product_search(n: int, k1: int, k2: int, t: int, min_tau: int) -> S
     #   one kept, is the same;
     # - double counting the pairs ((F, G), v in F) gives the number of pairs
     #   as C(n, k1) times the sum of 1/|F| over the pairs with v0 in F.
-    verts, colours, cliques = _coloured_cliques(full_mask(n), (k1, k2), t, through_v0=True)
+    verts, colours, rows = _coloured_graph(full_mask(n), (k1, k2), t, through_v0=True)
+    # a superset of a cover is a cover, so tau_t >= min_tau iff no
+    # (min_tau - 1)-set is a t-cover; tau_t >= t always holds
+    blocks = _cover_blocks(n, t, (min_tau - 1,), verts) if min_tau > t else None
     side1, side2 = colours
     groups: dict[int, list[int]] = {}
     f_sizes: Counter[int] = Counter()
-    for c in cliques:
+    for c in _bron_kerbosch(rows, len(verts), 0):
         f, g = (c & side1).bit_count(), (c & side2).bit_count()
         if g:
             f_sizes[f] += 1
@@ -377,11 +375,14 @@ def extremal_product_search(n: int, k1: int, k2: int, t: int, min_tau: int) -> S
     for product in sorted(groups, reverse=True):
         if product < best:
             break
-        for fm, gm in sorted(_decode(verts, colours, c) for c in groups[product]):
-            f, g = Family(n, k1, fm), Family(n, k2, gm)
-            if covering_number(f, t).tau >= min_tau and covering_number(g, t).tau >= min_tau:
-                best = product
-                winners.append((f, g))
+        group = groups[product]
+        if blocks:
+            sides = (c & side for c in group for side in colours)
+            covered = np.concatenate([covers.any(axis=1) for _, (covers,) in blocks(sides)])
+            group = list(compress(group, (~(covered[0::2] | covered[1::2])).tolist()))
+        for fm, gm in sorted(_decode(verts, colours, c) for c in group):
+            best = product
+            winners.append((Family(n, k1, fm), Family(n, k2, gm)))
     # A maximal pair has G = star(F), the k2-sets meeting every member of F
     # in >= t elements, and a permutation p of [n] preserves intersection
     # sizes, so p(star(F)) = star(p(F)). Hence p maps (F, G) onto another

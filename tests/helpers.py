@@ -7,7 +7,8 @@ definition (no single member can be added to either side) or by sweeping
 every subfamily of one side for fixed points of the double star map. Slow
 but unarguable at tiny scale. `sweep_cross_tuples` is the same sweep for
 r-tuples of one size, kept as the oracle of the coloured-clique kernel
-`xfam.enumeration.maximal_cross_tuples`.
+`xfam.enumeration.maximal_cross_tuples`. `enumerate_maximal_pairs` lists the
+maximal pairs as families off that kernel, for the tests that walk them.
 
 `canonical_form_reference` is the canonical-form search in its plain shape
 (sorted colour tuples as refinement signatures, every leaf encoded to bytes,
@@ -31,7 +32,9 @@ decodes it over the full walk.
 `count_theorem_1_2_reference` and `extremal_product_search_reference` are
 `classify-all` and `search` over the full walk, every maximal family or pair
 counted once, kept as the oracles of the orbit-weighted walk through v0 in
-`xfam.classify.count_theorem_1_2` and `xfam.extremal_product_search`.
+`xfam.classify.count_theorem_1_2` and `xfam.extremal_product_search`; the
+search oracle decides `--min-tau` with `covering_number` on decoded
+families, not with cover rows on clique masks.
 
 `match_theorem_1_2_reference` and `classify_pair_reference` are the template
 matchers in their rebuild shape (every candidate template rebuilt over all
@@ -86,8 +89,9 @@ from xfam.core import (
     is_maximal_t_intersecting,
     select,
     subsets,
+    validate_params,
 )
-from xfam.enumeration import SearchResult, _coloured_cliques, _decode, _min_cover_matrix, maximal_cliques
+from xfam.enumeration import SearchResult, _min_cover_matrix, maximal_cliques, maximal_cross_tuples
 from xfam.formulas import AuditPoint, _point, n_threshold, tilde_g
 
 Cells = tuple[tuple[int, ...], ...]
@@ -218,6 +222,17 @@ def brute_maximal_pairs(n: int, k1: int, k2: int, t: int) -> list[tuple[tuple[in
                 continue
             out.append((tuple(f), tuple(g)))
     return sorted(out)
+
+
+def enumerate_maximal_pairs(n: int, k1: int, k2: int, t: int) -> list[tuple[Family, Family]]:
+    """Every maximal cross-t-intersecting pair (F, G) with F k1-uniform and G
+    k2-uniform, both nonempty, ordered by the members of F (which determine
+    G): the two-colour tuples of `maximal_cross_tuples` with both colours
+    present, as families."""
+    validate_params(n, k1, t)
+    validate_params(n, k2, t)
+    pairs = maximal_cross_tuples(full_mask(n), (k1, k2), t)
+    return [(Family(n, k1, f), Family(n, k2, g)) for f, g in pairs if f and g]
 
 
 def _rows(verts: tuple[int, ...], other: tuple[int, ...], t: int) -> list[int]:
@@ -683,21 +698,21 @@ def count_theorem_1_2_reference(n: int, k: int, t: int) -> tuple[int, int, dict[
 
 def extremal_product_search_reference(n: int, k1: int, k2: int, t: int, min_tau: int) -> SearchResult:
     """`xfam.extremal_product_search` over every maximal pair: the product
-    groups of the full walk, decoded in enumeration order, and
-    `pairs_examined` counted one by one."""
-    verts, colours, cliques = _coloured_cliques(full_mask(n), (k1, k2), t)
-    side1, side2 = colours
-    groups: dict[int, list[int]] = {}
-    for c in cliques:
-        product = (c & side1).bit_count() * (c & side2).bit_count()
-        if product:
-            groups.setdefault(product, []).append(c)
+    groups of the full listing, decoded in enumeration order, both covering
+    numbers from `covering_number`, and `pairs_examined` counted one by
+    one."""
+    validate_params(n, k1, t)
+    validate_params(n, k2, t)
+    pairs = [(fm, gm) for fm, gm in maximal_cross_tuples(full_mask(n), (k1, k2), t) if fm and gm]
+    groups: dict[int, list[tuple[tuple[int, ...], tuple[int, ...]]]] = {}
+    for fm, gm in pairs:
+        groups.setdefault(len(fm) * len(gm), []).append((fm, gm))
     best = 0
     winners: list[tuple[Family, Family]] = []
     for product in sorted(groups, reverse=True):
         if product < best:
             break
-        for fm, gm in sorted(_decode(verts, colours, c) for c in groups[product]):
+        for fm, gm in groups[product]:
             f, g = Family(n, k1, fm), Family(n, k2, gm)
             if covering_number(f, t).tau >= min_tau and covering_number(g, t).tau >= min_tau:
                 best = product
@@ -717,7 +732,7 @@ def extremal_product_search_reference(n: int, k1: int, k2: int, t: int, min_tau:
         min_tau=min_tau,
         best_product=best,
         witnesses=unique,
-        pairs_examined=sum(map(len, groups.values())),
+        pairs_examined=len(pairs),
         at_proved_threshold=n >= n_threshold(k1, k2, t),
     )
 

@@ -4,7 +4,7 @@ from itertools import combinations, combinations_with_replacement
 import networkx as nx
 import pytest
 
-from helpers import ReferenceCanonicalizer, canonical_form_reference, random_family
+from helpers import ReferenceCanonicalizer, canonical_form_reference, enumerate_maximal_pairs, random_family
 from xfam import (
     Family,
     anchored_family,
@@ -12,7 +12,6 @@ from xfam import (
     canonical_form_tuple,
     construct_A,
     construct_H,
-    enumerate_maximal_pairs,
     enumerate_maximal_t_intersecting,
     mask_of,
     relabel,

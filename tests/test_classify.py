@@ -20,14 +20,13 @@ from xfam import (
     construct_H,
     count_theorem_1_2,
     covering_number,
-    enumerate_maximal_pairs,
     enumerate_maximal_t_intersecting,
     mask_of,
     match_theorem_1_2,
     maximal_cross_tuples,
     theorem_1_2_instances,
 )
-from helpers import count_theorem_1_2_reference, maximal_with_tau_t_plus_1
+from helpers import count_theorem_1_2_reference, enumerate_maximal_pairs, maximal_with_tau_t_plus_1
 
 
 def fam(n, k, *sets):

@@ -161,6 +161,9 @@ def test_usage_errors_exit_2(capsys, tmp_path):
     for grid in ("t=1;k=y;l=2;n=5", "t=(1).__class__.__name__.__len__();k=2;l=2;n=5", "t=1;k=2;l=2;n=l+2.."):
         code, out, err = run(capsys, "verify-constructions", "--grid", grid)
         assert code == 2 and out == "" and "Traceback" not in err and "bad grid bound" in err, grid
+    # '²'.isdigit() is true, but int() refuses it: the message names the bound
+    code, out, err = run(capsys, "audit", "--lemma", "all", "--grid", "t=²;k=2;l=2;n=5")
+    assert code == 2 and out == "" and err.startswith("error: bad grid bound '²': ")
     # invalid (n, k, t) is refused before any enumeration
     for argv in (
         ("search", "--n", "65", "--k1", "1", "--k2", "1", "--t", "1", "--min-tau", "1"),

@@ -277,6 +277,19 @@ def test_closure_pair():
         closure_pair(fam(4, 2, (1, 2)), fam(4, 2, (3, 4)), 1)
 
 
+def test_closure_pair_is_not_unique():
+    # ({12}, {13}) lies in two maximal pairs: the one F generates and the
+    # one G generates, each a star fixed point
+    f, g = closure_pair(fam(4, 2, (1, 2)), fam(4, 2, (1, 3)), 1)
+    assert f.to_sets() == ((1, 2),)
+    assert set(g.to_sets()) == {(1, 2), (1, 3), (1, 4), (2, 3), (2, 4)}
+    assert is_maximal_pair(f, g, 1)
+    g, f = closure_pair(fam(4, 2, (1, 3)), fam(4, 2, (1, 2)), 1)
+    assert g.to_sets() == ((1, 3),)
+    assert set(f.to_sets()) == {(1, 2), (1, 3), (1, 4), (2, 3), (3, 4)}
+    assert is_maximal_pair(f, g, 1)
+
+
 def test_is_maximal_t_intersecting():
     tri5 = fam(5, 2, (1, 2), (1, 3), (2, 3))
     assert is_maximal_t_intersecting(tri5, 1)

@@ -1,13 +1,13 @@
 import networkx as nx
 import pytest
 
+import xfam.cli
 import xfam.enumeration
 from xfam import (
     Family,
     anchored_family,
     canonical_form,
     covering_number,
-    enumerate_maximal_pairs,
     enumerate_maximal_t_intersecting,
     extremal_product_search,
     is_cross_t_intersecting,
@@ -24,6 +24,7 @@ from xfam.formulas import eval_g
 from helpers import (
     brute_maximal_families,
     brute_maximal_pairs,
+    enumerate_maximal_pairs,
     extremal_product_search_reference,
     sweep_maximal_pairs,
 )
@@ -144,7 +145,7 @@ def test_pair_cap(monkeypatch):
     monkeypatch.setattr(xfam.enumeration, "subsets", no_table)
     message = r"C\(13,4\) \+ C\(13,4\) = 1,430 vertices need 2,044,900 comparisons, over the budget of 1,300,000"
     with pytest.raises(ValueError, match=message):
-        enumerate_maximal_pairs(13, 4, 4, 1)
+        maximal_cross_tuples(full_mask(13), (4, 4), 1)
 
 
 def _oracle_best_product(n: int, k: int, t: int, min_tau: int) -> int:
@@ -249,8 +250,9 @@ def test_pruned_search_matches_unpruned_loop():
 
 def test_search_builds_families_only_for_groups_that_can_tie(monkeypatch):
     # (7,2,3,1) has 24,696 maximal pairs and best product 40; the walk
-    # through v0 = {1,2} finds 6,540 pair cliques, and only the 568 pairs
-    # among them with product >= 40 are decoded, two families each
+    # through v0 = {1,2} finds 6,540 pair cliques, 568 of them with product
+    # >= 40, and only the 340 among those with both covering numbers >= 2
+    # are decoded, two families each
     built = []
 
     def counting_family(*args):
@@ -260,17 +262,52 @@ def test_search_builds_families_only_for_groups_that_can_tie(monkeypatch):
     monkeypatch.setattr(xfam.enumeration, "Family", counting_family)
     res = extremal_product_search(7, 2, 3, 1, 2)
     assert (res.best_product, res.pairs_examined) == (40, 24_696)
-    assert len(built) == 2 * 568
+    assert len(built) == 2 * 340
 
 
 @pytest.mark.parametrize(
     "n,k1,k2,t,min_tau",
-    [(5, 2, 2, 1, 1), (6, 2, 3, 1, 2), (6, 3, 3, 2, 2), (7, 2, 3, 1, 2), (8, 2, 2, 1, 2), (6, 3, 2, 2, 3)],
+    [(5, 2, 2, 1, 1), (6, 2, 3, 1, 2), (6, 3, 3, 2, 2), (7, 2, 3, 1, 2), (8, 2, 2, 1, 2), (6, 3, 2, 2, 3)]
+    + [(6, 2, 3, 1, 0), (6, 3, 3, 2, 0), (5, 3, 3, 1, 3), (6, 4, 4, 2, 4), (6, 2, 3, 1, 3), (7, 3, 2, 2, 4)]
+    + [(4, 2, 2, 1, 4), (5, 2, 2, 1, 5), (6, 3, 2, 2, 6)],
 )
 def test_search_through_v0_matches_the_full_walk(n, k1, k2, t, min_tau):
     # best product, witnesses (members and order) and pairs_examined, the
-    # last summed as C(n, k1) / |F| over the pairs with v0 in F
+    # last summed as C(n, k1) / |F| over the pairs with v0 in F; min-tau 0
+    # builds no cover rows, t+2 tests the pairs against (t+1)-set rows and
+    # n against (n-1)-set rows, which cover every family
     assert extremal_product_search(n, k1, k2, t, min_tau) == extremal_product_search_reference(n, k1, k2, t, min_tau)
+
+
+@pytest.mark.parametrize("chunk", [1, 3 * 7])
+def test_search_across_chunk_boundaries(monkeypatch, chunk):
+    # (7,2,3,1) at min-tau 2 tests both sides of each clique against the
+    # C(7,1) = 7 rows of 1-sets: blocks of one side, then of three sides,
+    # so the two sides of a clique fall in different blocks
+    expected = extremal_product_search_reference(7, 2, 3, 1, 2)
+    monkeypatch.setattr(xfam.enumeration, "COVER_CHUNK", chunk)
+    assert extremal_product_search(7, 2, 3, 1, 2) == expected
+
+
+def test_search_cover_rows_refused_before_the_walk(capsys, monkeypatch):
+    # min-tau 9 at (16,2,3,1) needs the C(16,8) rows of 8-sets against the
+    # 120 + 196 vertices of N[{1,2}]: refused, with no cover row built and
+    # no clique walked
+    def graph_tables_only(universe, size):
+        assert size != 8, "a cover table was built"
+        return subsets(universe, size)
+
+    def no_walk(*args):
+        raise AssertionError("the walk ran")
+
+    monkeypatch.setattr(xfam.enumeration, "subsets", graph_tables_only)
+    monkeypatch.setattr(xfam.enumeration, "_bron_kerbosch", no_walk)
+    code = xfam.cli.main(["search", "--n", "16", "--k1", "2", "--k2", "3", "--t", "1", "--min-tau", "9"])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "error: C(16,8) = 12,870 cover rows of 316 vertices need 4,066,920 comparisons, "
+        "over the budget of 1,300,000\n"
+    )
 
 
 @pytest.mark.parametrize("n,k1,k2,t", [(5, 2, 2, 1), (5, 2, 3, 1), (6, 2, 3, 1), (5, 3, 3, 1)])
