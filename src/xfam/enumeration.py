@@ -270,18 +270,18 @@ def _cover_blocks(n: int, t: int, sizes: Sequence[int], verts: Sequence[int]):
     tables = [_words([full ^ row for row in _compat_rows(c, verts, t)], nwords) for c in cands]
     step = max(1, COVER_CHUNK // nrows)
 
+    def covered(words: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        # entry (i, j): row j misses no vertex of clique i, one word at a time
+        hits = words[:, 0, None] & rows[:, 0]
+        for w in range(1, nwords):
+            hits |= words[:, w, None] & rows[:, w]
+        return hits == 0
+
     def blocks(cliques: Iterable[int]):
         it = iter(cliques)
         while chunk := list(islice(it, step)):
             words = _words(chunk, nwords)
-            covered = []
-            for rows in tables:
-                # entry (i, j): row j misses no vertex of clique i, one word at a time
-                hits = words[:, 0, None] & rows[:, 0]
-                for w in range(1, nwords):
-                    hits |= words[:, w, None] & rows[:, w]
-                covered.append(hits == 0)
-            yield chunk, covered
+            yield chunk, [covered(words, rows) for rows in tables]
 
     return blocks
 
