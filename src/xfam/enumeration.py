@@ -18,7 +18,7 @@ gives sum_F g(F) = C(n,k) * sum_{F ∋ v0} g(F)/|F| exactly, where v0 =
 the maximal cliques of the graph induced on its neighbourhood, so
 `through_v0` walks from v0 over the rows of N[v0] alone. `_orbit_count`
 sums such weights as a Fraction and refuses a non-integer total.
-Every covering number is decided on clique masks by one kernel,
+Every covering-number test on clique masks goes through one kernel,
 `_cover_blocks`: blocks of cliques (sized by COVER_CHUNK), packed as 64-bit
 words, are ANDed against one complemented row per candidate s-set cover.
 `classify.count_theorem_1_2` reads the tau = t+1 families and their minimum
@@ -31,7 +31,8 @@ One budget, BUDGET, bounds every enumeration, checked three times: before
 any row is built, the V^2 vertex comparisons of a V-vertex graph (V counts
 N[v0] alone for an orbit walk); before any cover row (for the search, before
 the walk), the cover rows times the V vertices; and during the walk, the
-number of maximal cliques walked. Exceeding it is an error, never truncation.
+number of maximal cliques walked. Exceeding it is an error, never silent
+truncation.
 """
 
 from __future__ import annotations
@@ -330,14 +331,13 @@ def extremal_product_search(n: int, k1: int, k2: int, t: int, min_tau: int) -> S
 
     Only the maximal cliques of the pair graph whose side 1 holds v0 =
     {1..k1} are walked (see the comment in the body). They are grouped by
-    product, read off their bitmasks, and the groups are walked by
-    decreasing product until the first one below the best qualifying
-    product. In each, both sides of every clique are tested against the
-    cover rows of `_cover_blocks`, and only the qualifying pairs are decoded
-    into families, in enumeration order (sorted by the members of F, then
-    G), so the winners keep that order. The cover rows are counted against
-    BUDGET before the walk. A min_tau above n is refused, since [n] is a
-    t-cover of every family over [n], and so is a negative one."""
+    product, read off their bitmasks, and walked by decreasing product
+    until the first one below the best qualifying product. In each group,
+    both sides of every clique are tested against the cover rows of
+    `_cover_blocks` (counted against BUDGET before the walk), and only the
+    qualifying pairs are decoded into families, in enumeration order
+    (sorted by the members of F, then G). A min_tau above n is refused, since
+    [n] is a t-cover of every family over [n], and so is a negative one."""
     validate_params(n, k1, t)
     validate_params(n, k2, t)
     if min_tau < 0:
