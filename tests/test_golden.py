@@ -83,6 +83,11 @@ CASES = {
         ["classify-all", "--n", "5", "--k", "4", "--t", "3"],
         ["classify-all", "--n", "9", "--k", "8", "--t", "7"],
     ],
+    # the full-size points of the classify and search benchmark workloads
+    "benchmark-points": [
+        ["classify-all", "--n", "8", "--k", "4", "--t", "2"],
+        ["search", "--n", "7", "--k1", "2", "--k2", "3", "--t", "1", "--min-tau", "2"],
+    ],
     "audit-json": [
         ["audit", "--lemma", "all", "--grid", "t=1;k=2,3;l=2,3;n=259,600"],
     ],
@@ -109,6 +114,7 @@ CASES = {
 GOLDEN = {
     "audit-csv": "89767fbf94955ffdc6a1ad13d99af10b0bb5bdba18a083352d308bd12d3e5b36",
     "audit-json": "4c60b70e373b2d79053d182ab4847a07f69d8f62a8750ab3fbe71df481f15863",
+    "benchmark-points": "8c3d3df4224211ffa7a45abe477801b9fe51d5d013a5224497eff5307f1cee45",
     "classify": "3ca79309b79c295c52f806a98e2e33d09f4949cb0c08885cb1e7a26d8394901d",
     "classify-all": "75240d30e601f61ad735f034be4700cabc415f915ca3ffece1a9a3d923f9c84a",
     "classify-all-edges": "11e542885d4e3283c239f9b4c27998864b46dd6ad61a7539adcbc201fbd654cb",
