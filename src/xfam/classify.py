@@ -25,13 +25,14 @@ The proof of each sits beside its test. Members are read only to count the
 residual sizes of T1.2-iii and T1.2-iv.
 
 `count_theorem_1_2`, behind `classify-all`, applies the same lookups to
-many families at once, as ANDs and sums of columns of the minimum-cover
-matrix of `enumeration`, decoding no family. It walks only the families
-through v0 = {1..k}, one vertex orbit of S_n: each count, an S_n-invariant
-sum over all families, is C(n, k) times the sum of its per-family value
-divided by |F| over those, kept per size |F| as exact integers and summed as
-a Fraction whose denominator must be 1. The matcher, and the same lookups
-over the full walk, are its test oracles.
+many families at once, as ANDs and sums of columns of the minimum covers it
+reads off the t- and (t+1)-set rows of `enumeration._cover_blocks` (the
+columns in the order `_anchor_columns` indexes), decoding no family. It
+walks only the families through v0 = {1..k}, one vertex orbit of S_n: each
+count, an S_n-invariant sum over all families, is C(n, k) times the sum of
+its per-family value divided by |F| over those, kept per size |F| as exact
+integers and summed as a Fraction whose denominator must be 1. The
+matcher, and the same lookups over the full walk, are its test oracles.
 
 `theorem_1_2_instances` generates every template instance at canonical
 anchor positions, which gives the enumeration tests an independent second
@@ -46,7 +47,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import combinations, permutations
+from itertools import combinations, compress, permutations
 from math import comb
 
 import numpy as np
@@ -66,7 +67,7 @@ from .core import (
     subsets,
 )
 from .constructions import _a_members, _h_members
-from .enumeration import _min_cover_matrix, _orbit_count, maximal_cliques, maximal_cross_tuples
+from .enumeration import _cover_blocks, _orbit_count, maximal_cliques, maximal_cross_tuples
 
 TEMPLATE_ORDER = ("T1.2-i", "T1.2-ii", "T1.2-iii", "T1.2-iv")
 
@@ -239,14 +240,15 @@ def match_theorem_1_2(F: Family, t: int, cov: CoverStructure) -> TemplateMatch:
     return TemplateMatch(matches[0][0], matches[0][1], tuple(matches))
 
 
-def _anchor_columns(n: int, t: int, plus: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
-    """Column indices into the (t+1)-sets `plus` (in table order): row i of
-    the first array holds the sets M0 - e of the i-th (t+2)-set M0, row i of
+def _anchor_columns(n: int, t: int) -> tuple[np.ndarray, np.ndarray]:
+    """Column indices into the (t+1)-subsets of [n] in table order, the
+    columns of the (t+1)-set cover rows of `_cover_blocks`: row i of the
+    first array holds the sets M0 - e of the i-th (t+2)-set M0, row i of
     the second the sets T + x (x outside T) of the i-th t-set T. An anchor
     of either kind lies inside the union of the covers it reads, so scanning
     all of [n] matches the matcher's candidates, which come from that union."""
-    column = {M: j for j, M in enumerate(plus)}
     full = full_mask(n)
+    column = {M: j for j, M in enumerate(subsets(full, t + 1).masks)}
     m0s = subsets(full, t + 2).masks
     a_cols = [column[M0 ^ (1 << (e - 1))] for M0 in m0s for e in elements_of(M0)]
     ts = subsets(full, t).masks
@@ -262,25 +264,34 @@ def count_theorem_1_2(n: int, k: int, t: int) -> tuple[int, int, dict[str, int]]
     number of those with covering number t+1, and, per template, the
     `match_theorem_1_2(F, t, covering_number(F, t)).all_matches` entries
     summed over the latter (templates counted 0 are left out). Each rule
-    counts the anchors its matcher accepts, off the minimum-cover matrix of
-    the families through v0 = {1..k}. Every count is a sum of an
-    S_n-invariant g(F), so it is C(n, k) times the sum of g(F)/|F| over
-    those families: each count is kept per family size as an exact integer,
-    and `_orbit_count` weighs them."""
+    counts the anchors its matcher accepts, off the minimum covers of the
+    families through v0 = {1..k}. Every count is a sum of an S_n-invariant
+    g(F), so it is C(n, k) times the sum of g(F)/|F| over those families:
+    each count is kept per family size as an exact integer, and
+    `_orbit_count` weighs them.
+
+    The covers come from the t- and (t+1)-set rows of `_cover_blocks`.
+    tau = t+1 iff some (t+1)-set covers the family and no t-set does; then
+    the (t+1)-covers are all the minimum covers. They lie inside the union
+    of the family, since a cover element outside it could be dropped, so
+    scanning all of [n] matches the library's candidates."""
     verts, cliques = maximal_cliques(n, k, t, through_v0=True)
-    plus, blocks = _min_cover_matrix(n, t, verts, cliques)
+    blocks = _cover_blocks(n, t, (t, t + 1), verts)
     top, width = len(verts) + 1, n - t + 1
     every = np.bincount([c.bit_count() for c in cliques], minlength=top)
     found, iii, a_count = (np.zeros(top, dtype=np.int64) for _ in range(3))
     spokes = np.zeros(top * width, dtype=np.int64)  # (size, s): the (family, t-set) pairs with s spokes
     a_cols = spoke_cols = None
-    for kept, covers in blocks:
+    for chunk, (t_covers, covers) in blocks(cliques):
+        keep = covers.any(axis=1) & ~t_covers.any(axis=1)
+        kept = list(compress(chunk, keep.tolist()))
         if not kept:
             continue
+        covers = covers[keep]
         if a_cols is None:
             # indexed at the first family only: with k = n there is none, and
             # C(n, t+2) may be far larger than the budget-checked cover rows
-            a_cols, spoke_cols = _anchor_columns(n, t, plus)
+            a_cols, spoke_cols = _anchor_columns(n, t)
         sizes = np.array([c.bit_count() for c in kept])
         np.add.at(found, sizes, 1)
         # T1.2-iii (_match_iii): every minimum cover is an anchor

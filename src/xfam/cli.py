@@ -130,7 +130,12 @@ def _report(command: str, params: dict, results, verdict: bool) -> dict:
 
 
 def _parse_ints(text: str) -> tuple[int, ...]:
-    return tuple(int(x) for x in text.replace(",", " ").split())
+    """The integers of a list split at commas and spaces; ASCII digits only,
+    as in grid bounds."""
+    terms = text.replace(",", " ").split()
+    if not all(term.isascii() and term.isdigit() for term in terms):
+        raise ValueError(f"bad integer list {text!r}: give ASCII digits split by commas or spaces")
+    return tuple(int(term) for term in terms)
 
 
 def _grid_value(expr: str, env: dict[str, int]) -> int:

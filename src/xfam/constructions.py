@@ -135,16 +135,15 @@ def construct_H(n: int, k: int, t: int, X: tuple[int, ...], Y: tuple[int, ...]) 
     anchor element. X and Y must avoid [t] and overlap enough (one common
     element at t = 1, two otherwise)."""
     X, Y = tuple(sorted(X)), tuple(sorted(Y))
-    xm, ym = mask_of(X), mask_of(Y)
-    head = full_mask(t)
-    if (xm | ym) & head or max(X + Y) > n:
+    if not all(t < e <= n for e in X + Y):
         raise ValueError("X and Y must live inside [t+1, n]")
+    xm, ym = mask_of(X), mask_of(Y)
     if len(X) != k - t + 1:
         raise ValueError(f"|X| must be k-t+1 = {k - t + 1}, got {len(X)}")
     need = 1 if t == 1 else 2
     if (xm & ym).bit_count() < need:
         raise ValueError(f"need |X ∩ Y| >= {need}")
-    return Family(n, k, _h_members(n, k, head, xm, ym))
+    return Family(n, k, _h_members(n, k, full_mask(t), xm, ym))
 
 
 @lru_cache(maxsize=4096)

@@ -14,18 +14,21 @@ Listing walks every maximal clique. Counting walks one vertex orbit: S_n
 permutes the k-sets transitively and maps maximal families onto maximal
 families, so for any S_n-invariant g, double counting the pairs (F, v in F)
 gives sum_F g(F) = C(n,k) * sum_{F ∋ v0} g(F)/|F| exactly, where v0 =
-{1..k} is the vertex of index 0. The maximal cliques through v0 are v0 plus
-the maximal cliques of the graph induced on its neighbourhood, so
-`through_v0` walks from v0 over the rows of N[v0] alone. `_orbit_count`
-sums such weights as a Fraction and refuses a non-integer total.
+{1..k} is the vertex of index 0. The maximal cliques through v0 are the
+maximal cliques of the graph induced on N[v0], so `through_v0` builds rows
+on N[v0] alone, and the one walk lists exactly those: v0 is adjacent to
+every other vertex there, so the pivot rule takes it first and it is the
+only top-level branch. `_orbit_count` sums such weights as a Fraction and
+refuses a non-integer total.
 Every covering-number test on clique masks goes through one kernel,
 `_cover_blocks`: blocks of cliques (sized by COVER_CHUNK), packed as 64-bit
 words, are ANDed against one complemented row per candidate s-set cover.
 `classify.count_theorem_1_2` reads the tau = t+1 families and their minimum
 covers off the t- and (t+1)-set rows. The product search groups the pair
-cliques through v0 by |F| |G| and, in the groups that can still tie the best
-product, decodes only the pairs with no (min_tau - 1)-set covering either
-side, since tau_t >= m iff no (m-1)-set is a t-cover.
+cliques through v0 by |F| |G| and takes the groups by decreasing product
+up to the first with a qualifying pair, one with no (min_tau - 1)-set
+covering either side, since tau_t >= m iff no (m-1)-set is a t-cover. Only
+the qualifying pairs of that group are decoded.
 
 One budget, BUDGET, bounds every enumeration, checked three times: before
 any row is built, the V^2 vertex comparisons of a V-vertex graph (V counts
@@ -118,15 +121,16 @@ def _set_text(mask: int) -> str:
     return "{" + ",".join(str(i + 1) for i in _bits(mask)) + "}"
 
 
-def _bron_kerbosch(rows: Sequence[int], nverts: int, start: int | None = None) -> list[int]:
-    """All maximal cliques as vertex bitmasks, or with `start` those holding
-    that vertex, with the max-degree pivot rule (pivot maximizes its
-    candidate neighbourhood, ties to the lowest index). The only enumeration
-    walk in xfam: the intersection graph and the coloured graphs of
-    `maximal_cross_tuples` both come here. The walk stops with an error at
-    clique BUDGET + 1. Each recursion level adds one vertex, so the
-    recursion limit is raised by nverts for the walk and restored however it
-    ends."""
+def _bron_kerbosch(rows: Sequence[int], nverts: int) -> list[int]:
+    """All maximal cliques as vertex bitmasks, with the max-degree pivot rule
+    (pivot maximizes its candidate neighbourhood, ties to the lowest index).
+    The only enumeration walk in xfam: the intersection graph and the
+    coloured graphs of `maximal_cross_tuples` both come here. On a graph cut
+    down to N[v0], with v0 of index 0 adjacent to every other vertex, the
+    first pivot is v0 and v0 is the only top-level branch, so every clique
+    holds v0. The walk stops with an error at clique BUDGET + 1. Each
+    recursion level adds one vertex, so the recursion limit is raised by
+    nverts for the walk and restored however it ends."""
     out: list[int] = []
     budget = BUDGET
 
@@ -158,10 +162,7 @@ def _bron_kerbosch(rows: Sequence[int], nverts: int, start: int | None = None) -
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(limit + nverts)
     try:
-        if start is None:
-            expand(0, (1 << nverts) - 1, 0)
-        else:
-            expand(1 << start, rows[start], 0)
+        expand(0, (1 << nverts) - 1, 0)
     finally:
         sys.setrecursionlimit(limit)
     return out
@@ -231,7 +232,7 @@ def maximal_cliques(n: int, k: int, t: int, through_v0: bool = False) -> tuple[t
     _check_budget(f"{counted} = {nverts:,} vertices", nverts * nverts)
     verts = tuple(_neighbourhood(full_mask(n), v0, k, t)) if through_v0 else subsets(full_mask(n), k).masks
     rows = [row & ~(1 << i) for i, row in enumerate(_compat_rows(verts, verts, t))]
-    return verts, _bron_kerbosch(rows, len(verts), 0 if through_v0 else None)
+    return verts, _bron_kerbosch(rows, len(verts))
 
 
 def enumerate_maximal_t_intersecting(n: int, k: int, t: int) -> list[Family]:
@@ -287,34 +288,10 @@ def _cover_blocks(n: int, t: int, sizes: Sequence[int], verts: Sequence[int]):
     return blocks
 
 
-def _min_cover_matrix(n: int, t: int, verts: Sequence[int], cliques: Sequence[int]):
-    """The (t+1)-subsets of [n] in table order (the columns), and an
-    iterator over the blocks of `_cover_blocks` for `cliques`, each cut down
-    to its tau = t+1 cliques: their masks, and a boolean matrix true where a
-    column is a minimum cover of the row's clique. tau = t+1 iff some
-    (t+1)-set covers the clique and no t-set does; then the (t+1)-covers are
-    all the minimum covers. They lie inside the union of the family, since a
-    cover element outside it could be dropped, so scanning all of [n]
-    matches the library's candidates."""
-    blocks = _cover_blocks(n, t, (t, t + 1), verts)
-
-    def minimum():
-        for chunk, (t_covers, covers) in blocks(cliques):
-            keep = covers.any(axis=1) & ~t_covers.any(axis=1)
-            yield list(compress(chunk, keep.tolist())), covers[keep]
-
-    return subsets(full_mask(n), t + 1).masks, minimum()
-
-
 @dataclass
 class SearchResult:
     """Outcome of the exhaustive product search."""
 
-    n: int
-    k1: int
-    k2: int
-    t: int
-    min_tau: int
     best_product: int
     witnesses: list[tuple[Family, Family]]
     pairs_examined: int
@@ -331,13 +308,14 @@ def extremal_product_search(n: int, k1: int, k2: int, t: int, min_tau: int) -> S
 
     Only the maximal cliques of the pair graph whose side 1 holds v0 =
     {1..k1} are walked (see the comment in the body). They are grouped by
-    product, read off their bitmasks, and walked by decreasing product
-    until the first one below the best qualifying product. In each group,
-    both sides of every clique are tested against the cover rows of
+    product, read off their bitmasks, and the groups are taken by
+    decreasing product up to the first one with a qualifying pair. In each
+    group, both sides of every clique are tested against the cover rows of
     `_cover_blocks` (counted against BUDGET before the walk), and only the
-    qualifying pairs are decoded into families, in enumeration order
-    (sorted by the members of F, then G). A min_tau above n is refused, since
-    [n] is a t-cover of every family over [n], and so is a negative one."""
+    qualifying pairs are decoded, in enumeration order (sorted by the
+    members of F, then G): F into a family, and G only for a new class. A
+    min_tau above n is refused, since [n] is a t-cover of every family over
+    [n], and so is a negative one."""
     validate_params(n, k1, t)
     validate_params(n, k2, t)
     if min_tau < 0:
@@ -365,45 +343,38 @@ def extremal_product_search(n: int, k1: int, k2: int, t: int, min_tau: int) -> S
     side1, side2 = colours
     groups: dict[int, list[int]] = {}
     f_sizes: Counter[int] = Counter()
-    for c in _bron_kerbosch(rows, len(verts), 0):
+    for c in _bron_kerbosch(rows, len(verts)):
         f, g = (c & side1).bit_count(), (c & side2).bit_count()
         if g:
             f_sizes[f] += 1
             groups.setdefault(f * g, []).append(c)
     best = 0
-    winners: list[tuple[Family, Family]] = []
+    witnesses: list[tuple[Family, Family]] = []
     for product in sorted(groups, reverse=True):
-        if product < best:
-            break
         group = groups[product]
         if blocks:
             sides = (c & side for c in group for side in colours)
             covered = np.concatenate([covers.any(axis=1) for _, (covers,) in blocks(sides)])
             group = list(compress(group, (~(covered[0::2] | covered[1::2])).tolist()))
+        # A maximal pair has G = star(F), the k2-sets meeting every member
+        # of F in >= t elements, and a permutation p of [n] preserves
+        # intersection sizes, so p(star(F)) = star(p(F)). Hence p maps (F, G)
+        # onto another maximal pair (F', G') iff it maps F onto F': the joint
+        # classes of the winners are the classes of F alone, and
+        # canonical_form(F) is a key for them.
+        seen: set[bytes] = set()
         for fm, gm in sorted(_decode(verts, colours, c) for c in group):
+            f = Family(n, k1, fm)
+            key = canonical_form(f)
+            if key not in seen:
+                seen.add(key)
+                witnesses.append((f, Family(n, k2, gm)))
+        if witnesses:
             best = product
-            winners.append((Family(n, k1, fm), Family(n, k2, gm)))
-    # A maximal pair has G = star(F), the k2-sets meeting every member of F
-    # in >= t elements, and a permutation p of [n] preserves intersection
-    # sizes, so p(star(F)) = star(p(F)). Hence p maps (F, G) onto another
-    # maximal pair (F', G') iff it maps F onto F': the joint classes of the
-    # winners are the classes of F alone, and canonical_form(F) is a key
-    # for them.
-    seen: set[bytes] = set()
-    unique = []
-    for f, g in winners:
-        key = canonical_form(f)
-        if key not in seen:
-            seen.add(key)
-            unique.append((f, g))
+            break
     return SearchResult(
-        n=n,
-        k1=k1,
-        k2=k2,
-        t=t,
-        min_tau=min_tau,
         best_product=best,
-        witnesses=unique,
+        witnesses=witnesses,
         pairs_examined=_orbit_count(comb(n, k1), f_sizes.items()),
         at_proved_threshold=n >= n_threshold(k1, k2, t),
     )

@@ -9,6 +9,9 @@ but unarguable at tiny scale. `sweep_cross_tuples` is the same sweep for
 r-tuples of one size, kept as the oracle of the coloured-clique kernel
 `xfam.enumeration.maximal_cross_tuples`. `enumerate_maximal_pairs` lists the
 maximal pairs as families off that kernel, for the tests that walk them.
+`bron_kerbosch_from` is the walk entered at a start vertex that the orbit
+walks once took, kept as the oracle of the plain walk on a graph cut down to
+N[v0].
 
 `canonical_form_reference` is the canonical-form search in its plain shape
 (sorted colour tuples as refinement signatures, every leaf encoded to bytes,
@@ -26,8 +29,8 @@ anchor sets; the rebuild matchers below use them too.
 
 `classify_all_reference` is the `classify-all` loop in its library shape
 (every maximal family through `covering_number`, then `match_theorem_1_2`),
-kept as the oracle of the cover-matrix kernel as `maximal_with_tau_t_plus_1`
-decodes it over the full walk.
+kept as the oracle of the cover-row kernel as `maximal_with_tau_t_plus_1`
+decodes its minimum covers over the full walk.
 
 `count_theorem_1_2_reference` and `extremal_product_search_reference` are
 `classify-all` and `search` over the full walk, every maximal family or pair
@@ -68,6 +71,7 @@ from typing import Sequence
 
 import numpy as np
 
+import xfam.enumeration
 from xfam import (
     Family,
     canonical_form,
@@ -91,7 +95,7 @@ from xfam.core import (
     subsets,
     validate_params,
 )
-from xfam.enumeration import SearchResult, _min_cover_matrix, maximal_cliques, maximal_cross_tuples
+from xfam.enumeration import SearchResult, _cover_blocks, maximal_cliques, maximal_cross_tuples
 from xfam.formulas import AuditPoint, _point, n_threshold, tilde_g
 
 Cells = tuple[tuple[int, ...], ...]
@@ -233,6 +237,31 @@ def enumerate_maximal_pairs(n: int, k1: int, k2: int, t: int) -> list[tuple[Fami
     validate_params(n, k2, t)
     pairs = maximal_cross_tuples(full_mask(n), (k1, k2), t)
     return [(Family(n, k1, f), Family(n, k2, g)) for f, g in pairs if f and g]
+
+
+def bron_kerbosch_from(rows: Sequence[int], nverts: int, start: int) -> list[int]:
+    """The maximal cliques holding vertex `start`, by the pivoting walk of
+    `xfam.enumeration._bron_kerbosch` entered at `start` itself (R = {start},
+    P = its neighbours), under the same clique budget: the oracle of the
+    library walk entered at the root of a graph cut down to N[v0]."""
+    out: list[int] = []
+    budget = xfam.enumeration.BUDGET
+
+    def expand(r: int, p: int, x: int) -> None:
+        if p == 0 and x == 0:
+            if len(out) == budget:
+                raise ValueError(f"found more than the budget of {budget:,} maximal cliques")
+            out.append(r)
+            return
+        pivot = max(_bits(p | x), key=lambda u: ((rows[u] & p).bit_count(), -u))
+        cand = p & ~rows[pivot]
+        for v in _bits(cand):
+            expand(r | 1 << v, p & rows[v], x & rows[v])
+            p &= ~(1 << v)
+            x |= 1 << v
+
+    expand(1 << start, rows[start], 0)
+    return out
 
 
 def _rows(verts: tuple[int, ...], other: tuple[int, ...], t: int) -> list[int]:
@@ -653,15 +682,25 @@ def classify_all_reference(n: int, k: int, t: int) -> tuple[int, list[tuple[Fami
     return len(fams), found
 
 
+def _min_covers(n: int, t: int, verts: Sequence[int], cliques: Sequence[int]):
+    """The blocks of the t- and (t+1)-set rows of `_cover_blocks` for
+    `cliques`, each cut down to its tau = t+1 cliques: their masks, and a
+    boolean matrix true where a (t+1)-set (in table order) is a minimum
+    cover of the row's clique."""
+    for chunk, (t_covers, covers) in _cover_blocks(n, t, (t, t + 1), verts)(cliques):
+        keep = covers.any(axis=1) & ~t_covers.any(axis=1)
+        yield [c for c, kept in zip(chunk, keep) if kept], covers[keep]
+
+
 def maximal_with_tau_t_plus_1(n: int, k: int, t: int) -> tuple[int, list[tuple[Family, CoverStructure]]]:
     """The number of maximal t-intersecting k-uniform families over [n], and
     those with covering number t+1, sorted by members, each with its
-    `covering_number(F, t)`, decoded from the minimum-cover matrix of the
-    full walk (minimum covers in table order)."""
+    `covering_number(F, t)`, decoded from the minimum covers of the full
+    walk (in table order)."""
     verts, cliques = maximal_cliques(n, k, t)
-    plus, blocks = _min_cover_matrix(n, t, verts, cliques)
+    plus = subsets(full_mask(n), t + 1).masks
     found = []
-    for kept, covers in blocks:
+    for kept, covers in _min_covers(n, t, verts, cliques):
         for clique, row in zip(kept, covers):
             fam = Family(n, k, tuple([verts[i] for i in _bits(clique)]))
             mins = tuple([plus[j] for j in row.nonzero()[0].tolist()])
@@ -672,16 +711,15 @@ def maximal_with_tau_t_plus_1(n: int, k: int, t: int) -> tuple[int, list[tuple[F
 
 def count_theorem_1_2_reference(n: int, k: int, t: int) -> tuple[int, int, dict[str, int]]:
     """`xfam.count_theorem_1_2` over every maximal family: the same lookups
-    on the minimum-cover matrix of the full walk, each family counted once."""
+    on the minimum covers of the full walk, each family counted once."""
     verts, cliques = maximal_cliques(n, k, t)
-    plus, blocks = _min_cover_matrix(n, t, verts, cliques)
     found = iii = a_count = 0
     spokes = [0] * (n - t + 1)  # spokes[s]: the (family, t-set) pairs with s spokes
-    for kept, covers in blocks:
+    for kept, covers in _min_covers(n, t, verts, cliques):
         if not kept:
             continue
         if not found:
-            a_cols, spoke_cols = _anchor_columns(n, t, plus)
+            a_cols, spoke_cols = _anchor_columns(n, t)
         found += len(kept)
         iii += int(covers.sum())
         a_count += int(covers[:, a_cols].all(axis=2).sum())
@@ -725,11 +763,6 @@ def extremal_product_search_reference(n: int, k1: int, k2: int, t: int, min_tau:
             seen.add(key)
             unique.append((f, g))
     return SearchResult(
-        n=n,
-        k1=k1,
-        k2=k2,
-        t=t,
-        min_tau=min_tau,
         best_product=best,
         witnesses=unique,
         pairs_examined=len(pairs),

@@ -164,6 +164,18 @@ def test_usage_errors_exit_2(capsys, tmp_path):
     # '²'.isdigit() is true, but int() refuses it: the message names the bound
     code, out, err = run(capsys, "audit", "--lemma", "all", "--grid", "t=²;k=2;l=2;n=5")
     assert code == 2 and out == "" and err.startswith("error: bad grid bound '²': ")
+    # so are the integer lists of the other options, and the message names the list
+    for argv, message in (
+        (("leading-term", "--pair", "AA", "--k", "3", "--l", "3", "--t", "1", "--n-seq", "3,a"), "bad integer list '3,a': "),
+        (("leading-term", "--pair", "AA", "--k", "3", "--l", "3", "--t", "1", "--n-seq", "1000,٣٠٠٠"), "bad integer list '1000,٣٠٠٠': "),
+        (("construct", "--kind", "B", "--n", "6", "--k", "2", "--t", "1", "--quad", "1,2,x,4"), "bad integer list '1,2,x,4': "),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "" and err.startswith("error: " + message), argv
+    # H anchors are checked for range before any mask is built
+    for x, y in (("2,3,4", "0,3"), ("0,2,3", "2,3")):
+        code, out, err = run(capsys, "construct", "--kind", "H", "--n", "8", "--k", "3", "--t", "1", "--x", x, "--y", y)
+        assert code == 2 and out == "" and err == "error: X and Y must live inside [t+1, n]\n", (x, y)
     # invalid (n, k, t) is refused before any enumeration
     for argv in (
         ("search", "--n", "65", "--k1", "1", "--k2", "1", "--t", "1", "--min-tau", "1"),

@@ -19,9 +19,10 @@ from xfam import (
 from xfam.canon import canonical_form_tuple
 from xfam.core import full_mask, subsets
 from xfam.classify import count_theorem_1_2
-from xfam.enumeration import maximal_cliques, maximal_cross_tuples
+from xfam.enumeration import _bron_kerbosch, _coloured_graph, maximal_cliques, maximal_cross_tuples
 from xfam.formulas import eval_g
 from helpers import (
+    bron_kerbosch_from,
     brute_maximal_families,
     brute_maximal_pairs,
     enumerate_maximal_pairs,
@@ -66,6 +67,38 @@ def test_maximal_cliques_match_networkx(n, k, t):
     got = {frozenset(i for i in range(len(verts)) if clique >> i & 1) for clique in cliques}
     assert len(got) == len(cliques)
     assert got == {frozenset(c) for c in nx.find_cliques(graph)}
+
+
+def test_walk_through_v0_matches_the_walk_from_v0(monkeypatch):
+    # every N[v0] graph of both kinds for n <= 7: v0 (index 0) is adjacent
+    # to every other vertex, so the pivot rule makes it the only top-level
+    # branch, and the plain walk lists the cliques of the walk entered at v0
+    # in the same order; under a budget of 20,000 cliques, both walks refuse
+    # the 11 graphs past it, (6,3,3,1) with 524,288 cliques among them
+    monkeypatch.setattr(xfam.enumeration, "BUDGET", 20_000)
+    graphs = []
+    monkeypatch.setattr(xfam.enumeration, "_bron_kerbosch", lambda rows, nverts: graphs.append(rows) or [])
+    for n in range(1, 8):
+        for k in range(1, n + 1):
+            for t in range(1, k + 1):
+                maximal_cliques(n, k, t, through_v0=True)
+        for k1 in range(1, n + 1):
+            for k2 in range(1, n + 1):
+                for t in range(1, min(k1, k2) + 1):
+                    graphs.append(_coloured_graph(full_mask(n), (k1, k2), t, through_v0=True)[2])
+    refused = 0
+    for rows in graphs:
+        assert all(rows[0] >> v & 1 for v in range(1, len(rows)))
+        try:
+            cliques = _bron_kerbosch(rows, len(rows))
+        except ValueError:
+            refused += 1
+            with pytest.raises(ValueError, match="budget of 20,000 maximal cliques"):
+                bron_kerbosch_from(rows, len(rows), 0)
+            continue
+        assert cliques == bron_kerbosch_from(rows, len(rows), 0)
+        assert all(c & 1 for c in cliques)
+    assert (len(graphs), refused) == (420, 11)
 
 
 def test_enumeration_examples():
@@ -252,7 +285,7 @@ def test_search_builds_families_only_for_groups_that_can_tie(monkeypatch):
     # (7,2,3,1) has 24,696 maximal pairs and best product 40; the walk
     # through v0 = {1,2} finds 6,540 pair cliques, 568 of them with product
     # >= 40, and only the 340 among those with both covering numbers >= 2
-    # are decoded, two families each
+    # are decoded: F for each, G only for the first of each class
     built = []
 
     def counting_family(*args):
@@ -262,7 +295,8 @@ def test_search_builds_families_only_for_groups_that_can_tie(monkeypatch):
     monkeypatch.setattr(xfam.enumeration, "Family", counting_family)
     res = extremal_product_search(7, 2, 3, 1, 2)
     assert (res.best_product, res.pairs_examined) == (40, 24_696)
-    assert len(built) == 2 * 340
+    assert len(res.witnesses) == 3
+    assert len(built) == 340 + len(res.witnesses)
 
 
 @pytest.mark.parametrize(
