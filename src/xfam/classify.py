@@ -268,13 +268,7 @@ def count_theorem_1_2(n: int, k: int, t: int) -> tuple[int, int, dict[str, int]]
     families through v0 = {1..k}. Every count is a sum of an S_n-invariant
     g(F), so it is C(n, k) times the sum of g(F)/|F| over those families:
     each count is kept per family size as an exact integer, and
-    `_orbit_count` weighs them.
-
-    The covers come from the t- and (t+1)-set rows of `_cover_blocks`.
-    tau = t+1 iff some (t+1)-set covers the family and no t-set does; then
-    the (t+1)-covers are all the minimum covers. They lie inside the union
-    of the family, since a cover element outside it could be dropped, so
-    scanning all of [n] matches the library's candidates."""
+    `_orbit_count` weighs them."""
     verts, cliques = maximal_cliques(n, k, t, through_v0=True)
     blocks = _cover_blocks(n, t, (t, t + 1), verts)
     top, width = len(verts) + 1, n - t + 1
@@ -283,6 +277,10 @@ def count_theorem_1_2(n: int, k: int, t: int) -> tuple[int, int, dict[str, int]]
     spokes = np.zeros(top * width, dtype=np.int64)  # (size, s): the (family, t-set) pairs with s spokes
     a_cols = spoke_cols = None
     for chunk, (t_covers, covers) in blocks(cliques):
+        # tau = t+1 iff some (t+1)-set covers the family and no t-set does;
+        # then the (t+1)-covers are all the minimum covers. They lie inside
+        # the union of the family, since a cover element outside it could be
+        # dropped, so scanning all of [n] matches the library's candidates.
         keep = covers.any(axis=1) & ~t_covers.any(axis=1)
         kept = list(compress(chunk, keep.tolist()))
         if not kept:
