@@ -137,6 +137,8 @@ def construct_H(n: int, k: int, t: int, X: tuple[int, ...], Y: tuple[int, ...]) 
     X, Y = tuple(sorted(X)), tuple(sorted(Y))
     if not all(t < e <= n for e in X + Y):
         raise ValueError("X and Y must live inside [t+1, n]")
+    if len(set(X)) != len(X) or len(set(Y)) != len(Y):
+        raise ValueError(f"X and Y must not repeat an element, got X={X} Y={Y}")
     xm, ym = mask_of(X), mask_of(Y)
     if len(X) != k - t + 1:
         raise ValueError(f"|X| must be k-t+1 = {k - t + 1}, got {len(X)}")

@@ -13,13 +13,14 @@ and the kernel `select(table, members, t)` that keeps the candidates meeting
 every member in >= t elements. Covers, stars, cross checks, the
 constructions and the template reconstructions all go through them.
 
-`select` rests on one identity: |c ∩ m| >= t iff |m ∖ c| <= |m| - t iff the
-complement of c holds no (|m| - t + 1)-subset of m. On dense queries over at
-most 20 bits it marks the up-set those subsets generate in one array over
-the 2^n subsets of [n] and reads each candidate's complement there, at a cost
-that does not depend on the number of members. Smaller queries filter the
-candidates member by member; wider ones count bits over the chunked
-(candidate, member) outer product.
+`select` has two exact paths. Dense queries over at most 20 bits rest on one
+identity: |c ∩ m| >= t iff |m ∖ c| <= |m| - t iff the complement of c holds
+no (|m| - t + 1)-subset of m. That path marks the up-set those subsets
+generate in one array over the 2^n subsets of [n] and reads each candidate's
+complement there, at a cost that does not depend on the number of members.
+Every other query, and every relation row the enumerations build, counts
+bits over the (candidate, member) outer product in bounded blocks
+(`_meet_blocks`): no Python loop over pairs of sets computes the relation.
 
 On top of the raw masks this module provides the intersection predicates,
 exact t-covering-number computation (all minimum covers, not just one), the
@@ -43,14 +44,15 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 import numpy as np
 
 MAX_GROUND_SET = 64
+BUDGET = 1_300_000  # subset-table masks, vertex comparisons before a walk, maximal cliques during one
 
 # the up-set path of `select` runs up to this many ground-set bits (its flag
 # arrays take 2^n bytes, 1 MB at 20 bits) and from this many (candidate,
 # member) pairs, or 2^n pairs if that is more
 _UPSET_MAX_BITS = 20
 _UPSET_PAIR_CUTOFF = 2_000
-# past _UPSET_MAX_BITS, the chunked numpy branch beats the survivor loop only
-# past this many pairs
+# (candidate, member) pairs per block of `_meet_blocks`, so its temporaries
+# stay near 160 kB however many pairs a query has
 _NP_PAIR_CUTOFF = 20_000
 # one (shift, mask) per bit j < 6 of the up-set closure, applied to the 64
 # subset flags packed in one little-endian uint64 word: bit i of the word is
@@ -85,6 +87,13 @@ def full_mask(n: int) -> int:
     return (1 << n) - 1
 
 
+def _check_budget(what: str, amount: int, unit: str = "comparisons") -> None:
+    """Refuse a table of `amount` entries before it is built; `what` names
+    what is counted."""
+    if amount > BUDGET:
+        raise ValueError(f"{what} need {amount:,} {unit}, over the budget of {BUDGET:,}")
+
+
 class SubsetTable(NamedTuple):
     """Masks in increasing order, as a tuple and as a read-only uint64 array."""
 
@@ -102,8 +111,10 @@ class SubsetTable(NamedTuple):
 @lru_cache(maxsize=1024)
 def subsets(universe: int, size: int) -> SubsetTable:
     """All `size`-subsets of the mask `universe` in increasing mask order,
-    built once per (universe, size)."""
+    built once per (universe, size); a table of more than BUDGET masks is
+    refused before it is built."""
     bits = [1 << (e - 1) for e in elements_of(universe)]
+    _check_budget(f"C({len(bits)},{size}) subsets", comb(len(bits), size), "masks")
     return SubsetTable.of(sorted(sum(c) for c in combinations(bits, size)))
 
 
@@ -111,27 +122,23 @@ def select(cands: SubsetTable, members: Sequence[int], t: int) -> tuple[int, ...
     """The candidates meeting every member in >= t elements, in table order.
 
     All of them when `members` is empty or t <= 0, none when a member has
-    fewer than t elements. Otherwise one of three exact paths, by size:
+    fewer than t elements. Otherwise one of two exact paths, by size:
 
     - up-set (`_outside_upset`), while n <= _UPSET_MAX_BITS and there are at
       least max(_UPSET_PAIR_CUTOFF, 2^n) (candidate, member) pairs, where n
       is the highest bit used. It rests on |c ∩ m| >= t iff |m ∖ c| <= |m| - t
       iff the complement of c holds no (|m| - t + 1)-subset of m, and its cost
       does not depend on the number of members;
-    - survivor loop (`_survivors`), below _NP_PAIR_CUTOFF pairs;
-    - chunked np.bitwise_count over the outer product (`_outer_product`).
+    - the chunked outer product (`_outer_product`) otherwise.
     """
     masks = cands.masks
     if t <= 0 or not members:
         return masks
     if not masks:
         return ()
-    pairs = len(masks) * len(members)
     n = (reduce(or_, members) | masks[-1]).bit_length()
-    if n <= _UPSET_MAX_BITS and pairs >= max(_UPSET_PAIR_CUTOFF, 1 << n):
+    if n <= _UPSET_MAX_BITS and len(masks) * len(members) >= max(_UPSET_PAIR_CUTOFF, 1 << n):
         return _outside_upset(cands, members, t, n)
-    if pairs < _NP_PAIR_CUTOFF:
-        return _survivors(masks, members, t)
     return _outer_product(cands, members, t)
 
 
@@ -174,27 +181,21 @@ def _outside_upset(cands: SubsetTable, members: Sequence[int], t: int, n: int) -
     return tuple(cands.array[~up[np.uint64((1 << n) - 1) ^ cands.array]].tolist())
 
 
-def _survivors(masks: Sequence[int], members: Sequence[int], t: int) -> tuple[int, ...]:
-    """Filter the candidates member by member, stopping once none is left."""
-    keep = masks
-    for m in members:
-        keep = [c for c in keep if (c & m).bit_count() >= t]
-        if not keep:
-            break
-    return tuple(keep)
+def _meet_blocks(a: np.ndarray, b: np.ndarray, t: int) -> Iterator[np.ndarray]:
+    """The relation |a[i] ∩ b[j]| >= t on two uint64 arrays, as boolean
+    blocks of consecutive rows of a, each of about _NP_PAIR_CUTOFF pairs (at
+    least one row), so the temporaries stay bounded however long a and b are."""
+    step = max(1, _NP_PAIR_CUTOFF // max(1, len(b)))
+    for i in range(0, len(a), step):
+        yield np.bitwise_count(a[i : i + step, None] & b[None, :]) >= t
 
 
 def _outer_product(cands: SubsetTable, members: Sequence[int], t: int) -> tuple[int, ...]:
-    """np.bitwise_count over (candidate, member) pairs, chunked to bound
-    memory at a few MB."""
-    masks = cands.masks
-    mem = np.array(members, dtype=np.uint64)
-    step = max(1, _NP_PAIR_CUTOFF // len(mem))
-    keep: list[int] = []
-    for i in range(0, len(masks), step):
-        counts = np.bitwise_count(cands.array[i : i + step, None] & mem[None, :])
-        keep.extend(i + np.flatnonzero((counts >= t).all(axis=1)))
-    return tuple(masks[j] for j in keep)
+    """The candidates whose row of `_meet_blocks` is all true, as the ints
+    of the table itself, so a cached result holds no copies."""
+    blocks = _meet_blocks(cands.array, np.array(members, dtype=np.uint64), t)
+    keep = np.flatnonzero(np.concatenate([block.all(axis=1) for block in blocks]))
+    return tuple([cands.masks[j] for j in keep.tolist()])
 
 
 def validate_params(n: int, k: int, t: int) -> None:
@@ -291,14 +292,9 @@ def is_cross_t_intersecting(F: Family, G: Family, t: int) -> bool:
 
 
 def is_t_intersecting(F: Family, t: int) -> bool:
-    """True iff every unordered pair of members meets in >= t elements."""
-    members = F.members
-    for i in range(len(members)):
-        fi = members[i]
-        for g in members[i + 1 :]:
-            if (fi & g).bit_count() < t:
-                return False
-    return True
+    """True iff every two distinct members meet in >= t elements. A member
+    meets itself in k, so past t = k only a family of at most one member is."""
+    return len(F) <= 1 if t > F.k else is_cross_t_intersecting(F, F, t)
 
 
 @dataclass(frozen=True)

@@ -30,12 +30,13 @@ up to the first with a qualifying pair, one with no (min_tau - 1)-set
 covering either side, since tau_t >= m iff no (m-1)-set is a t-cover. Only
 the qualifying pairs of that group are decoded.
 
-One budget, BUDGET, bounds every enumeration, checked three times: before
-any row is built, the V^2 vertex comparisons of a V-vertex graph (V counts
-N[v0] alone for an orbit walk); before any cover row (for the search, before
-the walk), the cover rows times the V vertices; and during the walk, the
-number of maximal cliques walked. Exceeding it is an error, never silent
-truncation.
+One budget, `core.BUDGET`, bounds every enumeration, checked three times:
+before any row is built, the V^2 vertex comparisons of a V-vertex graph (V
+counts N[v0] alone for an orbit walk); before any cover row (for the search,
+before the walk), the cover rows times the V vertices; and during the walk,
+the number of maximal cliques walked. Exceeding it is an error, never silent
+truncation. Every adjacency and cover row is read off the one relation
+kernel of `core`, `_meet_blocks`.
 """
 
 from __future__ import annotations
@@ -50,20 +51,13 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from . import core
 from .canon import canonical_form
-from .core import Family, full_mask, subsets, validate_params
+from .core import Family, _check_budget, _meet_blocks, full_mask, subsets, validate_params
 from .formulas import n_threshold
 
-BUDGET = 1_300_000  # vertex comparisons before a walk, maximal cliques during one
 COVER_CHUNK = 1 << 16  # cover-row tests (cliques x cover rows) per block of the cover matrix
 _PACK = 2048  # masks per bytes conversion in _words
-
-
-def _check_budget(what: str, comparisons: int) -> None:
-    """Refuse a table of `comparisons` comparisons before it is built; `what`
-    names the rows and vertices compared."""
-    if comparisons > BUDGET:
-        raise ValueError(f"{what} need {comparisons:,} comparisons, over the budget of {BUDGET:,}")
 
 
 def _meeting(universe: int, v0: int, size: int, t: int) -> list[tuple[int, int]]:
@@ -97,15 +91,16 @@ def _orbit_count(orbit: int, per_size: Iterable[tuple[int, int]]) -> int:
     return total.numerator
 
 
-def _compat_rows(verts: tuple[int, ...], other: tuple[int, ...], t: int) -> list[int]:
-    """Row i: the bitmask of the indices j with |verts[i] ∩ other[j]| >= t."""
-    rows = []
-    for a in verts:
-        row = 0
-        for j, b in enumerate(other):
-            if (a & b).bit_count() >= t:
-                row |= 1 << j
-        rows.append(row)
+def _compat_rows(verts: Sequence[int], other: Sequence[int], t: int) -> list[int]:
+    """Row i: the bitmask of the indices j with |verts[i] ∩ other[j]| >= t,
+    packed off the blocks of `_meet_blocks`, one bytes object per row. A
+    uint64 array `verts`, such as a subset table's, is read in place."""
+    if not other:
+        return [0] * len(verts)
+    rows: list[int] = []
+    for block in _meet_blocks(np.asarray(verts, dtype=np.uint64), np.array(other, dtype=np.uint64), t):
+        packed = np.packbits(block, axis=1, bitorder="little")
+        rows += [int.from_bytes(row, "little") for row in packed.view(f"V{packed.shape[1]}").ravel().tolist()]
     return rows
 
 
@@ -128,11 +123,11 @@ def _bron_kerbosch(rows: Sequence[int], nverts: int) -> list[int]:
     coloured graphs of `maximal_cross_tuples` both come here. On a graph cut
     down to N[v0], with v0 of index 0 adjacent to every other vertex, the
     first pivot is v0 and v0 is the only top-level branch, so every clique
-    holds v0. The walk stops with an error at clique BUDGET + 1. Each
-    recursion level adds one vertex, so the recursion limit is raised by
-    nverts for the walk and restored however it ends."""
+    holds v0. The walk stops with an error at clique `core.BUDGET` + 1.
+    Each recursion level adds one vertex, so the recursion limit is raised
+    by nverts for the walk and restored however it ends."""
     out: list[int] = []
-    budget = BUDGET
+    budget = core.BUDGET
 
     def expand(r: int, p: int, x: int) -> None:
         if p == 0 and x == 0:
@@ -259,16 +254,17 @@ def _cover_blocks(n: int, t: int, sizes: Sequence[int], verts: Sequence[int]):
     k-sets `verts`. One row per s-set T of [n], for each s in `sizes`, in
     table order, holds the vertices meeting T in fewer than t elements, so T
     t-covers a clique iff their AND is 0. The rows times the vertices are
-    counted against BUDGET before any row is built. Returns a function from
-    cliques to an iterator over blocks of them, each with one boolean matrix
-    per size, true where the column covers the row's clique. A block holds
-    COVER_CHUNK // (cover rows) cliques, at least one, so its temporaries
-    stay near COVER_CHUNK words however many cover rows there are."""
+    counted against `core.BUDGET` before any row is built. Returns a function
+    from cliques to an iterator over blocks of them, each with one boolean
+    matrix per size, true where the column covers the row's clique. A block
+    holds COVER_CHUNK // (cover rows) cliques, at least one, so its
+    temporaries stay near COVER_CHUNK words however many cover rows there
+    are."""
     nrows = sum(comb(n, s) for s in sizes)
     counted = " + ".join(f"C({n},{s})" for s in sizes)
     _check_budget(f"{counted} = {nrows:,} cover rows of {len(verts):,} vertices", nrows * len(verts))
     full, nwords = (1 << len(verts)) - 1, -(-len(verts) // 64)
-    cands = [subsets(full_mask(n), s).masks for s in sizes]
+    cands = [subsets(full_mask(n), s).array for s in sizes]
     tables = [_words([full ^ row for row in _compat_rows(c, verts, t)], nwords) for c in cands]
     step = max(1, COVER_CHUNK // nrows)
 
@@ -311,11 +307,11 @@ def extremal_product_search(n: int, k1: int, k2: int, t: int, min_tau: int) -> S
     product, read off their bitmasks, and the groups are taken by
     decreasing product up to the first one with a qualifying pair. In each
     group, both sides of every clique are tested against the cover rows of
-    `_cover_blocks` (counted against BUDGET before the walk), and only the
-    qualifying pairs are decoded, in enumeration order (sorted by the
-    members of F, then G): F into a family, and G only for a new class. A
-    min_tau above n is refused, since [n] is a t-cover of every family over
-    [n], and so is a negative one."""
+    `_cover_blocks` (counted against `core.BUDGET` before the walk), and
+    only the qualifying pairs are decoded, in enumeration order (sorted by
+    the members of F, then G): F into a family, and G only for a new class.
+    A min_tau above n is refused, since [n] is a t-cover of every family
+    over [n], and so is a negative one."""
     validate_params(n, k1, t)
     validate_params(n, k2, t)
     if min_tau < 0:

@@ -18,7 +18,10 @@ N[v0].
 orbit pruning only), kept as the byte-for-byte oracle of `xfam.canon`.
 
 `select_reference` is the one-line loop `core.select` once was (every
-candidate against every member), kept as the oracle of its three paths.
+candidate against every member), kept as the oracle of its two paths.
+`compat_rows_reference` is the pair loop `enumeration._compat_rows` once
+was, kept as the oracle of the adjacency and cover rows it reads off
+`core._meet_blocks`.
 
 The `*_members_reference` builders (B, C1, C2, H, D and the T1.2-iv
 template) are the member builders in their filter shape: a Python membership
@@ -71,7 +74,7 @@ from typing import Sequence
 
 import numpy as np
 
-import xfam.enumeration
+import xfam.core
 from xfam import (
     Family,
     canonical_form,
@@ -245,7 +248,7 @@ def bron_kerbosch_from(rows: Sequence[int], nverts: int, start: int) -> list[int
     P = its neighbours), under the same clique budget: the oracle of the
     library walk entered at the root of a graph cut down to N[v0]."""
     out: list[int] = []
-    budget = xfam.enumeration.BUDGET
+    budget = xfam.core.BUDGET
 
     def expand(r: int, p: int, x: int) -> None:
         if p == 0 and x == 0:
@@ -264,9 +267,16 @@ def bron_kerbosch_from(rows: Sequence[int], nverts: int, start: int) -> list[int
     return out
 
 
-def _rows(verts: tuple[int, ...], other: tuple[int, ...], t: int) -> list[int]:
-    """Row i: the bitmask of the indices j with |verts[i] & other[j]| >= t."""
-    return [sum(1 << j for j, b in enumerate(other) if (a & b).bit_count() >= t) for a in verts]
+def compat_rows_reference(verts: Sequence[int], other: Sequence[int], t: int) -> list[int]:
+    """Row i: the bitmask of the indices j with |verts[i] ∩ other[j]| >= t."""
+    rows = []
+    for a in verts:
+        row = 0
+        for j, b in enumerate(other):
+            if (a & b).bit_count() >= t:
+                row |= 1 << j
+        rows.append(row)
+    return rows
 
 
 def _bits(mask: int):
@@ -283,7 +293,7 @@ def sweep_maximal_pairs(
     G, as member tuples, ordered by the vertex mask of F. The sweep over
     every subset of side 1 is exhaustive: a maximal pair is determined by
     either side. Time 2^len(verts1)."""
-    rows12, rows21 = _rows(verts1, verts2, t), _rows(verts2, verts1, t)
+    rows12, rows21 = compat_rows_reference(verts1, verts2, t), compat_rows_reference(verts2, verts1, t)
     v1, v2 = len(rows12), len(rows21)
     full1, full2 = (1 << v1) - 1, (1 << v2) - 1
     pairs = []
@@ -312,7 +322,7 @@ def sweep_cross_tuples(universe: int, size: int, r: int, t: int = 1) -> list[tup
     components, which determine the last. Time 2^(V (r-1)) for V subsets."""
     verts = subsets(universe, size).masks
     V = len(verts)
-    rows = _rows(verts, verts, t)
+    rows = compat_rows_reference(verts, verts, t)
     full = (1 << V) - 1
     fold = [full] * (1 << V)
     for s in range(1, 1 << V):

@@ -15,7 +15,6 @@ from hypothesis import example, given, settings, strategies as st
 import xfam.classify
 import xfam.cli
 import xfam.core
-import xfam.enumeration
 from xfam import Family, covering_number, is_cross_t_intersecting, is_maximal_pair
 from xfam.cli import _dumps, main
 
@@ -176,6 +175,9 @@ def test_usage_errors_exit_2(capsys, tmp_path):
     for x, y in (("2,3,4", "0,3"), ("0,2,3", "2,3")):
         code, out, err = run(capsys, "construct", "--kind", "H", "--n", "8", "--k", "3", "--t", "1", "--x", x, "--y", y)
         assert code == 2 and out == "" and err == "error: X and Y must live inside [t+1, n]\n", (x, y)
+    # and for repeats: X = 2,2,3 is the 2-set {2,3}, not the 3-set |X| = k-t+1 needs
+    code, out, err = run(capsys, "construct", "--kind", "H", "--n", "8", "--k", "3", "--t", "1", "--x", "2,2,3", "--y", "2,3")
+    assert code == 2 and out == "" and err == "error: X and Y must not repeat an element, got X=(2, 2, 3) Y=(2, 3)\n"
     # invalid (n, k, t) is refused before any enumeration
     for argv in (
         ("search", "--n", "65", "--k1", "1", "--k2", "1", "--t", "1", "--min-tau", "1"),
@@ -293,7 +295,7 @@ def test_budget_refusals(capsys, monkeypatch):
     # N[v0] for classify-all and search, fit a budget of 400; their 1,024
     # maximal cliques, and the 512 through v0, do not. The walk restores the
     # recursion limit it raised
-    monkeypatch.setattr(xfam.enumeration, "BUDGET", 400)
+    monkeypatch.setattr(xfam.core, "BUDGET", 400)
     limit = sys.getrecursionlimit()
     for argv in (
         ("classify-all", "--n", "6", "--k", "3", "--t", "1"),
@@ -316,6 +318,21 @@ def test_cover_rows_count_against_the_budget(capsys):
     for argv in (("--n", "22", "--k", "22", "--t", "7"), ("--n", "8", "--k", "4", "--t", "2")):
         code, out, _ = run(capsys, "classify-all", *argv)
         assert code == 0 and json.loads(out)["verdict"] == "pass", argv
+
+
+def test_subset_tables_count_against_the_budget(capsys, tmp_path):
+    # the C(40,20) 20-subsets of [40]: refused before the table is built,
+    # by a construction and by the classifier on a one-member family
+    path = tmp_path / "one.txt"
+    path.write_text("# n=40 k=20\n" + " ".join(map(str, range(1, 21))) + "\n")
+    for argv in (
+        ("construct", "--kind", "A", "--n", "40", "--k", "20", "--t", "1"),
+        ("classify", "--theorem", "1.2", "--t", "1", "--in", str(path)),
+    ):
+        start = time.perf_counter()
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "" and time.perf_counter() - start < 1, argv
+        assert err == "error: C(40,20) subsets need 137,846,528,820 masks, over the budget of 1,300,000\n", argv
 
 
 def test_classify_all_past_the_full_walk(capsys):

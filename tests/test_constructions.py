@@ -242,6 +242,11 @@ def test_H_examples():
         construct_H(6, 3, 1, (2, 3), (2, 4))  # |X| != k-t+1
     with pytest.raises(ValueError):
         construct_H(6, 2, 1, (1, 3), (3, 4))  # X touches [t]
+    # a repeated element of Y: built, it held 12 members where the closed
+    # form, which reads |Y| = 3, says 16
+    with pytest.raises(ValueError, match="must not repeat an element"):
+        ConstructionSpec("H", 8, 3, 1, X=(2, 3, 4), Y=(2, 3, 3)).build()
+    assert len(ConstructionSpec("H", 8, 3, 1, X=(2, 3, 4), Y=(2, 3, 5)).build()) == 16
 
 
 def test_H_pairs_cross_intersect():

@@ -23,10 +23,10 @@ from xfam import (
     star,
 )
 from xfam import core
-from xfam.core import _NP_PAIR_CUTOFF, SubsetTable, select, subsets
+from xfam.core import _UPSET_PAIR_CUTOFF, SubsetTable, select, subsets
 from helpers import brute_covers, select_reference
 
-SELECT_PATHS = ("_outside_upset", "_survivors", "_outer_product")
+SELECT_PATHS = ("_outside_upset", "_outer_product")
 
 
 def fam(n, k, *sets):
@@ -78,10 +78,11 @@ def test_subsets_and_select_match_loops(select_paths):
     assert table.masks == tuple(sorted(mask_of(c) for c in combinations(elements_of(universe), 4)))
     assert table.array.tolist() == list(table.masks)
     rng = random.Random(5)
-    # 3 members: the survivor loop; 200 members: past 2^14 pairs, the up-set
-    for count, path in ((3, "_survivors"), (200, "_outside_upset")):
+    # 3 members: below the up-set cutoff, the outer product; 200 members:
+    # past 2^14 pairs, the up-set
+    for count, path in ((3, "_outer_product"), (200, "_outside_upset")):
         members = [mask_of(rng.sample(range(1, 15), 6)) for _ in range(count)]
-        assert (len(table.masks) * count >= _NP_PAIR_CUTOFF) == (count == 200)
+        assert (len(table.masks) * count >= max(_UPSET_PAIR_CUTOFF, 1 << 14)) == (count == 200)
         for t in (1, 2):
             expect = tuple(c for c in table.masks if all((c & m).bit_count() >= t for m in members))
             select_paths.clear()
@@ -161,7 +162,6 @@ def test_select_matches_reference_on_every_path(select_paths):
             # members with fewer than t elements included
             n = (reduce(or_, members) | table.masks[-1]).bit_length()
             assert core._outside_upset(table, members, t, n) == expect
-            assert core._survivors(table.masks, members, t) == expect
             assert core._outer_product(table, members, t) == expect
         else:
             assert select_paths == []
@@ -202,6 +202,27 @@ def test_is_t_intersecting():
     assert not is_t_intersecting(fam(6, 3, (1, 2, 3), (1, 4, 5)), 2)
     # any two 4-subsets of [6] share at least 4 + 4 - 6 = 2 elements
     assert is_t_intersecting(Family.complete(6, 4), 2)
+
+
+def test_is_t_intersecting_matches_pairwise_loop(select_paths):
+    # only distinct members are compared: past t = k, a family of at most
+    # one member still qualifies
+    from helpers import random_family
+
+    def pairwise(f, t):
+        return all((a & b).bit_count() >= t for a, b in combinations(f.members, 2))
+
+    rng = random.Random(23)
+    families = [Family(5, 3, ()), fam(5, 3, (1, 2, 3)), fam(5, 3, (1, 2, 3), (1, 2, 4))]
+    families += [Family.complete(8, 4), Family.complete(9, 7)]
+    for n in range(1, 10):
+        families += [random_family(rng, n, rng.randint(0, n), rng.choice([3, 12, 80])) for _ in range(8)]
+    for f in families:
+        for t in range(-1, f.k + 3):
+            assert is_t_intersecting(f, t) == pairwise(f, t), (f, t)
+    # t = 4 > k = 3 with 0, 1 and 2 members
+    assert [is_t_intersecting(f, 4) for f in families[:3]] == [True, True, False]
+    assert set(select_paths) == set(SELECT_PATHS)
 
 
 def test_covering_number_examples():

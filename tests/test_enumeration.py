@@ -1,7 +1,10 @@
+import random
+
 import networkx as nx
 import pytest
 
 import xfam.cli
+import xfam.core
 import xfam.enumeration
 from xfam import (
     Family,
@@ -19,12 +22,13 @@ from xfam import (
 from xfam.canon import canonical_form_tuple
 from xfam.core import full_mask, subsets
 from xfam.classify import count_theorem_1_2
-from xfam.enumeration import _bron_kerbosch, _coloured_graph, maximal_cliques, maximal_cross_tuples
+from xfam.enumeration import _bron_kerbosch, _coloured_graph, _compat_rows, maximal_cliques, maximal_cross_tuples
 from xfam.formulas import eval_g
 from helpers import (
     bron_kerbosch_from,
     brute_maximal_families,
     brute_maximal_pairs,
+    compat_rows_reference,
     enumerate_maximal_pairs,
     extremal_product_search_reference,
     sweep_maximal_pairs,
@@ -47,6 +51,22 @@ def test_intersection_graph(monkeypatch):
     monkeypatch.setattr(xfam.enumeration, "subsets", no_table)
     with pytest.raises(ValueError, match=r"C\(15,4\) = 1,365 vertices need 1,863,225 comparisons, over the budget of 1,300,000"):
         maximal_cliques(15, 4, 1)
+
+
+@pytest.mark.parametrize("chunk", [xfam.core._NP_PAIR_CUTOFF, 1, 7], ids=["default", "chunk-1", "chunk-7"])
+def test_compat_rows_match_the_pair_loop(chunk, monkeypatch):
+    # rows of V bits either side of the byte and word boundaries, against an
+    # empty, a one-set and a three-set side too; at chunk 7 a block holds 7,
+    # 2 or 1 rows, at chunk 1 always one
+    monkeypatch.setattr(xfam.core, "_NP_PAIR_CUTOFF", chunk)
+    rng = random.Random(29)
+    sets = [mask_of(rng.sample(range(1, 65), rng.randint(0, 64))) for _ in range(65)]
+    for V in (1, 7, 8, 9, 63, 64, 65):
+        verts = sets[:V]
+        for other in (verts, (), sets[-1:], sets[-3:]):
+            for t in (0, 1, 3, 30):
+                assert _compat_rows(verts, other, t) == compat_rows_reference(verts, other, t), (V, len(other), t)
+                assert _compat_rows(other, verts, t) == compat_rows_reference(other, verts, t), (V, len(other), t)
 
 
 def test_enumeration_matches_brute_force():
@@ -75,7 +95,7 @@ def test_walk_through_v0_matches_the_walk_from_v0(monkeypatch):
     # branch, and the plain walk lists the cliques of the walk entered at v0
     # in the same order; under a budget of 20,000 cliques, both walks refuse
     # the 11 graphs past it, (6,3,3,1) with 524,288 cliques among them
-    monkeypatch.setattr(xfam.enumeration, "BUDGET", 20_000)
+    monkeypatch.setattr(xfam.core, "BUDGET", 20_000)
     graphs = []
     monkeypatch.setattr(xfam.enumeration, "_bron_kerbosch", lambda rows, nverts: graphs.append(rows) or [])
     for n in range(1, 8):
