@@ -1,5 +1,11 @@
 """Exact verification lab for cross t-intersecting set families."""
 
+import os
+
+# xfam calls no BLAS routine, so OpenBLAS needs no worker thread; the
+# variable is read once, when numpy is first imported
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from .core import (
     CoverStructure,
     Family,

@@ -28,11 +28,11 @@ residual sizes of T1.2-iii and T1.2-iv.
 many families at once, as ANDs and sums of columns of the minimum covers it
 reads off the t- and (t+1)-set rows of `enumeration._cover_blocks` (the
 columns in the order `_anchor_columns` indexes), decoding no family. It
-walks only the families through v0 = {1..k}, one vertex orbit of S_n: each
-count, an S_n-invariant sum over all families, is C(n, k) times the sum of
-its per-family value divided by |F| over those, kept per size |F| as exact
-integers and summed as a Fraction whose denominator must be 1. The
-matcher, and the same lookups over the full walk, are its test oracles.
+walks only the families through one edge (v0, w_j) of each orbit of S_n on
+ordered edges, v0 = {1..k}, and weighs each by the orbit's size over
+|F|(|F|-1), the ordered pairs of distinct members it holds (see
+`enumeration`). The matcher, and the same lookups over the full walk and
+over the one walk through v0, are its test oracles.
 
 `theorem_1_2_instances` generates every template instance at canonical
 anchor positions, which gives the enumeration tests an independent second
@@ -48,7 +48,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import combinations, compress, permutations
-from math import comb
+from math import comb, perm
 
 import numpy as np
 
@@ -65,9 +65,10 @@ from .core import (
     mask_of,
     select,
     subsets,
+    validate_params,
 )
 from .constructions import _a_members, _h_members
-from .enumeration import _cover_blocks, _orbit_count, maximal_cliques, maximal_cross_tuples
+from .enumeration import _cover_blocks, _meeting, _orbit_count, maximal_cliques, maximal_cross_tuples
 
 TEMPLATE_ORDER = ("T1.2-i", "T1.2-ii", "T1.2-iii", "T1.2-iv")
 
@@ -265,56 +266,75 @@ def count_theorem_1_2(n: int, k: int, t: int) -> tuple[int, int, dict[str, int]]
     `match_theorem_1_2(F, t, covering_number(F, t)).all_matches` entries
     summed over the latter (templates counted 0 are left out). Each rule
     counts the anchors its matcher accepts, off the minimum covers of the
-    families through v0 = {1..k}. Every count is a sum of an S_n-invariant
-    g(F), so it is C(n, k) times the sum of g(F)/|F| over those families:
-    each count is kept per family size as an exact integer, and
-    `_orbit_count` weighs them."""
-    verts, cliques = maximal_cliques(n, k, t, through_v0=True)
-    blocks = _cover_blocks(n, t, (t, t + 1), verts)
-    top, width = len(verts) + 1, n - t + 1
-    every = np.bincount([c.bit_count() for c in cliques], minlength=top)
-    found, iii, a_count = (np.zeros(top, dtype=np.int64) for _ in range(3))
-    spokes = np.zeros(top * width, dtype=np.int64)  # (size, s): the (family, t-set) pairs with s spokes
+    families walked.
+
+    Every count is a sum of an S_n-invariant g(F). S_n has one orbit on
+    ordered pairs of distinct t-intersecting k-sets for each j in t..k-1,
+    the size of their intersection; from v0 = {1..k} it reaches the
+    |O_j| = C(k,j) C(n-k,k-j) k-sets meeting v0 in j elements, w_j the
+    first in table order. Counting the ordered pairs of distinct members of each family,
+    the count is C(n, k) times the sum over j of |O_j| times the sum of
+    g(F)/(|F|(|F|-1)) over the families through v0 and w_j. With no such
+    pair (t = k or k = n), {v0} is the one family through v0 and the count
+    is C(n, k) g({v0}). Each walk keeps its sums per family size as exact
+    integers, the walks share one clique budget, and `_orbit_count` weighs
+    all their terms at once: only the total must be an integer."""
+    validate_params(n, k, t)
+    v0 = full_mask(k)
+    # w_j holds [j] and the k - j elements after v0, the first such k-set
+    walks = [
+        ((v0, full_mask(j) | full_mask(k - j) << k), size) for j, size in _meeting(full_mask(n), v0, k, t) if j < k
+    ]
+    terms: list[list[tuple[int, int]]] = [[] for _ in range(2 + len(TEMPLATE_ORDER))]
+    walked = 0
     a_cols = spoke_cols = None
-    for chunk, (t_covers, covers) in blocks(cliques):
-        # tau = t+1 iff some (t+1)-set covers the family and no t-set does;
-        # then the (t+1)-covers are all the minimum covers. They lie inside
-        # the union of the family, since a cover element outside it could be
-        # dropped, so scanning all of [n] matches the library's candidates.
-        keep = covers.any(axis=1) & ~t_covers.any(axis=1)
-        kept = list(compress(chunk, keep.tolist()))
-        if not kept:
-            continue
-        covers = covers[keep]
-        if a_cols is None:
-            # indexed at the first family only: with k = n there is none, and
-            # C(n, t+2) may be far larger than the budget-checked cover rows
-            a_cols, spoke_cols = _anchor_columns(n, t)
-        sizes = np.array([c.bit_count() for c in kept])
-        np.add.at(found, sizes, 1)
-        # T1.2-iii (_match_iii): every minimum cover is an anchor
-        np.add.at(iii, sizes, covers.sum(axis=1))
-        # T1.2-i (_a_anchors): M0 is an anchor iff every M0 - e is a cover
-        np.add.at(a_count, sizes, covers[:, a_cols].all(axis=2).sum(axis=1))
-        # (_spokes): the spokes of T are the x outside T with T + x a cover
-        keys = sizes[:, None] * width + covers[:, spoke_cols].sum(axis=2)
-        spokes += np.bincount(keys.ravel(), minlength=top * width)
-    hist = spokes.reshape(top, width).tolist()
-
-    def weigh(per_size) -> int:
-        return _orbit_count(comb(n, k), enumerate(per_size))
-
-    # T1.2-ii (_match_ii_iv at m = k+1): every choice of k-t+1 spokes of T;
-    # T1.2-iv (_match_ii_iv at m = t+2..k): every choice of m-t spokes of T
-    counts = {
-        "T1.2-i": weigh(a_count.tolist()),
-        "T1.2-ii": weigh([sum(c * comb(s, k - t + 1) for s, c in enumerate(row)) for row in hist]),
-        "T1.2-iii": weigh(iii.tolist()),
-        "T1.2-iv": weigh(
-            [sum(c * comb(s, m - t) for s, c in enumerate(row) for m in range(t + 2, k + 1)) for row in hist]
-        ),
-    }
-    return weigh(every.tolist()), weigh(found.tolist()), {name: c for name, c in counts.items() if c}
+    for through, orbit in walks or [((v0,), 1)]:
+        verts, cliques = maximal_cliques(n, k, t, through, walked)
+        walked += len(cliques)
+        top, width = len(verts) + 1, n - t + 1
+        every = np.bincount([c.bit_count() for c in cliques], minlength=top)
+        found, iii, a_count = (np.zeros(top, dtype=np.int64) for _ in range(3))
+        spokes = np.zeros(top * width, dtype=np.int64)  # (size, s): the (family, t-set) pairs with s spokes
+        for chunk, (t_covers, covers) in _cover_blocks(n, t, (t, t + 1), verts)(cliques):
+            # tau = t+1 iff some (t+1)-set covers the family and no t-set does;
+            # then the (t+1)-covers are all the minimum covers. They lie inside
+            # the union of the family, since a cover element outside it could be
+            # dropped, so scanning all of [n] matches the library's candidates.
+            keep = covers.any(axis=1) & ~t_covers.any(axis=1)
+            kept = list(compress(chunk, keep.tolist()))
+            if not kept:
+                continue
+            covers = covers[keep]
+            if a_cols is None:
+                # indexed at the first family only: with k = n there is none, and
+                # C(n, t+2) may be far larger than the budget-checked cover rows
+                a_cols, spoke_cols = _anchor_columns(n, t)
+            sizes = np.array([c.bit_count() for c in kept])
+            np.add.at(found, sizes, 1)
+            # T1.2-iii (_match_iii): every minimum cover is an anchor
+            np.add.at(iii, sizes, covers.sum(axis=1))
+            # T1.2-i (_a_anchors): M0 is an anchor iff every M0 - e is a cover
+            np.add.at(a_count, sizes, covers[:, a_cols].all(axis=2).sum(axis=1))
+            # (_spokes): the spokes of T are the x outside T with T + x a cover
+            keys = sizes[:, None] * width + covers[:, spoke_cols].sum(axis=2)
+            spokes += np.bincount(keys.ravel(), minlength=top * width)
+        hist = spokes.reshape(top, width).tolist()
+        # T1.2-ii (_match_ii_iv at m = k+1): every choice of k-t+1 spokes of T;
+        # T1.2-iv (_match_ii_iv at m = t+2..k): every choice of m-t spokes of T.
+        # All families, those with tau = t+1, then the templates in order
+        per_size = (
+            every.tolist(),
+            found.tolist(),
+            a_count.tolist(),
+            [sum(c * comb(s, k - t + 1) for s, c in enumerate(row)) for row in hist],
+            iii.tolist(),
+            [sum(c * comb(s, m - t) for s, c in enumerate(row) for m in range(t + 2, k + 1)) for row in hist],
+        )
+        for term, counts in zip(terms, per_size):
+            # a family of size s holds perm(s, len(through)) ordered tuples of distinct members
+            term += [(perm(s, len(through)), orbit * c) for s, c in enumerate(counts) if c]
+    total, found_total, *counts = (_orbit_count(comb(n, k), term) for term in terms)
+    return total, found_total, {name: c for name, c in zip(TEMPLATE_ORDER, counts) if c}
 
 
 def classify_pair_theorem_1_1(F1: Family, F2: Family, t: int) -> TemplateMatch:

@@ -10,19 +10,31 @@ with both sides nonempty are the maximal cross-t-intersecting pairs: the
 fixed points F = star(star(F)) of the double star map. The same kernel lists
 the residual tuples of `classify`.
 
-Listing walks every maximal clique. Counting walks one vertex orbit: S_n
-permutes the k-sets transitively and maps maximal families onto maximal
-families, so for any S_n-invariant g, double counting the pairs (F, v in F)
-gives sum_F g(F) = C(n,k) * sum_{F ∋ v0} g(F)/|F| exactly, where v0 =
-{1..k} is the vertex of index 0. The maximal cliques through v0 are the
-maximal cliques of the graph induced on N[v0], so `through_v0` builds rows
-on N[v0] alone, and the one walk lists exactly those: v0 is adjacent to
-every other vertex there, so the pivot rule takes it first and it is the
-only top-level branch. `_orbit_count` sums such weights as a Fraction and
-refuses a non-integer total.
+Listing walks every maximal clique. Counting walks only the cliques through
+one vertex (`search`) or through one edge of each edge orbit at that vertex
+(`classify.count_theorem_1_2`). S_n permutes the k-sets transitively and
+maps maximal families onto maximal families, so for any S_n-invariant g,
+double counting the pairs (F, v in F) gives sum_F g(F) = C(n,k) *
+sum_{F ∋ v0} g(F)/|F| exactly, where v0 = {1..k}. The stabiliser S_k x
+S_{n-k} of v0 has one orbit O_j on its neighbours for each j = |v0 ∩ w|
+with t <= j <= k-1, of C(k,j) C(n-k,k-j) members; let w_j be the first in
+table order. Double counting the ordered pairs of distinct members of each
+F, when v0 has a neighbour (so every maximal F has two or more members),
+gives sum_F g(F) = C(n,k) * sum_j |O_j| * sum_{F ∋ v0, w_j}
+g(F)/(|F|(|F|-1)); when it has none (t = k or k = n), {v0} is the one
+family through v0 and sum_F g(F) = C(n,k) g({v0}). The maximal cliques
+through given vertices are the maximal cliques of the graph induced on
+their common closed neighbourhood, so `maximal_cliques(..., through)`
+builds rows there alone, the given vertices first, and the one walk lists
+exactly those: each given vertex is adjacent to every other vertex there,
+so the pivot rule takes them in turn, each the only branch at its level.
+`_orbit_count` sums the weighted terms of all the walks of one count as a
+Fraction and refuses a non-integer total.
+
 Every covering-number test on clique masks goes through one kernel,
 `_cover_blocks`: blocks of cliques (sized by COVER_CHUNK), packed as 64-bit
-words, are ANDed against one complemented row per candidate s-set cover.
+words, are ANDed against one complemented row per candidate s-set cover,
+packed straight from the relation blocks into the same words.
 `classify.count_theorem_1_2` reads the tau = t+1 families and their minimum
 covers off the t- and (t+1)-set rows. The product search groups the pair
 cliques through v0 by |F| |G| and takes the groups by decreasing product
@@ -32,11 +44,12 @@ the qualifying pairs of that group are decoded.
 
 One budget, `core.BUDGET`, bounds every enumeration, checked three times:
 before any row is built, the V^2 vertex comparisons of a V-vertex graph (V
-counts N[v0] alone for an orbit walk); before any cover row (for the search,
-before the walk), the cover rows times the V vertices; and during the walk,
-the number of maximal cliques walked. Exceeding it is an error, never silent
-truncation. Every adjacency and cover row is read off the one relation
-kernel of `core`, `_meet_blocks`.
+counts N[v0] alone for an orbit walk, a bound on any graph through v0);
+before any cover row (for the search, before the walk), the cover rows
+times the V vertices; and during the walk, the number of maximal cliques
+walked, summed over the walks of one count. Exceeding it is an error,
+never silent truncation. Every adjacency and cover row is read off the one
+relation kernel of `core`, `_meet_blocks`.
 """
 
 from __future__ import annotations
@@ -81,11 +94,13 @@ def _neighbourhood(universe: int, v0: int, size: int, t: int) -> list[int]:
     )
 
 
-def _orbit_count(orbit: int, per_size: Iterable[tuple[int, int]]) -> int:
-    """sum over (s, c) of orbit * c / s, which must be an integer: with
-    c = the sum of g(F) over the cliques F of size s through one vertex of
-    an orbit of `orbit` vertices, it is the sum of g over all cliques."""
-    total = sum((Fraction(orbit * c, s) for s, c in per_size if c), Fraction(0))
+def _orbit_count(orbit: int, terms: Iterable[tuple[int, int]]) -> int:
+    """sum over (w, c) of orbit * c / w, which must be an integer. With c
+    the sum of g(F) over the cliques F of size s through one vertex of an
+    orbit of `orbit` vertices and w = s, summed over s, it is the sum of g
+    over all cliques; so it is with c the sum over those through one edge
+    (v0, w_j) times |O_j| and w = s(s-1), summed over s and j."""
+    total = sum((Fraction(orbit * c, w) for w, c in terms if c), Fraction(0))
     if total.denominator != 1:
         raise ArithmeticError(f"an orbit count came out as {total}, not an integer")
     return total.numerator
@@ -116,22 +131,25 @@ def _set_text(mask: int) -> str:
     return "{" + ",".join(str(i + 1) for i in _bits(mask)) + "}"
 
 
-def _bron_kerbosch(rows: Sequence[int], nverts: int) -> list[int]:
+def _bron_kerbosch(rows: Sequence[int], nverts: int, walked: int = 0) -> list[int]:
     """All maximal cliques as vertex bitmasks, with the max-degree pivot rule
     (pivot maximizes its candidate neighbourhood, ties to the lowest index).
     The only enumeration walk in xfam: the intersection graph and the
-    coloured graphs of `maximal_cross_tuples` both come here. On a graph cut
-    down to N[v0], with v0 of index 0 adjacent to every other vertex, the
-    first pivot is v0 and v0 is the only top-level branch, so every clique
-    holds v0. The walk stops with an error at clique `core.BUDGET` + 1.
+    coloured graphs of `maximal_cross_tuples` both come here. On a graph
+    whose vertices 0..m-1 are each adjacent to every other vertex, the pivot
+    at depth i < m is vertex i and it is the only branch there, so every
+    clique holds all m. The walk stops with an error at clique
+    `core.BUDGET` + 1 - `walked`, `walked` counting the cliques that earlier
+    walks of the same count took.
     Each recursion level adds one vertex, so the recursion limit is raised
     by nverts for the walk and restored however it ends."""
     out: list[int] = []
     budget = core.BUDGET
+    room = budget - walked
 
     def expand(r: int, p: int, x: int) -> None:
         if p == 0 and x == 0:
-            if len(out) == budget:
+            if len(out) >= room:
                 raise ValueError(f"found more than the budget of {budget:,} maximal cliques")
             out.append(r)
             return
@@ -213,21 +231,36 @@ def maximal_cross_tuples(
     return sorted(_decode(verts, colours, c) for c in _bron_kerbosch(rows, len(verts)))
 
 
-def maximal_cliques(n: int, k: int, t: int, through_v0: bool = False) -> tuple[tuple[int, ...], list[int]]:
+def maximal_cliques(
+    n: int, k: int, t: int, through: Sequence[int] = (), walked: int = 0
+) -> tuple[tuple[int, ...], list[int]]:
     """The k-subsets of [n] in increasing mask order, and every maximal
     t-intersecting family over them once, as a bitmask of vertex indices.
-    With `through_v0`, only the k-sets in N[v0], those meeting v0 = {1..k}
-    in >= t elements (v0 first), and only the families holding v0."""
+    Given `through`, distinct and pairwise t-intersecting k-sets, only the
+    k-sets meeting each of them in >= t elements, `through` first in its
+    order and the rest in increasing mask order, and only the families
+    holding all of `through`; N[through[0]] is counted against the budget
+    before any row is built. `walked` counts the cliques that earlier walks
+    of the same count took from the budget."""
     validate_params(n, k, t)
-    v0 = full_mask(k)
-    if through_v0:
+    if through:
+        v0 = through[0]
         counted, nverts = f"N[{_set_text(v0)}] in C({n},{k})", sum(c for _, c in _meeting(full_mask(n), v0, k, t))
     else:
         counted, nverts = f"C({n},{k})", comb(n, k)
     _check_budget(f"{counted} = {nverts:,} vertices", nverts * nverts)
-    verts = tuple(_neighbourhood(full_mask(n), v0, k, t)) if through_v0 else subsets(full_mask(n), k).masks
+    if through:
+        near = np.array(_neighbourhood(full_mask(n), v0, k, t), dtype=np.uint64)
+        for w in through[1:]:
+            near = near[np.bitwise_count(near & np.uint64(w)) >= t]
+        rest = [v for v in near.tolist() if v not in through]
+        if len(rest) + len(through) != len(near):
+            raise ValueError("the sets to walk through must be distinct, pairwise t-intersecting k-subsets of [n]")
+        verts = (*through, *rest)
+    else:
+        verts = subsets(full_mask(n), k).masks
     rows = [row & ~(1 << i) for i, row in enumerate(_compat_rows(verts, verts, t))]
-    return verts, _bron_kerbosch(rows, len(verts))
+    return verts, _bron_kerbosch(rows, len(verts), walked)
 
 
 def enumerate_maximal_t_intersecting(n: int, k: int, t: int) -> list[Family]:
@@ -249,6 +282,20 @@ def _words(masks: Sequence[int], nwords: int) -> np.ndarray:
     return out
 
 
+def _cover_words(cands: np.ndarray, verts: np.ndarray, t: int, nwords: int) -> np.ndarray:
+    """One row of `nwords` little-endian 64-bit words per candidate, bit i
+    set iff the candidate meets verts[i] in fewer than t elements: each
+    block of `_meet_blocks`, complemented, packed straight into its rows."""
+    out = np.zeros((len(cands), nwords), dtype="<u8")
+    octets = out.view(np.uint8)
+    done = 0
+    for block in _meet_blocks(cands, verts, t):
+        packed = np.packbits(~block, axis=1, bitorder="little")
+        octets[done : done + len(block), : packed.shape[1]] = packed
+        done += len(block)
+    return out
+
+
 def _cover_blocks(n: int, t: int, sizes: Sequence[int], verts: Sequence[int]):
     """The one cover-row kernel, on cliques as bitmasks of indices into the
     k-sets `verts`. One row per s-set T of [n], for each s in `sizes`, in
@@ -263,9 +310,9 @@ def _cover_blocks(n: int, t: int, sizes: Sequence[int], verts: Sequence[int]):
     nrows = sum(comb(n, s) for s in sizes)
     counted = " + ".join(f"C({n},{s})" for s in sizes)
     _check_budget(f"{counted} = {nrows:,} cover rows of {len(verts):,} vertices", nrows * len(verts))
-    full, nwords = (1 << len(verts)) - 1, -(-len(verts) // 64)
-    cands = [subsets(full_mask(n), s).array for s in sizes]
-    tables = [_words([full ^ row for row in _compat_rows(c, verts, t)], nwords) for c in cands]
+    nwords = -(-len(verts) // 64)
+    varray = np.array(verts, dtype=np.uint64)
+    tables = [_cover_words(subsets(full_mask(n), s).array, varray, t, nwords) for s in sizes]
     step = max(1, COVER_CHUNK // nrows)
 
     def covered(words: np.ndarray, rows: np.ndarray) -> np.ndarray:

@@ -37,10 +37,16 @@ decodes its minimum covers over the full walk.
 
 `count_theorem_1_2_reference` and `extremal_product_search_reference` are
 `classify-all` and `search` over the full walk, every maximal family or pair
-counted once, kept as the oracles of the orbit-weighted walk through v0 in
-`xfam.classify.count_theorem_1_2` and `xfam.extremal_product_search`; the
-search oracle decides `--min-tau` with `covering_number` on decoded
-families, not with cover rows on clique masks.
+counted once, kept as the oracles of the orbit-weighted walks in
+`xfam.classify.count_theorem_1_2` (through one edge per edge orbit at v0)
+and `xfam.extremal_product_search` (through v0); the search oracle decides
+`--min-tau` with `covering_number` on decoded families, not with cover rows
+on clique masks. `count_theorem_1_2_vertex_orbit` is `classify-all` in its
+vertex-orbit shape (one walk through v0, each family weighed by
+C(n,k)/|F|), kept as the oracle of the edge-orbit walks past the full
+walk's budget. `cover_words_reference` is the cover-row table in its
+two-step shape (rows as ints off `_compat_rows`, then packed by `_words`),
+kept as the oracle of `enumeration._cover_words`.
 
 `match_theorem_1_2_reference` and `classify_pair_reference` are the template
 matchers in their rebuild shape (every candidate template rebuilt over all
@@ -98,7 +104,15 @@ from xfam.core import (
     subsets,
     validate_params,
 )
-from xfam.enumeration import SearchResult, _cover_blocks, maximal_cliques, maximal_cross_tuples
+from xfam.enumeration import (
+    SearchResult,
+    _compat_rows,
+    _cover_blocks,
+    _orbit_count,
+    _words,
+    maximal_cliques,
+    maximal_cross_tuples,
+)
 from xfam.formulas import AuditPoint, _point, n_threshold, tilde_g
 
 Cells = tuple[tuple[int, ...], ...]
@@ -277,6 +291,13 @@ def compat_rows_reference(verts: Sequence[int], other: Sequence[int], t: int) ->
                 row |= 1 << j
         rows.append(row)
     return rows
+
+
+def cover_words_reference(cands: Sequence[int], verts: Sequence[int], t: int) -> np.ndarray:
+    """Row i: the vertices of `verts` meeting cands[i] in fewer than t
+    elements, as little-endian 64-bit words, converted through Python ints."""
+    full, nwords = (1 << len(verts)) - 1, -(-len(verts) // 64)
+    return _words([full ^ row for row in _compat_rows(cands, verts, t)], nwords)
 
 
 def _bits(mask: int):
@@ -742,6 +763,47 @@ def count_theorem_1_2_reference(n: int, k: int, t: int) -> tuple[int, int, dict[
         "T1.2-iv": sum(c * comb(s, m - t) for s, c in enumerate(spokes) for m in range(t + 2, k + 1)),
     }
     return len(cliques), found, {name: c for name, c in counts.items() if c}
+
+
+def count_theorem_1_2_vertex_orbit(n: int, k: int, t: int) -> tuple[int, int, dict[str, int]]:
+    """`xfam.count_theorem_1_2` through v0 = {1..k} alone: the same lookups
+    on the minimum covers of the families through v0, each count C(n, k)
+    times the sum of its per-family value divided by |F|."""
+    verts, cliques = maximal_cliques(n, k, t, through=(full_mask(k),))
+    blocks = _cover_blocks(n, t, (t, t + 1), verts)
+    top, width = len(verts) + 1, n - t + 1
+    every = np.bincount([c.bit_count() for c in cliques], minlength=top)
+    found, iii, a_count = (np.zeros(top, dtype=np.int64) for _ in range(3))
+    spokes = np.zeros(top * width, dtype=np.int64)  # (size, s): the (family, t-set) pairs with s spokes
+    a_cols = spoke_cols = None
+    for chunk, (t_covers, covers) in blocks(cliques):
+        keep = covers.any(axis=1) & ~t_covers.any(axis=1)
+        kept = [c for c, kept in zip(chunk, keep) if kept]
+        if not kept:
+            continue
+        covers = covers[keep]
+        if a_cols is None:
+            a_cols, spoke_cols = _anchor_columns(n, t)
+        sizes = np.array([c.bit_count() for c in kept])
+        np.add.at(found, sizes, 1)
+        np.add.at(iii, sizes, covers.sum(axis=1))
+        np.add.at(a_count, sizes, covers[:, a_cols].all(axis=2).sum(axis=1))
+        keys = sizes[:, None] * width + covers[:, spoke_cols].sum(axis=2)
+        spokes += np.bincount(keys.ravel(), minlength=top * width)
+    hist = spokes.reshape(top, width).tolist()
+
+    def weigh(per_size) -> int:
+        return _orbit_count(comb(n, k), enumerate(per_size))
+
+    counts = {
+        "T1.2-i": weigh(a_count.tolist()),
+        "T1.2-ii": weigh([sum(c * comb(s, k - t + 1) for s, c in enumerate(row)) for row in hist]),
+        "T1.2-iii": weigh(iii.tolist()),
+        "T1.2-iv": weigh(
+            [sum(c * comb(s, m - t) for s, c in enumerate(row) for m in range(t + 2, k + 1)) for row in hist]
+        ),
+    }
+    return weigh(every.tolist()), weigh(found.tolist()), {name: c for name, c in counts.items() if c}
 
 
 def extremal_product_search_reference(n: int, k1: int, k2: int, t: int, min_tau: int) -> SearchResult:

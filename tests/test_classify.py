@@ -26,7 +26,12 @@ from xfam import (
     maximal_cross_tuples,
     theorem_1_2_instances,
 )
-from helpers import count_theorem_1_2_reference, enumerate_maximal_pairs, maximal_with_tau_t_plus_1
+from helpers import (
+    count_theorem_1_2_reference,
+    count_theorem_1_2_vertex_orbit,
+    enumerate_maximal_pairs,
+    maximal_with_tau_t_plus_1,
+)
 
 
 def fam(n, k, *sets):
@@ -145,6 +150,27 @@ def test_orbit_counts_across_chunk_boundaries(monkeypatch):
     expected = {point: count_theorem_1_2_reference(*point) for point in _ORBIT_POINTS[:7]}
     monkeypatch.setattr(xfam.enumeration, "COVER_CHUNK", 3 * (21 + 35))
     assert {point: count_theorem_1_2(*point) for point in expected} == expected
+
+
+@pytest.mark.parametrize("n,k,t", _ORBIT_POINTS + [(11, 4, 2)])
+def test_edge_orbit_counts_agree_with_the_vertex_orbit(n, k, t):
+    # k - t walks through one edge (v0, w_j) each, weighed by the orbit of
+    # w_j and 1/(|F|(|F|-1)), against the one walk through v0 weighed by
+    # 1/|F|; (11,4,2) is past the full walk's budget
+    assert count_theorem_1_2(n, k, t) == count_theorem_1_2_vertex_orbit(n, k, t)
+
+
+@pytest.mark.parametrize("chunk", [None, 1, 3 * (21 + 35)], ids=["default", "chunk-1", "chunk-168"])
+@pytest.mark.parametrize("n,k,t", [(5, 3, 3), (6, 4, 4), (4, 4, 2), (6, 6, 1), (6, 4, 1), (8, 5, 1), (7, 5, 2)])
+def test_edge_orbit_counts_at_the_edge_cases(monkeypatch, chunk, n, k, t):
+    # t = k and k = n: v0 has no neighbour and {v0} is the one family through
+    # it, counted by itself; (6,4,1), (8,5,1) and (7,5,2): the orbit of
+    # j = t is empty (n - k < k - j), so no edge of it is walked. Blocks of
+    # one clique, of a few, and the default
+    if chunk:
+        monkeypatch.setattr(xfam.enumeration, "COVER_CHUNK", chunk)
+    expected = count_theorem_1_2_reference(n, k, t)
+    assert count_theorem_1_2(n, k, t) == count_theorem_1_2_vertex_orbit(n, k, t) == expected
 
 
 @pytest.mark.parametrize("n,t", [(4, 1), (9, 7), (12, 3), (20, 5)])

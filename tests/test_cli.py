@@ -336,15 +336,16 @@ def test_subset_tables_count_against_the_budget(capsys, tmp_path):
 
 
 def test_classify_all_past_the_full_walk(capsys):
-    # 2,050,807 maximal families, past the budget of the full walk; 74,494
-    # through v0. Independent path: T1.2-iii counts each family once per
-    # minimum cover, and each (t+1)-set carries as many instances as [t+1]
-    code, out, _ = run(capsys, "classify-all", "--n", "11", "--k", "4", "--t", "2")
-    assert code == 0
-    results = json.loads(out)["results"]
-    iii = sum(1 for _, name, _ in xfam.classify.theorem_1_2_instances(11, 4, 2) if name == "T1.2-iii")
-    assert results["matches_per_template"]["T1.2-iii"] == comb(11, 3) * iii == 800_580
-    assert results["maximal_families"] == 2_050_807
+    # 2,050,807 and 34,043,581 maximal families, past the budget of the full
+    # walk. Independent path: T1.2-iii counts each family once per minimum
+    # cover, and each (t+1)-set carries as many instances as [t+1]
+    for n, k, t, families, iii in ((11, 4, 2, 2_050_807, 800_580), (13, 5, 3, 34_043_581, 12_782_055)):
+        code, out, _ = run(capsys, "classify-all", "--n", str(n), "--k", str(k), "--t", str(t))
+        assert code == 0 and json.loads(out)["verdict"] == "pass"
+        results = json.loads(out)["results"]
+        rows = sum(1 for _, name, _ in xfam.classify.theorem_1_2_instances(n, k, t) if name == "T1.2-iii")
+        assert results["matches_per_template"]["T1.2-iii"] == comb(n, t + 1) * rows == iii
+        assert results["maximal_families"] == families
 
 
 def test_search_min_tau_above_n(capsys):

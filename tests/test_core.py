@@ -1,7 +1,11 @@
+import os
 import random
+import subprocess
+import sys
 from functools import reduce
 from itertools import combinations
 from operator import or_
+from pathlib import Path
 
 import pytest
 
@@ -340,3 +344,19 @@ def test_family_text_roundtrip():
         family_from_text("1 2\n1 2 3\n")
     empty = family_from_text("# n=5 k=2\n")
     assert empty.n == 5 and len(empty) == 0
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc/self/task to count threads")
+def test_import_starts_no_blas_thread():
+    # a fresh interpreter: after `import xfam` the process runs one thread,
+    # since numpy's OpenBLAS starts no worker; a value set beforehand is kept
+    probe = "import os, xfam; print(os.environ['OPENBLAS_NUM_THREADS'], len(os.listdir('/proc/self/task')))"
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    for preset, expected in ((None, "1 1"), ("2", "2 ")):
+        env = {name: value for name, value in os.environ.items() if name != "OPENBLAS_NUM_THREADS"}
+        env["PYTHONPATH"] = src
+        if preset:
+            env["OPENBLAS_NUM_THREADS"] = preset
+        proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith(expected), (preset, proc.stdout)

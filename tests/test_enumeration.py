@@ -1,6 +1,7 @@
 import random
 
 import networkx as nx
+import numpy as np
 import pytest
 
 import xfam.cli
@@ -22,13 +23,21 @@ from xfam import (
 from xfam.canon import canonical_form_tuple
 from xfam.core import full_mask, subsets
 from xfam.classify import count_theorem_1_2
-from xfam.enumeration import _bron_kerbosch, _coloured_graph, _compat_rows, maximal_cliques, maximal_cross_tuples
+from xfam.enumeration import (
+    _bron_kerbosch,
+    _coloured_graph,
+    _compat_rows,
+    _cover_words,
+    maximal_cliques,
+    maximal_cross_tuples,
+)
 from xfam.formulas import eval_g
 from helpers import (
     bron_kerbosch_from,
     brute_maximal_families,
     brute_maximal_pairs,
     compat_rows_reference,
+    cover_words_reference,
     enumerate_maximal_pairs,
     extremal_product_search_reference,
     sweep_maximal_pairs,
@@ -69,6 +78,23 @@ def test_compat_rows_match_the_pair_loop(chunk, monkeypatch):
                 assert _compat_rows(other, verts, t) == compat_rows_reference(other, verts, t), (V, len(other), t)
 
 
+@pytest.mark.parametrize("chunk", [xfam.core._NP_PAIR_CUTOFF, 1, 7], ids=["default", "chunk-1", "chunk-7"])
+def test_cover_words_match_the_two_step_packing(chunk, monkeypatch):
+    # the cover table packed straight from the relation blocks, against rows
+    # as ints packed word by word, at V either side of the word boundaries
+    monkeypatch.setattr(xfam.core, "_NP_PAIR_CUTOFF", chunk)
+    rng = random.Random(31)
+    verts = [mask_of(rng.sample(range(1, 21), 8)) for _ in range(129)]
+    cands = subsets(full_mask(20), 3).masks[::97]
+    for V in (1, 63, 64, 65, 129):
+        nwords = -(-V // 64)
+        for t in (1, 2, 3):
+            got = _cover_words(np.array(cands, dtype=np.uint64), np.array(verts[:V], dtype=np.uint64), t, nwords)
+            want = cover_words_reference(cands, verts[:V], t)
+            assert got.dtype == want.dtype and got.shape == want.shape == (len(cands), nwords), (V, t)
+            assert np.array_equal(got, want), (V, t)
+
+
 def test_enumeration_matches_brute_force():
     for (n, k, t) in [(4, 2, 1), (4, 3, 2), (4, 1, 1), (5, 2, 1), (5, 4, 3)]:
         got = [f.members for f in enumerate_maximal_t_intersecting(n, k, t)]
@@ -97,11 +123,11 @@ def test_walk_through_v0_matches_the_walk_from_v0(monkeypatch):
     # the 11 graphs past it, (6,3,3,1) with 524,288 cliques among them
     monkeypatch.setattr(xfam.core, "BUDGET", 20_000)
     graphs = []
-    monkeypatch.setattr(xfam.enumeration, "_bron_kerbosch", lambda rows, nverts: graphs.append(rows) or [])
+    monkeypatch.setattr(xfam.enumeration, "_bron_kerbosch", lambda rows, nverts, walked=0: graphs.append(rows) or [])
     for n in range(1, 8):
         for k in range(1, n + 1):
             for t in range(1, k + 1):
-                maximal_cliques(n, k, t, through_v0=True)
+                maximal_cliques(n, k, t, through=(full_mask(k),))
         for k1 in range(1, n + 1):
             for k2 in range(1, n + 1):
                 for t in range(1, min(k1, k2) + 1):
@@ -119,6 +145,45 @@ def test_walk_through_v0_matches_the_walk_from_v0(monkeypatch):
         assert cliques == bron_kerbosch_from(rows, len(rows), 0)
         assert all(c & 1 for c in cliques)
     assert (len(graphs), refused) == (420, 11)
+
+
+def test_walk_through_an_edge_lists_the_cliques_holding_both(monkeypatch):
+    # every edge (v0, w_j) for n <= 7, w_j the first k-set in table order
+    # meeting v0 = {1..k} in j elements: both are adjacent to every other
+    # vertex of their common closed neighbourhood, so the pivot rule takes
+    # v0 and then w_j, and the walk lists the maximal cliques of the full
+    # walk holding both, in the order of the walk entered at v0
+    graphs = []
+    walk = xfam.enumeration._bron_kerbosch
+    monkeypatch.setattr(
+        xfam.enumeration, "_bron_kerbosch", lambda rows, nverts, walked=0: graphs.append(rows) or walk(rows, nverts)
+    )
+    edges = 0
+    for n in range(2, 8):
+        for k in range(2, n):
+            v0 = full_mask(k)
+            for t in range(1, k):
+                verts, cliques = maximal_cliques(n, k, t)
+                for j in range(t, k):
+                    if n - k < k - j:
+                        continue
+                    w = full_mask(j) | full_mask(k - j) << k
+                    assert w == next(v for v in verts if (v & v0).bit_count() == j)
+                    near, through = maximal_cliques(n, k, t, through=(v0, w))
+                    rows = graphs[-1]
+                    assert near[:2] == (v0, w) and list(near[2:]) == sorted(near[2:])
+                    assert all(rows[0] >> v & 1 and rows[1] >> v & 1 for v in range(2, len(rows)))
+                    assert through == bron_kerbosch_from(rows, len(rows), 0)
+                    got = {frozenset(near[i] for i in range(len(near)) if c >> i & 1) for c in through}
+                    want = {frozenset(verts[i] for i in range(len(verts)) if c >> i & 1) for c in cliques}
+                    assert len(got) == len(through)
+                    assert got == {c for c in want if v0 in c and w in c}, (n, k, t, j)
+                    edges += 1
+    assert edges == 46
+    # the sets walked through must be distinct and pairwise t-intersecting
+    for through in ((7, 7), (7, 56), (7, 9)):
+        with pytest.raises(ValueError, match="distinct, pairwise t-intersecting k-subsets"):
+            maximal_cliques(6, 3, 2, through=through)
 
 
 def test_enumeration_examples():
