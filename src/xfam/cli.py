@@ -52,28 +52,35 @@ from .formulas import (
 
 
 _quote = json.encoder.encode_basestring_ascii  # the escaper json.dumps uses
+# pieces of report text joined into one string at a time: a list of many
+# small strings takes several times the bytes of the text they hold
+_DUMP_PIECES = 2048
 
 
 def _dumps(value) -> str:
     """The text of json.dumps(value, indent=2, sort_keys=True), with each
     Fraction written as "p/q" and each int of 2^53 or more in size as a
-    decimal string, built in one list and joined once. Dict keys must be
-    strings; a float, a set or any other type raises TypeError."""
+    decimal string. The pieces are joined every _DUMP_PIECES and the chunks
+    once at the end, so the text is held about twice at the peak. Dict keys
+    must be strings; a float, a set or any other type raises TypeError."""
+    chunks: list[str] = []
     parts: list[str] = []
-    _dump(value, "", parts.append)
-    return "".join(parts)
+    _dump(value, "", parts, chunks)
+    chunks.append("".join(parts))
+    return "".join(chunks)
 
 
-def _dump(v, indent: str, append) -> None:
-    """Append the pieces of `v`'s text, its nested lines indented past `indent`."""
+def _dump(v, indent: str, parts: list[str], chunks: list[str]) -> None:
+    """Append the pieces of `v`'s text to `parts`, its nested lines indented
+    past `indent`; after a dict or list, a full `parts` moves into `chunks`
+    as one string."""
+    append = parts.append
     if isinstance(v, str):
         append(_quote(v))
     elif v is None or v is True or v is False:
         append("null" if v is None else "true" if v else "false")
     elif isinstance(v, int):
         append(f'"{v}"' if abs(v) >= 2**53 else str(v))
-    elif isinstance(v, Fraction):
-        append(f'"{v.numerator}/{v.denominator}"')
     elif isinstance(v, dict):
         if not v:
             append("{}")
@@ -83,12 +90,11 @@ def _dump(v, indent: str, append) -> None:
         for key in sorted(v):
             if not isinstance(key, str):
                 raise TypeError(f"report keys must be strings, got {key!r}")
-            append(sep)
-            append(_quote(key))
-            append(": ")
-            _dump(v[key], inner, append)
+            append(f"{sep}{_quote(key)}: ")
+            _dump(v[key], inner, parts, chunks)
             sep = rest
         append("\n" + indent + "}")
+        _flush(parts, chunks)
     elif isinstance(v, (list, tuple)):
         if not v:
             append("[]")
@@ -97,11 +103,20 @@ def _dump(v, indent: str, append) -> None:
         sep, rest = "[\n" + inner, ",\n" + inner
         for item in v:
             append(sep)
-            _dump(item, inner, append)
+            _dump(item, inner, parts, chunks)
             sep = rest
         append("\n" + indent + "]")
+        _flush(parts, chunks)
+    elif isinstance(v, Fraction):  # last: an ABC check costs more than the others
+        append(f'"{v.numerator}/{v.denominator}"')
     else:
         raise TypeError(f"a report cannot hold {type(v).__name__} {v!r}")
+
+
+def _flush(parts: list[str], chunks: list[str]) -> None:
+    if len(parts) >= _DUMP_PIECES:
+        chunks.append("".join(parts))
+        parts.clear()
 
 
 def _write(text: str, out: str | None) -> None:

@@ -13,13 +13,16 @@ and the kernel `select(table, members, t)` that keeps the candidates meeting
 every member in >= t elements. Covers, stars, cross checks, the
 constructions and the template reconstructions all go through them.
 
-`select` has two exact paths. Dense queries over at most 20 bits rest on one
-identity: |c ∩ m| >= t iff |m ∖ c| <= |m| - t iff the complement of c holds
-no (|m| - t + 1)-subset of m. That path marks the up-set those subsets
-generate in one array over the 2^n subsets of [n] and reads each candidate's
-complement there, at a cost that does not depend on the number of members.
-Every other query, and every relation row the enumerations build, counts
-bits over the (candidate, member) outer product in bounded blocks
+`select` has two exact paths. Dense queries whose members use at most 20
+bits rest on one identity: |c ∩ m| >= t iff |m ∖ c| <= |m| - t iff the
+complement of c holds no (|m| - t + 1)-subset of m. That path marks the
+up-set those subsets generate in one array over the 2^b subsets of [b], b
+the members' top bit, and reads there each candidate's complement in [b]
+(bits above b meet no member). The closure depends on the members and t
+alone, so a bounded memo keeps it for every later query on the same members:
+a family's covers at every size and its stars into every uniformity read one
+closure. Every other query, and every relation row the enumerations build,
+counts bits over the (candidate, member) outer product in bounded blocks
 (`_meet_blocks`): no Python loop over pairs of sets computes the relation.
 
 On top of the raw masks this module provides the intersection predicates,
@@ -46,11 +49,14 @@ import numpy as np
 MAX_GROUND_SET = 64
 BUDGET = 1_300_000  # subset-table masks, vertex comparisons before a walk, maximal cliques during one
 
-# the up-set path of `select` runs up to this many ground-set bits (its flag
-# arrays take 2^n bytes, 1 MB at 20 bits) and from this many (candidate,
-# member) pairs, or 2^n pairs if that is more
+# the up-set path of `select` runs while the members use at most this many
+# ground-set bits (a closure takes 2^b bytes, 1 MB at 20 bits) and from this
+# many (candidate, member) pairs, or 2^b pairs if that is more
 _UPSET_MAX_BITS = 20
 _UPSET_PAIR_CUTOFF = 2_000
+# 64-bit words the memo of up-set closures holds, each closure's flags and
+# its key's member masks counted (2 MB; a closure at 20 bits takes 1 MB)
+_UPSET_MEMO_WORDS = 1 << 18
 # (candidate, member) pairs per block of `_meet_blocks`, so its temporaries
 # stay near 160 kB however many pairs a query has
 _NP_PAIR_CUTOFF = 20_000
@@ -124,11 +130,12 @@ def select(cands: SubsetTable, members: Sequence[int], t: int) -> tuple[int, ...
     All of them when `members` is empty or t <= 0, none when a member has
     fewer than t elements. Otherwise one of two exact paths, by size:
 
-    - up-set (`_outside_upset`), while n <= _UPSET_MAX_BITS and there are at
-      least max(_UPSET_PAIR_CUTOFF, 2^n) (candidate, member) pairs, where n
-      is the highest bit used. It rests on |c ∩ m| >= t iff |m ∖ c| <= |m| - t
-      iff the complement of c holds no (|m| - t + 1)-subset of m, and its cost
-      does not depend on the number of members;
+    - up-set (`_outside_upset`), while b <= _UPSET_MAX_BITS and there are at
+      least max(_UPSET_PAIR_CUTOFF, 2^b) (candidate, member) pairs, where b
+      is the highest bit the members use. It rests on |c ∩ m| >= t iff
+      |m ∖ c| <= |m| - t iff the complement of c holds no (|m| - t + 1)-subset
+      of m, and once its closure is built a query costs one read per
+      candidate, however many members there are;
     - the chunked outer product (`_outer_product`) otherwise.
     """
     masks = cands.masks
@@ -136,20 +143,32 @@ def select(cands: SubsetTable, members: Sequence[int], t: int) -> tuple[int, ...
         return masks
     if not masks:
         return ()
-    n = (reduce(or_, members) | masks[-1]).bit_length()
-    if n <= _UPSET_MAX_BITS and len(masks) * len(members) >= max(_UPSET_PAIR_CUTOFF, 1 << n):
-        return _outside_upset(cands, members, t, n)
+    b = max(members).bit_length()  # the top bit of their union
+    if b <= _UPSET_MAX_BITS and len(masks) * len(members) >= max(_UPSET_PAIR_CUTOFF, 1 << b):
+        return _outside_upset(cands, members, t)
     return _outer_product(cands, members, t)
 
 
-def _outside_upset(cands: SubsetTable, members: Sequence[int], t: int, n: int) -> tuple[int, ...]:
-    """Mark the up-set of [n] generated by the (|m| - t + 1)-subsets of the
-    members in one array over the 2^n subsets, then keep the candidates whose
-    complement is unmarked. Needs t >= 1 and every mask below 2^n."""
+def _outside_upset(cands: SubsetTable, members: Sequence[int], t: int) -> tuple[int, ...]:
+    """The candidates whose complement lies outside the up-set of (members,
+    t). Its flags span 2^B subsets, B at least the members' top bit, and a
+    set is flagged iff its part below that bit is, so the complement is taken
+    in [B]. Needs t >= 1 and a member."""
+    outside = _closures.flags(tuple(members), t)
+    # int64 indexes without a cast, and the AND leaves the complement >= 0
+    return _table_ints(cands, outside.take(~cands.array.view(np.int64) & (len(outside) - 1)))
+
+
+def _outside_flags(members: tuple[int, ...], t: int, n: int) -> np.ndarray:
+    """Read-only flags over the subsets of [n], n >= 6 and at least the
+    members' top bit: a set is flagged iff it holds no (|m| - t + 1)-subset
+    of any member m, so none is when a member has fewer than t elements."""
     low = np.array(members, dtype=np.uint64)
     sizes = np.bitwise_count(low)
     if sizes.min() < t:
-        return ()
+        outside = np.zeros(1 << n, dtype=np.bool_)
+        outside.flags.writeable = False
+        return outside
     if t > 1:
         # column i holds the i-th lowest element of each member (0 past its
         # size); dropping t - 1 columns leaves each (|m| - t + 1)-subset once,
@@ -166,19 +185,51 @@ def _outside_upset(cands: SubsetTable, members: Sequence[int], t: int, n: int) -
             removed |= elems[:, column]
         removed ^= low[:, None]
         low = removed.ravel()
-    n = max(n, 6)  # whole uint64 words; the spare bits change no answer
     up = np.zeros(1 << n, dtype=np.bool_)
-    up[low] = True
+    up[low.view(np.int64)] = True  # int64 indexes without a cast
     # upward closure, one pass per bit, on the flags packed 64 to a word;
     # '<u8' keeps the bit order packbits gives on any host
     words = np.packbits(up, bitorder="little").view("<u8")
+    del up  # 2^n bytes, freed before the flags are unpacked
     for shift, mask in _LOW_BIT_PASSES:
         words |= (words << shift) & mask
     for j in range(n - 6):
         halves = words.reshape(-1, 2, 1 << j)
         halves[:, 1, :] |= halves[:, 0, :]
-    up = np.unpackbits(words.view(np.uint8), bitorder="little").view(np.bool_)
-    return tuple(cands.array[~up[np.uint64((1 << n) - 1) ^ cands.array]].tolist())
+    outside = np.unpackbits((~words).view(np.uint8), bitorder="little").view(np.bool_)
+    outside.flags.writeable = False
+    return outside
+
+
+class _ClosureMemo:
+    """The flags of `_outside_flags` by (members, t), built on first use. It
+    holds at most _UPSET_MEMO_WORDS 64-bit words, counting each entry's flags
+    and its key's member masks. It evicts the oldest entries before a build,
+    so that the new flags do not join a full memo, and stores no entry
+    larger than the bound."""
+
+    def __init__(self) -> None:
+        self.entries: dict[tuple[tuple[int, ...], int], np.ndarray] = {}
+        self.words = 0
+
+    def flags(self, members: tuple[int, ...], t: int) -> np.ndarray:
+        key = (members, t)
+        flags = self.entries.get(key)
+        if flags is None:
+            n = max(max(members).bit_length(), 6)  # whole uint64 words
+            words = len(members) + (1 << n) // 8
+            keep = words <= _UPSET_MEMO_WORDS
+            while keep and self.words + words > _UPSET_MEMO_WORDS:
+                old = next(iter(self.entries))
+                self.words -= len(old[0]) + self.entries.pop(old).nbytes // 8
+            flags = _outside_flags(members, t, n)
+            if keep:
+                self.entries[key] = flags
+                self.words += words
+        return flags
+
+
+_closures = _ClosureMemo()
 
 
 def _meet_blocks(a: np.ndarray, b: np.ndarray, t: int) -> Iterator[np.ndarray]:
@@ -191,11 +242,16 @@ def _meet_blocks(a: np.ndarray, b: np.ndarray, t: int) -> Iterator[np.ndarray]:
 
 
 def _outer_product(cands: SubsetTable, members: Sequence[int], t: int) -> tuple[int, ...]:
-    """The candidates whose row of `_meet_blocks` is all true, as the ints
-    of the table itself, so a cached result holds no copies."""
+    """The candidates whose row of `_meet_blocks` is all true."""
     blocks = _meet_blocks(cands.array, np.array(members, dtype=np.uint64), t)
-    keep = np.flatnonzero(np.concatenate([block.all(axis=1) for block in blocks]))
-    return tuple([cands.masks[j] for j in keep.tolist()])
+    return _table_ints(cands, np.concatenate([block.all(axis=1) for block in blocks]))
+
+
+def _table_ints(cands: SubsetTable, keep: np.ndarray) -> tuple[int, ...]:
+    """The candidates where `keep` is true, as the ints of the table itself,
+    so a cached result holds no copies."""
+    masks = cands.masks
+    return tuple([masks[j] for j in keep.nonzero()[0].tolist()])
 
 
 def validate_params(n: int, k: int, t: int) -> None:

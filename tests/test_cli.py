@@ -4,6 +4,7 @@ import json
 import re
 import sys
 import time
+import tracemalloc
 from fractions import Fraction
 from math import comb
 from pathlib import Path
@@ -15,8 +16,9 @@ from hypothesis import example, given, settings, strategies as st
 import xfam.classify
 import xfam.cli
 import xfam.core
-from xfam import Family, covering_number, is_cross_t_intersecting, is_maximal_pair
-from xfam.cli import _dumps, main
+from xfam import Family, covering_number, is_cross_t_intersecting, is_maximal_pair, verify_grid
+from xfam.cli import _dumps, _report, main
+from xfam.constructions import PAIR_KINDS, default_grid
 
 
 def run(capsys, *argv):
@@ -488,3 +490,19 @@ def test_report_writer_refuses_what_no_report_holds():
     for value in (1.5, {"a": [0.0]}, {1, 2}, [frozenset()], {1: "a"}, {"a": {None: 1}}):
         with pytest.raises(TypeError):
             _dumps(value)
+
+
+def test_report_writer_holds_the_text_about_twice():
+    # the default-grid verify report, about 0.97 MB of text: joining the
+    # pieces in bounded chunks keeps the peak under three times the text
+    # (a list of every piece held about seven times as much)
+    reports = verify_grid(PAIR_KINDS, default_grid(), check_maximal=True)
+    payload = _report("verify-constructions", {"grid": "default", "kinds": list(PAIR_KINDS)}, reports, True)
+    tracemalloc.start()
+    try:
+        text = _dumps(payload)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(text) > 900_000 and peak < 3 * len(text)
+    assert text == json.dumps(jsonable_reference(payload), indent=2, sort_keys=True)

@@ -39,10 +39,12 @@ from xfam.constructions import (
     _c1_members,
     _c2_members,
     _h_members,
+    _covers,
     _in_star,
     default_D_anchors,
     default_grid,
 )
+from xfam import core
 from xfam.core import is_maximal_pair, select, subsets
 from xfam.formulas import binom, eval_a, eval_c1, eval_c2, eval_h
 
@@ -395,6 +397,23 @@ def test_star_tests_match_core_in_both_orders():
     for first, second in ((spec, partner), (partner, spec)):
         rep = verify_construction(first, second)
         assert rep["checks"]["cross_intersecting"] is False and rep["maximal_measured"] is False
+
+
+def test_a_pair_reads_one_closure_per_family(monkeypatch):
+    # AA at (t, k, l, n) = (2, 5, 6, 14): the covers of each side and the
+    # star test in both orders take the up-set path, one closure per side
+    spec, partner = construction_pair("AA", 14, 5, 6, 2)
+    F, G = spec.build(), partner.build()
+    built = []
+    real = core._outside_flags
+    monkeypatch.setattr(core, "_closures", core._ClosureMemo())
+    monkeypatch.setattr(core, "_outside_flags", lambda members, t, n: built.append((members, t)) or real(members, t, n))
+    _covers.cache_clear()
+    _in_star.cache_clear()
+    rep = verify_construction(spec, partner)
+    assert rep == verify_construction_reference(spec, partner) and rep["maximal_measured"]
+    assert _in_star.cache_info().misses == 2
+    assert sorted(built) == sorted([(F.members, 2), (G.members, 2)])
 
 
 def test_spec_validation():

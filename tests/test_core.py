@@ -2,9 +2,8 @@ import os
 import random
 import subprocess
 import sys
-from functools import reduce
 from itertools import combinations
-from operator import or_
+from math import ceil
 from pathlib import Path
 
 import pytest
@@ -147,6 +146,19 @@ def _select_cases():
     for n in (20, 21):
         yield full(n, 3), [m | 0b111 for m in sets(n, [6, 8], 1000)], 2
         yield full(n, 4), [m | 0b111 for m in sets(n, [6], 60)], 3
+    # members over [b] and a table over [b + 1..3]: the candidates' bits
+    # above the members' top bit b, t from 1 to 4, members of mixed sizes,
+    # and enough pairs for the up-set path up to b = 20
+    for b in range(1, 21):
+        t = 1 + b % 4
+        table = full(b + 1 + b % 3, min(t + 1, b + 1))
+        anchor = full_mask(min(t, b)) | 1 << (b - 1)
+        count = ceil(max(_UPSET_PAIR_CUTOFF, 1 << b) / len(table.masks))
+        members = [m | anchor for m in sets(b, range(1, b + 1), count)]
+        yield table, members, t
+        # and a member of t - 1 elements: no candidate
+        short = mask_of(rng.sample(range(1, b), t - 2)) | 1 << (b - 1) if t > 1 else 0
+        yield table, members + [short], t
     # random shapes
     for _ in range(60):
         n = rng.randint(1, 14)
@@ -164,12 +176,85 @@ def test_select_matches_reference_on_every_path(select_paths):
         if t >= 1 and members and table.masks:
             # every path is exact wherever it can run, whatever its cost,
             # members with fewer than t elements included
-            n = (reduce(or_, members) | table.masks[-1]).bit_length()
-            assert core._outside_upset(table, members, t, n) == expect
+            assert core._outside_upset(table, members, t) == expect
             assert core._outer_product(table, members, t) == expect
         else:
             assert select_paths == []
     assert seen == set(SELECT_PATHS)
+
+
+def test_upset_path_spans_the_members_bits(select_paths):
+    # 4,145 members over [b] against the 2-subsets of [23]: the up-set path
+    # runs while b <= 20, whatever the top bit of the table
+    rng = random.Random(31)
+    table = subsets(full_mask(23), 2)
+    for b, path in ((20, "_outside_upset"), (21, "_outer_product")):
+        members = [mask_of(rng.sample(range(2, b), 3)) | mask_of([1, b]) for _ in range(4145)]
+        assert len(table.masks) * len(members) >= 1 << 20
+        select_paths.clear()
+        assert select(table, members, 2) == select_reference(table, members, 2)
+        assert select_paths == [path]
+
+
+@pytest.fixture
+def closures_built(monkeypatch):
+    """An empty closure memo, and the (members, t) of each closure built."""
+    built = []
+    real = core._outside_flags
+
+    def spy(members, t, n):
+        built.append((members, t))
+        return real(members, t, n)
+
+    monkeypatch.setattr(core, "_closures", core._ClosureMemo())
+    monkeypatch.setattr(core, "_outside_flags", spy)
+    return built
+
+
+def test_covers_and_stars_of_a_family_read_one_closure(closures_built):
+    from xfam import construct_A
+
+    # each cover size from t + 1 to tau and each star size takes the up-set path
+    for F, t, tau in ((Family.complete(10, 4), 1, 7), (Family.complete(10, 4), 2, 8), (construct_A(14, 6, 2), 2, 3)):
+        closures_built.clear()
+        assert covering_number(F, t).tau == tau
+        for m in range(2, F.n - 1):
+            table = subsets(full_mask(F.n), m)
+            assert star(F, m, t).members == select_reference(table, F.members, t)
+            assert len(table.masks) * len(F) >= max(_UPSET_PAIR_CUTOFF, 1 << F.n)
+        assert closures_built == [(F.members, t)]
+
+
+def test_closure_memo_stays_within_its_bound(closures_built, monkeypatch):
+    # closures over 10 bits take 128 words each, plus 4 for their key's
+    # members: 22 fit in 3,000 words
+    monkeypatch.setattr(core, "_UPSET_MEMO_WORDS", 3000)
+    memo = core._closures
+
+    def words():
+        return sum(len(members) + flags.nbytes // 8 for (members, _), flags in memo.entries.items())
+
+    rng = random.Random(41)
+    table = subsets(full_mask(10), 3)
+    keys = []
+    for _ in range(40):
+        members = tuple(mask_of(rng.sample(range(1, 10), 4)) | 1 << 9 for _ in range(4))
+        keys.append((members, 2))
+        assert core._outside_upset(table, members, 2) == select_reference(table, members, 2)
+        assert memo.words == words() <= 3000
+        # the newest closures stay, oldest evicted first
+        assert list(memo.entries) == keys[-len(memo.entries) :]
+    assert len(memo.entries) == 22 and len(closures_built) == 40
+    # a hit builds nothing
+    assert core._outside_upset(table, keys[-1][0], 2) == select_reference(table, keys[-1][0], 2)
+    assert len(closures_built) == 40
+    # a closure over 16 bits takes 8,192 words: it is used, not stored, and
+    # evicts nothing
+    held = list(memo.entries)
+    members = (mask_of([1, 2, 16]), mask_of([2, 3, 16]))
+    table = subsets(full_mask(16), 2)
+    assert core._outside_upset(table, members, 2) == select_reference(table, members, 2)
+    assert list(memo.entries) == held and memo.words == words()
 
 
 def test_anchored_family():
