@@ -10,15 +10,28 @@ the minimum leaf wins. Cell order is derived from signature values only,
 never from element indices, so the result is invariant under every
 permutation of [n].
 
-Signatures and leaves are integers. All members of a family have k elements,
-so the sorted color tuple of a member is represented by the sum of its
+Signatures and leaves are integers, and every round is computed by
+accumulating over the incidence lists (members through each element, and
+elements of each member). All members of a family have k elements, so the
+sorted color tuple of a member is represented by its profile, the sum of its
 elements' weights -(k+1)^(n-1-color): the count of each color is one
-base-(k+1) digit, no digit carries, and the sums order exactly as the tuples
-do. An element's signature is the sorted tuple of these sums. A leaf is
-compared as the tuple of each family's sorted member masks, and only the
-winner is encoded to bytes (8-byte big-endian masks, families joined by
-b"|"), which order the same way because member counts are fixed within one
-input.
+base-(k+1) digit, no digit carries, and the profiles order exactly as the
+tuples do. An element's signature is the sum, over the members through it,
+of -B^(R-1-r) for the rank r of the member's profile among the round's R
+distinct ones, with B one more than the largest member count. Every
+element of a cell has the same degree, below B, so the count of each rank
+is again one carry-free digit, and the signatures order exactly as the
+sorted tuples of profiles. For a tuple of families the signature is the
+tuple of these sums. The first round is the exception: at the root every
+profile is equal, so the sorted tuples order by their lengths, and the unit
+partition is split by the tuple of per-family degrees directly. Every later
+partition refines that one, which is why degrees are equal within a cell.
+A leaf is compared as the tuple of each family's sorted member masks, built
+by setting bit i in the members through the element of cell i. Only a leaf
+that improves on the best so far is encoded to bytes (8-byte big-endian
+masks, families joined by b"|"), once, for the memo lookup and as the
+result; the bytes order as the keys do because member counts are fixed
+within one input.
 
 Leaves with equal keys certify automorphisms; their orbits prune sibling
 branches, which collapses the factorial stalls of highly symmetric families
@@ -45,7 +58,10 @@ change the cell order or which leaf is minimal, and so the bytes.
 
 from __future__ import annotations
 
+from functools import lru_cache
+from itertools import groupby
 from math import comb
+from struct import pack
 from typing import NamedTuple, Sequence
 
 from .core import Family
@@ -90,6 +106,9 @@ class _FormMemo:
 
 _FORMS = _FormMemo(_MEMO_MASKS)
 
+# the bit positions of each byte value
+_BYTE_BITS = tuple(tuple(i for i in range(8) if b >> i & 1) for b in range(256))
+
 
 def form_cache_info() -> FormCacheInfo:
     """Hits, misses, forms and member masks stored, and the mask bound, of
@@ -111,120 +130,102 @@ class _Canonicalizer:
     ):
         self.n = n
         self.memo, self.head = memo, head
-        # members as element-index tuples (0-based) for refinement speed,
-        # and per element the indices of the members through it
-        self.fam_members: list[list[tuple[int, ...]]] = []
-        self.elem_members: list[list[list[int]]] = []
+        # per family: its members as element lists (0-based), per element the
+        # indices of the members through it, and the color weights
+        self.families: list[tuple[Sequence[Sequence[int]], list[list[int]], list[int]]] = []
         for fam in families:
-            members = []
+            members = [_BYTE_BITS[m] if m < 256 else _elements(m) for m in fam]
             by_elem: list[list[int]] = [[] for _ in range(n)]
-            for mi, m in enumerate(fam):
-                mem = []
-                while m:
-                    low = m & -m
-                    e = low.bit_length() - 1
-                    mem.append(e)
+            for mi, mem in enumerate(members):
+                for e in mem:
                     by_elem[e].append(mi)
-                    m ^= low
-                members.append(tuple(mem))
-            self.fam_members.append(members)
-            self.elem_members.append(by_elem)
-        # color c weighs -(k+1)^(n-1-c) in a family of k-sets (module docstring)
-        self.weights = [
-            [-((len(members[0]) + 1) ** (n - 1 - c)) if members else 0 for c in range(n)]
-            for members in self.fam_members
-        ]
+            self.families.append((members, by_elem, _color_weights(n, len(members[0]) if members else 0)))
+        # the signature base B, above every degree, and the weights -B^r for
+        # r = 0, 1, ..., extended as rounds need them
+        self.base = max(map(len, families)) + 1
+        self.powers = [-1]
         self.best: tuple | None = None
+        self.leaf = b""
+        self.best_cells: Cells = ()
         self.best_path: list[int] = []
-        self.best_pos: list[int] = []
         self.autos: list[tuple[int, ...]] = []
         self.nodes = 0
         self.leaves = 0
 
     def run(self) -> bytes:
         """The canonical leaf's bytes (without the header)."""
-        hit = self._search(tuple((tuple(range(self.n)),)), []) < 0
-        assert self.best is not None
-        leaf = _encode(self.best)
+        hit = self._search(self._degree_cells(), []) < 0
         if self.memo is not None:
             if hit:
                 self.memo.hits += 1
             else:
-                self.memo.store(self.head + leaf, sum(map(len, self.best)))
-        return leaf
+                self.memo.store(self.head + self.leaf, sum(len(f[0]) for f in self.families))
+        return self.leaf
+
+    def _degree_cells(self) -> Cells:
+        """The first refinement round of the unit partition: every profile is
+        equal, so the elements split by their tuple of per-family degrees."""
+        degrees = [list(map(len, by_elem)) for _, by_elem, _ in self.families]
+        return _split((tuple(range(self.n)),), _keyed(degrees))
 
     def _refine(self, cells: Cells) -> Cells:
-        """Iterated degree refinement to the fixpoint: an element's signature
-        is the sorted multiset of its members' color profiles, per family,
-        and each split cell is replaced by its groups in signature order."""
-        if len(cells) == self.n:
-            return cells
-        color = [0] * self.n
-        families = list(zip(self.fam_members, self.elem_members, self.weights))
-        while True:
-            for ci, cell in enumerate(cells):
-                for e in cell:
-                    color[e] = ci
-            active = [e for cell in cells if len(cell) > 1 for e in cell]
-            per_family = []
-            for members, by_elem, weight in families:
-                w = [weight[c] for c in color]
-                profile = [sum(map(w.__getitem__, mem)) for mem in members]
-                per_family.append([tuple(sorted(map(profile.__getitem__, by_elem[e]))) for e in active])
-            # an element's signature: its sorted profile tuple in each family
-            sigs = dict(zip(active, zip(*per_family)))
-            new_cells: list[tuple[int, ...]] = []
-            changed = False
-            for cell in cells:
-                if len(cell) == 1:
-                    new_cells.append(cell)
-                    continue
-                groups: dict[tuple, list[int]] = {}
-                for e in cell:
-                    groups.setdefault(sigs[e], []).append(e)
-                if len(groups) == 1:
-                    new_cells.append(cell)
-                    continue
-                changed = True
-                for sig in sorted(groups):
-                    new_cells.append(tuple(groups[sig]))
-            cells = tuple(new_cells)
-            if not changed or len(cells) == self.n:
-                return cells
-
-    def _key(self, pos: list[int]) -> tuple:
-        """Leaf key: per family, the sorted member masks with element e moved
-        to bit pos[e]."""
-        bit = [1 << p for p in pos]
-        return tuple(
-            tuple(sorted(sum(map(bit.__getitem__, mem)) for mem in members))
-            for members in self.fam_members
-        )
+        """Iterated refinement to the fixpoint: each cell is split by the
+        elements' integer signatures, per family (module docstring)."""
+        n, base, powers = self.n, self.base, self.powers
+        while len(cells) < n:
+            sigs = []
+            for members, by_elem, weight in self.families:
+                # the elements of cell c have color c
+                profile = [0] * len(members)
+                for cell, w in zip(cells, weight):
+                    for e in cell:
+                        for mi in by_elem[e]:
+                            profile[mi] += w
+                rank_weight = _rank_weights(profile, base, powers)
+                sig = [0] * n
+                for mem, p in zip(members, profile):
+                    w = rank_weight[p]
+                    for e in mem:
+                        sig[e] += w
+                sigs.append(sig)
+            split = _split(cells, _keyed(sigs))
+            if len(split) == len(cells):
+                break
+            cells = split
+        return cells
 
     def _leaf(self, cells: Cells, path: list[int]) -> int:
         """Compare the leaf with the best one; return the depth to resume at,
-        or -1 when the leaf's form is in the memo."""
+        or -1 when the leaf's form is in the memo. The leaf's key is, per
+        family, the sorted member masks with the element of cell i at bit i."""
         self.leaves += 1
-        pos = [0] * self.n
-        for i, cell in enumerate(cells):
-            pos[cell[0]] = i
-        key = self._key(pos)
+        keys = []
+        for members, by_elem, _ in self.families:
+            masks = [0] * len(members)
+            for i, (e,) in enumerate(cells):
+                bit = 1 << i
+                for mi in by_elem[e]:
+                    masks[mi] |= bit
+            masks.sort()
+            keys.append(tuple(masks))
+        key = tuple(keys)
         if self.best is None or key < self.best:
-            self.best, self.best_pos, self.best_path = key, pos, path
-            if self.memo is not None and self.head + _encode(key) in self.memo.forms:
+            self.best, self.best_cells, self.best_path = key, cells, path
+            self.leaf = _encode(key)
+            if self.memo is not None and self.head + self.leaf in self.memo.forms:
                 return -1  # a proved minimum: end the whole search
             return len(path)
         if key > self.best:
             return len(path)
-        inv_best = [0] * self.n
-        for e, p in enumerate(self.best_pos):
-            inv_best[p] = e
-        alpha = tuple(inv_best[pos[e]] for e in range(self.n))
-        if alpha not in self.autos:
-            self.autos.append(alpha)
-        # alpha maps this leaf's path onto the best one's and fixes their
-        # common prefix, so every leaf below the branch point is the image of
-        # a leaf already seen: resume at the branch point
+        alpha = [0] * self.n
+        for (e,), (b,) in zip(cells, self.best_cells):
+            alpha[e] = b
+        auto = tuple(alpha)
+        if auto not in self.autos:
+            self.autos.append(auto)
+        # the automorphism maps this leaf's path onto the best one's and fixes
+        # their common prefix, so every leaf below the branch point is the
+        # image of a leaf already seen: resume at the branch point
         common = 0
         for a, b in zip(path, self.best_path):
             if a != b:
@@ -250,7 +251,7 @@ class _Canonicalizer:
         parent: list[int] | None = None
         applied = 0
         done: list[int] = []
-        for e in cell:
+        for i, e in enumerate(cell):
             if applied < len(self.autos):
                 for g in self.autos[applied:]:
                     if all(g[f] == f for f in fixed):
@@ -265,13 +266,58 @@ class _Canonicalizer:
                 root = _find(parent, e)
                 if any(_find(parent, d) == root for d in done):
                     continue
-            rest = tuple(x for x in cell if x != e)
-            child = cells[:target] + ((e,), rest) + cells[target + 1 :]
+            child = cells[:target] + ((e,), cell[:i] + cell[i + 1 :]) + cells[target + 1 :]
             resume = self._search(child, fixed + [e])
             if resume < depth:
                 return resume
             done.append(e)
         return depth
+
+
+def _rank_weights(values: list[int], base: int, powers: list[int]) -> dict[int, int]:
+    """Each distinct value's weight -base^(R-1-r), r its rank among the R
+    distinct values; `powers` holds -base^0, -base^1, ... and grows as
+    needed."""
+    ranks = sorted(set(values), reverse=True)
+    while len(powers) < len(ranks):
+        powers.append(powers[-1] * base)
+    return dict(zip(ranks, powers))
+
+
+def _keyed(values: list[list[int]]):
+    """Element e's key: its value in the one list, or its tuple of values."""
+    return (values[0] if len(values) == 1 else list(zip(*values))).__getitem__
+
+
+def _split(cells: Cells, key) -> Cells:
+    """Each cell's elements grouped by key, the groups in increasing key
+    order and the elements of a group in cell order."""
+    split: list[tuple[int, ...]] = []
+    for cell in cells:
+        if len(cell) > 1:
+            ordered = sorted(cell, key=key)
+            if key(ordered[0]) != key(ordered[-1]):
+                split += (tuple(group) for _, group in groupby(ordered, key))
+                continue
+        split.append(cell)
+    return tuple(split)
+
+
+def _elements(m: int) -> Sequence[int]:
+    """The bit positions of mask m, in increasing order, a byte at a time."""
+    out: list[int] = []
+    base = 0
+    while m:
+        out += [base + i for i in _BYTE_BITS[m & 255]]
+        m >>= 8
+        base += 8
+    return out
+
+
+@lru_cache(maxsize=None)  # n <= 64 bounds it
+def _color_weights(n: int, k: int) -> list[int]:
+    """Color c weighs -(k+1)^(n-1-c) in a family of k-sets (module docstring)."""
+    return [-((k + 1) ** (n - 1 - c)) for c in range(n)]
 
 
 def _find(parent: list[int], x: int) -> int:
@@ -285,7 +331,7 @@ def _encode(key: tuple) -> bytes:
     """Leaf bytes: each family's sorted masks as 8-byte big-endian words,
     families joined by b"|". Member counts are fixed within one input, so
     byte order equals the order of the int-tuple keys."""
-    return b"|".join(b"".join(m.to_bytes(8, "big") for m in masks) for masks in key)
+    return b"|".join(pack(f">{len(masks)}Q", *masks) for masks in key)
 
 
 def _header(n: int, families: Sequence[Family]) -> bytes:

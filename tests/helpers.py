@@ -389,44 +389,46 @@ def random_cross_pair(rng: random.Random, n: int, k1: int, k2: int, t: int, trie
     return None
 
 
+def _reference_round(cells: Cells, fam_members: Sequence[tuple[int, ...]], elem_members: Sequence[list[list[int]]], n: int) -> Cells:
+    """One refinement round: each cell split by its elements' sorted colour
+    tuples, the groups in signature order."""
+    color = [0] * n
+    for ci, cell in enumerate(cells):
+        for e in cell:
+            color[e] = ci
+    sigs: dict[int, tuple] = {}
+    # profile of a member = sorted colors of its elements
+    profiles = []
+    for fi, members in enumerate(fam_members):
+        profiles.append([tuple(sorted(color[e] for e in mem)) for mem in members])
+    for ci, cell in enumerate(cells):
+        if len(cell) == 1:
+            continue
+        for e in cell:
+            sig = tuple(
+                tuple(sorted(profiles[fi][mi] for mi in elem_members[fi][e]))
+                for fi in range(len(fam_members))
+            )
+            sigs[e] = sig
+    new_cells: list[tuple[int, ...]] = []
+    for cell in cells:
+        if len(cell) == 1:
+            new_cells.append(cell)
+            continue
+        groups: dict[tuple, list[int]] = {}
+        for e in cell:
+            groups.setdefault(sigs[e], []).append(e)
+        for sig in sorted(groups):
+            new_cells.append(tuple(groups[sig]))
+    return tuple(new_cells)
+
+
 def _reference_refine(cells: Cells, fam_members: Sequence[tuple[int, ...]], elem_members: Sequence[list[list[int]]], n: int) -> Cells:
     while True:
-        color = [0] * n
-        for ci, cell in enumerate(cells):
-            for e in cell:
-                color[e] = ci
-        sigs: dict[int, tuple] = {}
-        # profile of a member = sorted colors of its elements
-        profiles = []
-        for fi, members in enumerate(fam_members):
-            profiles.append([tuple(sorted(color[e] for e in mem)) for mem in members])
-        for ci, cell in enumerate(cells):
-            if len(cell) == 1:
-                continue
-            for e in cell:
-                sig = tuple(
-                    tuple(sorted(profiles[fi][mi] for mi in elem_members[fi][e]))
-                    for fi in range(len(fam_members))
-                )
-                sigs[e] = sig
-        new_cells: list[tuple[int, ...]] = []
-        changed = False
-        for cell in cells:
-            if len(cell) == 1:
-                new_cells.append(cell)
-                continue
-            groups: dict[tuple, list[int]] = {}
-            for e in cell:
-                groups.setdefault(sigs[e], []).append(e)
-            if len(groups) == 1:
-                new_cells.append(cell)
-                continue
-            changed = True
-            for sig in sorted(groups):
-                new_cells.append(tuple(groups[sig]))
-        cells = tuple(new_cells)
-        if not changed:
+        refined = _reference_round(cells, fam_members, elem_members, n)
+        if refined == cells:
             return cells
+        cells = refined
 
 
 class ReferenceCanonicalizer:

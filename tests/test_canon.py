@@ -3,8 +3,15 @@ from itertools import combinations, combinations_with_replacement
 
 import networkx as nx
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from helpers import ReferenceCanonicalizer, canonical_form_reference, enumerate_maximal_pairs, random_family
+from helpers import (
+    ReferenceCanonicalizer,
+    _reference_round,
+    canonical_form_reference,
+    enumerate_maximal_pairs,
+    random_family,
+)
 from xfam import (
     Family,
     anchored_family,
@@ -315,3 +322,81 @@ def test_isomorphism_agrees_with_vf2():
         assert (canonical_form(f) == canonical_form(g)) == expected, (f.members, g.members)
         outcomes.append(expected)
     assert min(outcomes.count(True), outcomes.count(False)) >= 30  # both answers occur
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(
+    st.integers(1, 12).flatmap(
+        lambda d: st.tuples(
+            st.lists(st.lists(st.integers(-50, 50), min_size=d, max_size=d), min_size=2, max_size=8),
+            st.lists(st.integers(-50, 50), max_size=4),
+            st.integers(d + 1, 3 * d + 3),
+        )
+    )
+)
+def test_rank_weighted_sums_order_as_sorted_tuples(case):
+    # multisets of one length d, ranked among their values and a few others,
+    # with any base above d: the sums order exactly as the sorted tuples
+    multisets, others, base = case
+    weight = canon._rank_weights([v for ms in multisets for v in ms] + others, base, [-1])
+    sums = [sum(weight[v] for v in ms) for ms in multisets]
+    tuples = [tuple(sorted(ms)) for ms in multisets]
+    for a in range(len(multisets)):
+        for b in range(len(multisets)):
+            assert (sums[a] < sums[b], sums[a] == sums[b]) == (tuples[a] < tuples[b], tuples[a] == tuples[b])
+
+
+def degree_split_cases(rng):
+    """Random single families (some with elements outside the union), pairs
+    with an empty side, and triples of families with different k."""
+    cases = []
+    for _ in range(150):
+        n = rng.randint(4, 9)
+        shape = rng.randrange(3)
+        if shape == 0:
+            cases.append([random_family(rng, n, rng.randint(1, min(3, n - 1)), rng.randint(1, 4))])
+        elif shape == 1:
+            k1, k2 = rng.sample(range(1, n), 2)
+            sides = [Family(n, k1, ()), random_family(rng, n, k2, 6)]
+            rng.shuffle(sides)
+            cases.append(sides)
+        else:
+            cases.append([random_family(rng, n, k, 6) for k in rng.sample(range(1, n), 3)])
+    return cases
+
+
+def test_degree_split_is_the_first_reference_round():
+    rng = random.Random(41)
+    isolated = 0
+    for families in degree_split_cases(rng):
+        n = families[0].n
+        masks = [f.members for f in families]
+        ref = ReferenceCanonicalizer(n, masks)
+        unit = (tuple(range(n)),)
+        expected = _reference_round(unit, ref.fam_members, ref.elem_members, n)
+        assert _Canonicalizer(n, masks)._degree_cells() == expected, masks
+        isolated += any(all(not m >> e & 1 for f in families for m in f.members) for e in range(n))
+    assert isolated >= 30  # elements of degree 0 occur
+
+
+def top_bit_family(rng, n, k, size):
+    """A random k-uniform family of `size` members over [n], one of them
+    through n."""
+    sets = {tuple(sorted(rng.sample(range(1, n), k - 1) + [n]))}
+    while len(sets) < size:
+        sets.add(tuple(sorted(rng.sample(range(1, n + 1), k))))
+    return Family.from_sets(n, k, sets)
+
+
+@pytest.mark.parametrize("n", [8, 9, 16, 17, 64])
+def test_forms_equal_reference_across_byte_boundaries(n):
+    # members are decoded a byte at a time: ground sets that end at, or one
+    # past, a byte boundary, with members through the top element; at n = 64
+    # ten members of 16 to 32 elements leave few symmetries, so the reference
+    # search stays short
+    rng = random.Random(43 + n)
+    for _ in range(8):
+        f = top_bit_family(rng, n, rng.randint(max(2, n // 4), n // 2), 10 if n == 64 else rng.randint(4, 6))
+        g = top_bit_family(rng, n, rng.randint(max(2, n // 4), n // 2), 9 if n == 64 else rng.randint(3, 5))
+        for families in ([f], [f, g], [g, f]):
+            assert canonical_form_tuple(families) == canonical_form_reference(families), families
