@@ -39,6 +39,10 @@ CASES = {
     "verify-constructions-default": [
         ["verify-constructions", "--maximal"],
     ],
+    # the default grid without --maximal, so no report measures a fixed point
+    "verify-constructions-default-plain": [
+        ["verify-constructions"],
+    ],
     # the up-set path of select at 18 to 20 bits
     "verify-constructions-n20": [
         ["verify-constructions", "--maximal", "--grid", "t=1,2,3;k=t+3;l=t+3;n=18,20"],
@@ -136,6 +140,7 @@ GOLDEN = {
     "search-tau-edges": "990f8aa255639baec612ae42332b3b09343db69fc776ef11d923781f676cce0c",
     "threshold": "857089a9b70b38f1a73771efea60119d0f17639bfb6c36c579ce0e5f4dc71e01",
     "verify-constructions-default": "26be5142732909835478c3f42fa44dbd5868a59df538e60a8291e15e8c79f283",
+    "verify-constructions-default-plain": "bb907af11446e26962d75887ddcc6989dd4bd24414888d14a6c64463596dd81b",
     "verify-constructions-kinds": "36f9535debf0d642659676baa6ba6b25da1bdd76d85e6f7b5cd5a13cd26b4fc2",
     "verify-constructions-n12": "4240a0c09d6f21d5ee65283fcb284da26d1fd5097af6ce63c1c7773c33e9ac20",
     "verify-constructions-n20": "15e1970da9ab0ea4afefb54640e95a5d5cdd749d66b3374b32296a78cc805d4a",
