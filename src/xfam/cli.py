@@ -17,6 +17,7 @@ import json
 import re
 import sys
 from fractions import Fraction
+from typing import Container
 
 from . import (
     ConstructionSpec,
@@ -431,95 +432,95 @@ def _cmd_leading_term(args) -> int:
     return 0 if rep["pass"] else 1
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(only: Container[str] | None = None) -> argparse.ArgumentParser:
+    """The parser of every command. With `only`, the commands outside it
+    keep their names and help, so the top-level usage, help and errors read
+    the same, but get no arguments: `main` builds the arguments of the
+    commands its argv names, which argparse matches whole."""
     parser = argparse.ArgumentParser(prog="xfam", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("construct", help="emit one construction in the family text format")
-    p.add_argument("--kind", required=True, choices=["A", "B", "C1", "C2", "H", "D"])
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--t", type=int, required=True)
-    p.add_argument("--l", type=int)
-    p.add_argument("--x", help="elements of X, e.g. '4 5'")
-    p.add_argument("--y", help="elements of Y")
-    p.add_argument("--quad", help="four anchor elements (B and D)")
-    p.add_argument("--anchor", help="base anchor T for D (defaults to 1..t-1)")
-    p.add_argument("--out")
-    p.set_defaults(fn=_cmd_construct)
+    def command(name: str, help: str, fn) -> argparse.ArgumentParser | None:
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(fn=fn)
+        return p if only is None or name in only else None
 
-    p = sub.add_parser("verify-constructions", help="size/pairing/covering checks over a grid")
-    p.add_argument("--grid", help="e.g. 't=1,2;k=t+1..t+3;l=t+1..t+3;n=l+2..12' (default: the full verification grid)")
-    p.add_argument("--kinds", help="comma list from AA,BB,CC,DD,HH")
-    p.add_argument("--maximal", action="store_true", help="also measure closure fixed-point status")
-    p.add_argument("--out")
-    p.set_defaults(fn=_cmd_verify_constructions)
+    if p := command("construct", "emit one construction in the family text format", _cmd_construct):
+        p.add_argument("--kind", required=True, choices=["A", "B", "C1", "C2", "H", "D"])
+        p.add_argument("--n", type=int, required=True)
+        p.add_argument("--k", type=int, required=True)
+        p.add_argument("--t", type=int, required=True)
+        p.add_argument("--l", type=int)
+        p.add_argument("--x", help="elements of X, e.g. '4 5'")
+        p.add_argument("--y", help="elements of Y")
+        p.add_argument("--quad", help="four anchor elements (B and D)")
+        p.add_argument("--anchor", help="base anchor T for D (defaults to 1..t-1)")
+        p.add_argument("--out")
 
-    p = sub.add_parser("enumerate-maximal", help="all maximal t-intersecting families")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--t", type=int, required=True)
-    p.add_argument("--json", action="store_true")
-    p.add_argument("--out")
-    p.set_defaults(fn=_cmd_enumerate)
+    if p := command("verify-constructions", "size/pairing/covering checks over a grid", _cmd_verify_constructions):
+        p.add_argument("--grid", help="e.g. 't=1,2;k=t+1..t+3;l=t+1..t+3;n=l+2..12' (default: the full verification grid)")
+        p.add_argument("--kinds", help="comma list from AA,BB,CC,DD,HH")
+        p.add_argument("--maximal", action="store_true", help="also measure closure fixed-point status")
+        p.add_argument("--out")
 
-    p = sub.add_parser("search", help="exhaustive maximal-pair product search")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k1", type=int, required=True)
-    p.add_argument("--k2", type=int, required=True)
-    p.add_argument("--t", type=int, required=True)
-    p.add_argument("--min-tau", type=int, required=True)
-    p.add_argument("--out")
-    p.set_defaults(fn=_cmd_search)
+    if p := command("enumerate-maximal", "all maximal t-intersecting families", _cmd_enumerate):
+        p.add_argument("--n", type=int, required=True)
+        p.add_argument("--k", type=int, required=True)
+        p.add_argument("--t", type=int, required=True)
+        p.add_argument("--json", action="store_true")
+        p.add_argument("--out")
 
-    p = sub.add_parser("classify", help="match one family (or pair) against the templates")
-    p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--in2", dest="infile2")
-    p.add_argument("--theorem", required=True, choices=["1.2", "1.1", "fact2.1"])
-    p.add_argument("--t", type=int, required=True)
-    p.add_argument("--out")
-    p.set_defaults(fn=_cmd_classify)
+    if p := command("search", "exhaustive maximal-pair product search", _cmd_search):
+        p.add_argument("--n", type=int, required=True)
+        p.add_argument("--k1", type=int, required=True)
+        p.add_argument("--k2", type=int, required=True)
+        p.add_argument("--t", type=int, required=True)
+        p.add_argument("--min-tau", type=int, required=True)
+        p.add_argument("--out")
 
-    p = sub.add_parser("classify-all", help="enumerate + classify, summary table")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--t", type=int, required=True)
-    p.add_argument("--out")
-    p.set_defaults(fn=_cmd_classify_all)
+    if p := command("classify", "match one family (or pair) against the templates", _cmd_classify):
+        p.add_argument("--in", dest="infile", required=True)
+        p.add_argument("--in2", dest="infile2")
+        p.add_argument("--theorem", required=True, choices=["1.2", "1.1", "fact2.1"])
+        p.add_argument("--t", type=int, required=True)
+        p.add_argument("--out")
 
-    p = sub.add_parser("audit", help="exact inequality audit over a grid")
-    p.add_argument("--lemma", required=True, help=f"one of {', '.join(ALL_LEMMAS)} or 'all'")
-    p.add_argument("--grid")
-    p.add_argument("--format", choices=["json", "csv"], default="json")
-    p.add_argument("--out")
-    p.set_defaults(fn=_cmd_audit)
+    if p := command("classify-all", "enumerate + classify, summary table", _cmd_classify_all):
+        p.add_argument("--n", type=int, required=True)
+        p.add_argument("--k", type=int, required=True)
+        p.add_argument("--t", type=int, required=True)
+        p.add_argument("--out")
 
-    p = sub.add_parser("eval", help="print one exact formula value")
-    p.add_argument("--formula", required=True, help="|".join(_FORMULAS))
-    p.add_argument("--args", nargs="*", default=[], help="name=value pairs")
-    p.set_defaults(fn=_cmd_evaluate)
+    if p := command("audit", "exact inequality audit over a grid", _cmd_audit):
+        p.add_argument("--lemma", required=True, help=f"one of {', '.join(ALL_LEMMAS)} or 'all'")
+        p.add_argument("--grid")
+        p.add_argument("--format", choices=["json", "csv"], default="json")
+        p.add_argument("--out")
 
-    p = sub.add_parser("threshold", help="ground-set size where the extremal classification is proved")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--l", type=int, required=True)
-    p.add_argument("--t", type=int, required=True)
-    p.set_defaults(fn=_cmd_threshold)
+    if p := command("eval", "print one exact formula value", _cmd_evaluate):
+        p.add_argument("--formula", required=True, help="|".join(_FORMULAS))
+        p.add_argument("--args", nargs="*", default=[], help="name=value pairs")
 
-    p = sub.add_parser("leading-term", help="normalized product convergence check")
-    p.add_argument("--pair", required=True, choices=PAIR_KINDS)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--l", type=int, required=True)
-    p.add_argument("--t", type=int, required=True)
-    p.add_argument("--n-seq", required=True, help="comma list of ground-set sizes")
-    p.add_argument("--tol", default="0.01")
-    p.add_argument("--out")
-    p.set_defaults(fn=_cmd_leading_term)
+    if p := command("threshold", "ground-set size where the extremal classification is proved", _cmd_threshold):
+        p.add_argument("--k", type=int, required=True)
+        p.add_argument("--l", type=int, required=True)
+        p.add_argument("--t", type=int, required=True)
+
+    if p := command("leading-term", "normalized product convergence check", _cmd_leading_term):
+        p.add_argument("--pair", required=True, choices=PAIR_KINDS)
+        p.add_argument("--k", type=int, required=True)
+        p.add_argument("--l", type=int, required=True)
+        p.add_argument("--t", type=int, required=True)
+        p.add_argument("--n-seq", required=True, help="comma list of ground-set sizes")
+        p.add_argument("--tol", default="0.01")
+        p.add_argument("--out")
 
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser(set(argv)).parse_args(argv)
     try:
         return args.fn(args)
     except (ValueError, ZeroDivisionError) as exc:  # bad parameters, or a value undefined at them

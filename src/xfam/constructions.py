@@ -8,14 +8,17 @@ generators here place the anchors at the low indices of [n]; closed-form
 sizes live in `formulas` and the test suite cross-checks both paths against
 inclusion-exclusion counts.
 
-`verify_construction` caches each built family's covers across pairs, and
-for each ordered (family, partner) two facts about star(partner, |family|):
-whether the family lies inside it and whether it equals it. Since F's members
-are k-subsets of [n], F and G are cross t-intersecting iff F lies inside
-star(G, k), and the pair is a star fixed point iff that star equals F and
-star(F, l) equals G; star(F, l) is computed only when the first star equals
-F. An AA or HH pair at (t, l, k, n) holds the two sides of the pair at
-(t, k, l, n) in swapped order, so it reads both facts from the cache.
+`verify_grid` and `verify_construction` share one engine, `_verify`. It
+builds each distinct family once and reads every check off the up-set
+closure of one (family, t), however many pairs hold that family: whether
+another family lies inside its star (the cross check), how many sets of an
+(n, m) table lie inside it (the star fixed point) and whether a (t+1)-set
+covers it (the covering number). Since F's members are k-subsets of [n],
+F and G are cross t-intersecting iff F lies inside star(G, k), and the pair
+is a star fixed point iff moreover star(G, k) has |F| members and star(F, l)
+has |G|. The closures are built in batches of bounded size, each freed once
+its checks are read; past `core._UPSET_MAX_BITS` bits the same checks read
+the outer product.
 
 Kinds, by their anchor sets:
   A(M0)        - M0 alone, met in t+1 elements;
@@ -30,18 +33,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Iterable
 
-from .core import (
-    CoverStructure,
-    Family,
-    covering_number,
-    elements_of,
-    full_mask,
-    mask_of,
-    select,
-    subsets,
-    validate_params,
-)
+import numpy as np
+
+from .core import Family, _read_meets, elements_of, full_mask, mask_of, select, subsets, validate_params
 from .formulas import PAIR_FORMULAS, binom, eval_a, eval_c1, eval_c2, eval_h
 
 
@@ -99,7 +95,7 @@ def construct_A(n: int, k: int, t: int) -> Family:
     """All k-sets meeting [t+2] in at least t+1 elements."""
     if not (t + 1 <= k <= n) or n < t + 2:
         raise ValueError(f"need t+1 <= k <= n and n >= t+2, got n={n} k={k} t={t}")
-    return Family(n, k, _a_members(n, k, t, full_mask(t + 2)))
+    return Family.from_table(n, k, _a_members(n, k, t, full_mask(t + 2)))
 
 
 @lru_cache(maxsize=4096)
@@ -109,7 +105,7 @@ def construct_B(n: int, k: int, quad: tuple[int, int, int, int]) -> Family:
         raise ValueError(f"quad must be four distinct elements of [n], got {quad}")
     if k < 2:
         raise ValueError("need k >= 2")
-    return Family(n, k, _b_members(n, k, quad))
+    return Family.from_table(n, k, _b_members(n, k, quad))
 
 
 @lru_cache(maxsize=4096)
@@ -117,7 +113,7 @@ def construct_C1(n: int, l: int, t: int) -> Family:
     """The t+1 sets [l+1] minus one of [t+1], plus all l-sets containing [t+1]."""
     if not (t + 1 <= l) or n < l + 1:
         raise ValueError(f"need l >= t+1 and n >= l+1, got n={n} l={l} t={t}")
-    return Family(n, l, _c1_members(n, l, full_mask(t + 1), full_mask(l + 1)))
+    return Family.from_table(n, l, _c1_members(n, l, full_mask(t + 1), full_mask(l + 1)))
 
 
 @lru_cache(maxsize=4096)
@@ -126,7 +122,7 @@ def construct_C2(n: int, k: int, t: int, l: int) -> Family:
     [t+1]-anchored interval."""
     if not (t + 1 <= k <= n) or not (t + 1 <= l) or n < l + 1:
         raise ValueError(f"need k, l >= t+1 and n >= l+1, got n={n} k={k} l={l} t={t}")
-    return Family(n, k, _c2_members(n, k, t, full_mask(t + 1), full_mask(l + 1)))
+    return Family.from_table(n, k, _c2_members(n, k, t, full_mask(t + 1), full_mask(l + 1)))
 
 
 @lru_cache(maxsize=4096)
@@ -145,7 +141,7 @@ def construct_H(n: int, k: int, t: int, X: tuple[int, ...], Y: tuple[int, ...]) 
     need = 1 if t == 1 else 2
     if (xm & ym).bit_count() < need:
         raise ValueError(f"need |X ∩ Y| >= {need}")
-    return Family(n, k, _h_members(n, k, full_mask(t), xm, ym))
+    return Family.from_table(n, k, _h_members(n, k, full_mask(t), xm, ym))
 
 
 @lru_cache(maxsize=4096)
@@ -164,7 +160,7 @@ def construct_D(n: int, k: int, t: int, T: tuple[int, ...], xs: tuple[int, int, 
     # one element of T and holds x1..x4, meeting T+{x1..x4} in t+2
     x1, x2, x3, x4 = xs
     covers = [mask_of(T + pair) for pair in ((x1, x2), (x3, x4), (x2, x3))]
-    return Family(n, k, select(subsets(full_mask(n), k), covers, t))
+    return Family.from_table(n, k, select(subsets(full_mask(n), k), covers, t))
 
 
 def default_D_anchors(t: int) -> tuple[tuple[int, ...], tuple[int, int, int, int]]:
@@ -273,45 +269,79 @@ def construction_pair(pair_kind: str, n: int, k: int, l: int, t: int) -> tuple[C
     raise ValueError(f"unknown pair kind {pair_kind!r}")
 
 
-@lru_cache(maxsize=4096)
-def _covers(family: Family, t: int) -> CoverStructure:
-    """The covers of a built family, computed once for every pair it is in."""
-    return covering_number(family, t)
-
-
-@lru_cache(maxsize=4096)
-def _in_star(X: Family, Y: Family, t: int) -> tuple[bool, bool]:
-    """Whether X lies inside star(Y, |X|), and whether it equals it. The
-    cache keeps these two booleans, not the star."""
-    star = select(subsets(full_mask(X.n), X.k), Y.members, t)
-    fixed = star == X.members
-    return fixed or set(star).issuperset(X.members), fixed
-
-
 def verify_construction(spec: ConstructionSpec, partner: ConstructionSpec, check_maximal: bool = True) -> dict:
     """Verify one pair: sizes match the closed forms, the pair is cross
     t-intersecting, both covering numbers equal t+1, and (measured, not
     required) the pair is a closure fixed point."""
-    t = spec.t
-    F, G = spec.build(), partner.build()
-    inside, fixed = _in_star(F, G, t)
-    checks = {
-        "size_first": len(F) == spec.closed_form(),
-        "size_second": len(G) == partner.closed_form(),
-        "cross_intersecting": inside,
-        "tau_first": _covers(F, t).tau == t + 1,
-        "tau_second": _covers(G, t).tau == t + 1,
-    }
-    report = {
-        "first": {"kind": spec.kind, "n": spec.n, "k": spec.k, "t": t, "size": len(F)},
-        "second": {"kind": partner.kind, "n": partner.n, "k": partner.k, "t": t, "size": len(G)},
-        "checks": checks,
-        "pass": all(checks.values()),
-    }
-    if check_maximal:
-        # star(F, l) is computed only when star(G, k) is F itself
-        report["maximal_measured"] = fixed and _in_star(G, F, t)[1]
-    return report
+    return _verify([(spec, partner)], check_maximal)[0]
+
+
+def _verify(pairs: Iterable[tuple[ConstructionSpec, ConstructionSpec]], check_maximal: bool) -> list[dict]:
+    """The reports of the (spec, partner) pairs, in order. A pair's families
+    are built and its closed forms taken before the next pair is drawn, so
+    the first invalid spec raises as it would alone. The other checks read
+    the up-set closure of each distinct (family, t) once, t the pair's
+    spec's, through `core._read_meets`."""
+    built = []
+    for spec, partner in pairs:
+        F, G = spec.build(), partner.build()
+        built.append((spec.t, F, G, spec, partner, len(F) == spec.closed_form(), len(G) == partner.closed_form()))
+    # what each closure (family, t) answers, a family keyed by its id (the
+    # construct_* caches return one object per spec): the families read
+    # inside its stars, and the (n, m) tables whose stars are counted
+    fams: dict[int, Family] = {}
+    asks: dict[tuple[int, int], tuple[set[int], set[tuple[int, int]]]] = {}
+    for t, F, G, *_ in built:
+        fams[id(F)], fams[id(G)] = F, G
+        of_f = asks.setdefault((id(F), t), (set(), set()))
+        of_g = asks.setdefault((id(G), t), (set(), set()))
+        of_g[0].add(id(F))
+        if check_maximal:
+            of_g[1].add((F.n, F.k))
+            of_f[1].add((G.n, G.k))
+    keys = list(asks)
+    tau: dict[tuple[int, int], bool] = {}
+    inside: dict[tuple[int, int, int], bool] = {}
+    stars: dict[tuple[int, int, int, int], int] = {}
+
+    def visit(i: int, read) -> None:
+        x, t = key = keys[i]
+        X = fams[x]
+        # τ_t(X) = t+1 iff X's common part has fewer than t elements and some
+        # (t+1)-subset of [n] meets every member in t. A t-set meets a member
+        # in t iff it lies in it, and a (t+1)-set T that meets every member in
+        # t lies in X's union: for e in T outside it, T - e would too. So
+        # this is the τ that `covering_number` finds over the union.
+        tau[key] = X.common_mask().bit_count() < t and bool(read(subsets(full_mask(X.n), t + 1).array).any())
+        members_in, tables = asks[key]
+        for y in members_in:
+            inside[y, x, t] = bool(read(np.array(fams[y].members, dtype=np.uint64)).all())
+        for n, m in tables:
+            stars[x, t, n, m] = int(np.count_nonzero(read(subsets(full_mask(n), m).array)))
+
+    _read_meets([(fams[x].members, t) for x, t in keys], visit)
+    reports = []
+    for t, F, G, spec, partner, size_first, size_second in built:
+        f, g = id(F), id(G)
+        checks = {
+            "size_first": size_first,
+            "size_second": size_second,
+            "cross_intersecting": inside[f, g, t],
+            "tau_first": tau[f, t],
+            "tau_second": tau[g, t],
+        }
+        report = {
+            "first": {"kind": spec.kind, "n": spec.n, "k": spec.k, "t": t, "size": len(F)},
+            "second": {"kind": partner.kind, "n": partner.n, "k": partner.k, "t": t, "size": len(G)},
+            "checks": checks,
+            "pass": all(checks.values()),
+        }
+        if check_maximal:
+            report["maximal_measured"] = (
+                inside[f, g, t] and stars[g, t, F.n, F.k] == len(F) and stars[f, t, G.n, G.k] == len(G)
+            )
+        reports.append(report)
+    return reports
 
 
 def default_grid() -> list[tuple[int, int, int, int]]:
@@ -327,18 +357,13 @@ def default_grid() -> list[tuple[int, int, int, int]]:
 
 
 def verify_grid(kinds, grid, check_maximal: bool) -> list[dict]:
-    """Run verify_construction for every kind at every grid point; reports
+    """Verify every kind at every grid point in one `_verify`; reports
     arrive sorted by (kind, point) so reruns are byte-identical."""
     pts = sorted(grid)
-    out = []
-    for kind in sorted(kinds):
-        for t, k, l, n in pts:
-            # BB exists only at t = 1 and needs room for its anchor quad
-            if kind == "BB" and (t != 1 or n < 4):
-                continue
-            spec, partner = construction_pair(kind, n, k, l, t)
-            rep = verify_construction(spec, partner, check_maximal=check_maximal)
-            rep["pair_kind"] = kind
-            rep["point"] = {"t": t, "k": k, "l": l, "n": n}
-            out.append(rep)
-    return out
+    # BB exists only at t = 1 and needs room for its anchor quad
+    cells = [(kind, p) for kind in sorted(kinds) for p in pts if not (kind == "BB" and (p[0] != 1 or p[3] < 4))]
+    reports = _verify((construction_pair(kind, n, k, l, t) for kind, (t, k, l, n) in cells), check_maximal)
+    for rep, (kind, (t, k, l, n)) in zip(reports, cells):
+        rep["pair_kind"] = kind
+        rep["point"] = {"t": t, "k": k, "l": l, "n": n}
+    return reports

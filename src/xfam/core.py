@@ -21,9 +21,12 @@ the members' top bit, and reads there each candidate's complement in [b]
 (bits above b meet no member). The closure depends on the members and t
 alone, so a bounded memo keeps it for every later query on the same members:
 a family's covers at every size and its stars into every uniformity read one
-closure. Every other query, and every relation row the enumerations build,
-counts bits over the (candidate, member) outer product in bounded blocks
-(`_meet_blocks`): no Python loop over pairs of sets computes the relation.
+closure. A caller that knows all its keys at once (the construction checks)
+has `_read_meets` build their closures in bounded batches instead, one row
+each of one array, each closure pass run once per batch. Every other query,
+and every relation row the enumerations build, counts bits over the
+(candidate, member) outer product in bounded blocks (`_meet_blocks`): no
+Python loop over pairs of sets computes the relation.
 
 On top of the raw masks this module provides the intersection predicates,
 exact t-covering-number computation (all minimum covers, not just one), the
@@ -38,11 +41,11 @@ import io
 import os
 from bisect import bisect_left
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import lru_cache, partial, reduce
 from itertools import combinations
 from math import comb
 from operator import or_
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -151,52 +154,93 @@ def select(cands: SubsetTable, members: Sequence[int], t: int) -> tuple[int, ...
 
 def _outside_upset(cands: SubsetTable, members: Sequence[int], t: int) -> tuple[int, ...]:
     """The candidates whose complement lies outside the up-set of (members,
-    t). Its flags span 2^B subsets, B at least the members' top bit, and a
-    set is flagged iff its part below that bit is, so the complement is taken
-    in [B]. Needs t >= 1 and a member."""
-    outside = _closures.flags(tuple(members), t)
+    t), read off the memo's closure. Needs t >= 1 and a member."""
+    return _table_ints(cands, _complements_outside(_closures.flags(tuple(members), t), cands.array))
+
+
+def _complements_outside(outside: np.ndarray, masks: np.ndarray) -> np.ndarray:
+    """Whether `outside`, the flags of a key (members, t) over the 2^B
+    subsets of [B], flags the complement of each uint64 mask: a mask meets
+    every member in >= t elements iff it does. B is at least the members'
+    top bit and a set is flagged iff its part below that bit is, so the
+    complement is taken in [B]."""
     # int64 indexes without a cast, and the AND leaves the complement >= 0
-    return _table_ints(cands, outside.take(~cands.array.view(np.int64) & (len(outside) - 1)))
+    return outside.take(~masks.view(np.int64) & (len(outside) - 1))
 
 
-def _outside_flags(members: tuple[int, ...], t: int, n: int) -> np.ndarray:
-    """Read-only flags over the subsets of [n], n >= 6 and at least the
-    members' top bit: a set is flagged iff it holds no (|m| - t + 1)-subset
-    of any member m, so none is when a member has fewer than t elements."""
-    low = np.array(members, dtype=np.uint64)
-    sizes = np.bitwise_count(low)
-    if sizes.min() < t:
-        outside = np.zeros(1 << n, dtype=np.bool_)
-        outside.flags.writeable = False
-        return outside
-    if t > 1:
+def _read_meets(keys: Sequence[tuple[Sequence[int], int]], visit: Callable[[int, Callable], None]) -> None:
+    """Call visit(i, read) once for each key i = (members, t), t >= 1 and a
+    member, where read(masks) tells whether each uint64 mask meets every
+    member in >= t elements; `visit` must not keep `read`. Keys whose members
+    use b <= _UPSET_MAX_BITS bits are read off their up-set closures, which
+    `_outside_flags` builds in batches of one b holding at most
+    _UPSET_MEMO_WORDS words (or one closure), counted as `_ClosureMemo`
+    counts them, each freed before the next is built. The others read the
+    outer product (`_meets_all`)."""
+    by_bits: dict[int, list[int]] = {}
+    for i, (members, _) in enumerate(keys):
+        by_bits.setdefault(max(max(members).bit_length(), 6), []).append(i)  # whole uint64 words
+    for b, indexes in by_bits.items():
+        if b > _UPSET_MAX_BITS:
+            for i in indexes:
+                visit(i, partial(_meets_all, members=keys[i][0], t=keys[i][1]))
+            continue
+        batches: list[list[int]] = [[]]
+        words = 0
+        for i in indexes:
+            need = len(keys[i][0]) + (1 << b) // 8
+            if batches[-1] and words + need > _UPSET_MEMO_WORDS:
+                batches.append([])
+                words = 0
+            batches[-1].append(i)
+            words += need
+        for batch in batches:
+            rows = _outside_flags([keys[i] for i in batch], b)
+            for i, outside in zip(batch, rows):
+                visit(i, partial(_complements_outside, outside))
+            del rows, outside  # freed before the next batch is built
+
+
+def _outside_flags(keys: Sequence[tuple[Sequence[int], int]], n: int) -> np.ndarray:
+    """Read-only flags over the subsets of [n], one row of 2^n per key
+    (members, t), n >= 6 and at least every key's top bit: a set is flagged
+    in a row iff it holds no (|m| - t + 1)-subset of any member m of its key,
+    so none is when a member has fewer than t elements. The rows lie end to
+    end in one array, and each closure pass runs once over all of them."""
+    up = np.zeros(len(keys) << n, dtype=np.bool_)
+    rows_of: dict[int, list[int]] = {}
+    for row, (_, t) in enumerate(keys):
+        rows_of.setdefault(t, []).append(row)
+    for t, rows in rows_of.items():
+        low = np.array([m for row in rows for m in keys[row][0]], dtype=np.uint64)
+        # the start of each member's row, as int64 indexes need no cast
+        start = np.repeat(np.array(rows, dtype=np.int64) << n, [len(keys[row][0]) for row in rows])
+        if t == 1:
+            up[low.view(np.int64) + start] = True
+            continue
         # column i holds the i-th lowest element of each member (0 past its
         # size); dropping t - 1 columns leaves each (|m| - t + 1)-subset once,
-        # or, through a 0 column, a larger subset of m that adds nothing
+        # or, through a 0 column, a larger subset of m that adds nothing; a
+        # member of fewer than t elements loses them all, and the empty set
+        # flags nothing in its row
         cols = []
         rest = low
-        for _ in range(int(sizes.max())):
+        for _ in range(max(int(np.bitwise_count(low).max()), t - 1)):
             cols.append(rest & (~rest + np.uint64(1)))
             rest = rest ^ cols[-1]
-        elems = np.stack(cols, axis=1)
-        drop = np.array(list(combinations(range(len(cols)), t - 1)), dtype=np.intp).T
-        removed = elems[:, drop[0]]
-        for column in drop[1:]:
-            removed |= elems[:, column]
-        removed ^= low[:, None]
-        low = removed.ravel()
-    up = np.zeros(1 << n, dtype=np.bool_)
-    up[low.view(np.int64)] = True  # int64 indexes without a cast
+        for drop in combinations(cols, t - 1):
+            up[(low ^ reduce(np.bitwise_or, drop)).view(np.int64) + start] = True
     # upward closure, one pass per bit, on the flags packed 64 to a word;
-    # '<u8' keeps the bit order packbits gives on any host
+    # '<u8' keeps the bit order packbits gives on any host. A row spans
+    # 2^(n-6) words, so no pair of halves crosses two rows
     words = np.packbits(up, bitorder="little").view("<u8")
-    del up  # 2^n bytes, freed before the flags are unpacked
+    del up  # 2^n bytes a row, freed before the flags are unpacked
     for shift, mask in _LOW_BIT_PASSES:
         words |= (words << shift) & mask
     for j in range(n - 6):
         halves = words.reshape(-1, 2, 1 << j)
         halves[:, 1, :] |= halves[:, 0, :]
-    outside = np.unpackbits((~words).view(np.uint8), bitorder="little").view(np.bool_)
+    outside = np.unpackbits((~words).view(np.uint8), bitorder="little").view(np.bool_).reshape(len(keys), 1 << n)
     outside.flags.writeable = False
     return outside
 
@@ -222,7 +266,7 @@ class _ClosureMemo:
             while keep and self.words + words > _UPSET_MEMO_WORDS:
                 old = next(iter(self.entries))
                 self.words -= len(old[0]) + self.entries.pop(old).nbytes // 8
-            flags = _outside_flags(members, t, n)
+            flags = _outside_flags([key], n)[0]
             if keep:
                 self.entries[key] = flags
                 self.words += words
@@ -243,8 +287,14 @@ def _meet_blocks(a: np.ndarray, b: np.ndarray, t: int) -> Iterator[np.ndarray]:
 
 def _outer_product(cands: SubsetTable, members: Sequence[int], t: int) -> tuple[int, ...]:
     """The candidates whose row of `_meet_blocks` is all true."""
-    blocks = _meet_blocks(cands.array, np.array(members, dtype=np.uint64), t)
-    return _table_ints(cands, np.concatenate([block.all(axis=1) for block in blocks]))
+    return _table_ints(cands, _meets_all(cands.array, members, t))
+
+
+def _meets_all(masks: np.ndarray, members: Sequence[int], t: int) -> np.ndarray:
+    """Whether each of the uint64 `masks` meets every member in >= t
+    elements, one boolean each, over the outer product in blocks."""
+    blocks = _meet_blocks(masks, np.array(members, dtype=np.uint64), t)
+    return np.concatenate([block.all(axis=1) for block in blocks])
 
 
 def _table_ints(cands: SubsetTable, keep: np.ndarray) -> tuple[int, ...]:
@@ -280,6 +330,15 @@ class Family:
             if m.bit_count() != self.k:
                 raise ValueError(f"member {elements_of(m)} is not a {self.k}-set")
             prev = m
+
+    @classmethod
+    def from_table(cls, n: int, k: int, members: tuple[int, ...]) -> "Family":
+        """A family of masks kept from the table subsets(full_mask(n), k), in
+        its order: they are strictly increasing k-subsets of [n] already, so
+        they are not checked again, only n and k are."""
+        family = cls(n, k, ())
+        object.__setattr__(family, "members", members)
+        return family
 
     @classmethod
     def from_masks(cls, n: int, k: int, masks: Iterable[int]) -> "Family":

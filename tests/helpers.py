@@ -58,9 +58,9 @@ containment decision in `xfam.classify_fact_2_1`.
 
 `verify_construction_reference` is the pair verifier in its recomputing
 shape (`covering_number` on each side per call, `is_cross_t_intersecting`
-and `is_maximal_pair`), kept as the oracle of `verify_construction`, which
-caches covers and reads the cross check and the fixed point off cached star
-tests. `audit_42iv_reference` is the Lemma 4.2(iv) auditor as a `Fraction`
+and `is_maximal_pair`), kept as the oracle of `verify_construction` and
+`verify_grid`, which read every check off batched up-set closures.
+`audit_42iv_reference` is the Lemma 4.2(iv) auditor as a `Fraction`
 double loop, the oracle of the integer-gap `formulas._audit_42iv`.
 
 `jsonable_reference` is the report converter the CLI once ran before

@@ -185,6 +185,26 @@ def test_cover_matrix_counts_of_the_complete_family(n, t):
     assert count_theorem_1_2(n, k, t) == (1, 1, {name: c for name, c in counts.items() if c})
 
 
+# Complementing every member maps the maximal t-intersecting k-families over
+# [n] onto the maximal (n-2k+t)-intersecting (n-k)-families: |(~f) ∩ (~g)| =
+# n - 2k + |f ∩ g|, and a k-set joins a family iff its complement joins the
+# image. τ_t is not preserved, so only the totals are compared.
+@pytest.mark.parametrize(
+    "n, k, t, total",
+    [(10, 4, 2, 722_565), (9, 3, 1, 72_531), (9, 4, 2, 211_050), (8, 3, 1, 23_936)],
+)
+def test_complements_count_the_same_maximal_families(n, k, t, total):
+    assert count_theorem_1_2(n, k, t)[0] == count_theorem_1_2(n, n - k, n - 2 * k + t)[0] == total
+
+
+def test_complements_map_maximal_families_onto_each_other():
+    # 6,127 families each side, listed in different orders
+    full = (1 << 7) - 1
+    image = sorted(tuple(sorted(full ^ m for m in f.members)) for f in enumerate_maximal_t_intersecting(7, 3, 1))
+    other = sorted(f.members for f in enumerate_maximal_t_intersecting(7, 4, 2))
+    assert len(image) == 6_127 and image == other
+
+
 def test_pair_matcher_agrees_with_reference():
     from helpers import classify_pair_reference
 

@@ -506,3 +506,42 @@ def test_report_writer_holds_the_text_about_twice():
         tracemalloc.stop()
     assert len(text) > 900_000 and peak < 3 * len(text)
     assert text == json.dumps(jsonable_reference(payload), indent=2, sort_keys=True)
+
+
+def test_verify_constructions_refuses_an_invalid_pair(capsys):
+    # HH and DD at k = t = 2, after the valid pair at t = 1: the first
+    # invalid spec stops the run with its own text
+    for kinds, message in (("HH", "need |X ∩ Y| >= 2"), ("DD", "need k >= t+1")):
+        for extra in ((), ("--maximal",)):
+            code, out, err = run(capsys, "verify-constructions", *extra, "--kinds", kinds, "--grid", "t=1,2;k=2;l=3;n=6")
+            assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+def _parse_outcome(parse, argv, capsys):
+    """(exit code, stdout, stderr) of parsing `argv` with `parse`, which
+    exits on every argv here."""
+    with pytest.raises(SystemExit) as done:
+        parse(argv)
+    out = capsys.readouterr()
+    return done.value.code, out.out, out.err
+
+
+def test_main_parses_as_the_full_parser(capsys):
+    # main builds the arguments of the command it runs alone; help, usage
+    # and every error read as the full parser's
+    commands = ["construct", "verify-constructions", "enumerate-maximal", "search", "classify"]
+    commands += ["classify-all", "audit", "eval", "threshold", "leading-term"]
+    cases = [[], ["--help"], ["-h", "construct"], ["nosuch"], ["nosuch", "--help"]]
+    cases += [[name, "--help"] for name in commands]
+    cases += [
+        ["construct", "--n", "3"],
+        ["threshold", "--k", "x", "--l", "2", "--t", "1"],
+        ["threshold", "--k", "2", "--l", "2", "--t", "1", "--bogus"],
+        ["--bogus", "threshold", "--k", "2", "--l", "2", "--t", "1"],
+        ["classify", "--in", "a.txt", "--theorem", "2.0", "--t", "1"],
+        ["eval", "--formula", "a", "--args", "construct", "--out"],
+    ]
+    for argv in cases:
+        expect = _parse_outcome(xfam.cli.build_parser().parse_args, argv, capsys)
+        assert _parse_outcome(main, argv, capsys) == expect, argv
+        assert expect[0] in (0, 2) and (expect[1] or expect[2])

@@ -39,8 +39,7 @@ from xfam.constructions import (
     _c1_members,
     _c2_members,
     _h_members,
-    _covers,
-    _in_star,
+    _verify,
     default_D_anchors,
     default_grid,
 )
@@ -370,9 +369,8 @@ def test_verify_construction_matches_recomputing_oracle():
 
 def test_star_tests_match_core_in_both_orders():
     # every pair kind, DD included, at points holding (k, l) and (l, k); the
-    # pair is verified as built and with its sides swapped, and the swapped
-    # order (like the AA and HH pairs at (t, l, k, n)) reads the cache
-    _in_star.cache_clear()
+    # pair is verified as built and with its sides swapped, so each star test
+    # reads the closures of both orders
     kinds = {}
     for kind in (*PAIR_KINDS, "DD"):
         for t in (1, 2):
@@ -391,7 +389,6 @@ def test_star_tests_match_core_in_both_orders():
                         kinds.setdefault(kind, set()).add(maximal)
     # each kind meets both outcomes of the fixed-point test on this grid
     assert kinds == {kind: {False, True} for kind in (*PAIR_KINDS, "DD")}
-    assert _in_star.cache_info().hits > 0
     # a pair that is not cross t-intersecting, in both orders
     spec, partner = ConstructionSpec("A", 8, 3, 1), ConstructionSpec("B", 8, 3, 1, quad=(5, 6, 7, 8))
     for first, second in ((spec, partner), (partner, spec)):
@@ -400,20 +397,95 @@ def test_star_tests_match_core_in_both_orders():
 
 
 def test_a_pair_reads_one_closure_per_family(monkeypatch):
-    # AA at (t, k, l, n) = (2, 5, 6, 14): the covers of each side and the
-    # star test in both orders take the up-set path, one closure per side
+    # AA at (t, k, l, n) = (2, 5, 6, 14): the covering numbers of each side
+    # and the star tests in both orders read two closures, built in one
+    # batch, and the closure memo of `select` is left alone
     spec, partner = construction_pair("AA", 14, 5, 6, 2)
     F, G = spec.build(), partner.build()
     built = []
     real = core._outside_flags
     monkeypatch.setattr(core, "_closures", core._ClosureMemo())
-    monkeypatch.setattr(core, "_outside_flags", lambda members, t, n: built.append((members, t)) or real(members, t, n))
-    _covers.cache_clear()
-    _in_star.cache_clear()
+    monkeypatch.setattr(core, "_outside_flags", lambda keys, n: built.append((list(keys), n)) or real(keys, n))
     rep = verify_construction(spec, partner)
+    assert built == [([(F.members, 2), (G.members, 2)], 14)]
+    assert not core._closures.entries
     assert rep == verify_construction_reference(spec, partner) and rep["maximal_measured"]
-    assert _in_star.cache_info().misses == 2
-    assert sorted(built) == sorted([(F.members, 2), (G.members, 2)])
+
+
+def _random_spec(rng, n, k, t):
+    """A spec of a random kind at (n, k, t), t+1 <= k < n and n >= t+3,
+    with random anchors."""
+    kind = rng.choice(("A", "B", "C1", "C2", "H", "D") if t == 1 else ("A", "C1", "C2", "H", "D"))
+    ground = range(1, n + 1)
+    if kind == "B":
+        return ConstructionSpec("B", n, k, 1, quad=tuple(rng.sample(ground, 4)))
+    if kind == "C2":
+        return ConstructionSpec("C2", n, k, t, l=rng.randint(t + 1, n - 1))
+    if kind == "H":
+        free = range(t + 1, n + 1)
+        X = tuple(rng.sample(free, k - t + 1))
+        Y = set(rng.sample(X, 1 if t == 1 else 2)) | set(rng.sample(free, rng.randint(0, 3)))
+        return ConstructionSpec("H", n, k, t, X=X, Y=tuple(sorted(Y)))
+    if kind == "D":
+        pts = rng.sample(ground, t + 3)
+        return ConstructionSpec("D", n, k, t, T=tuple(pts[: t - 1]), quad=tuple(pts[t - 1 :]))
+    return ConstructionSpec(kind, n, k, t)
+
+
+def _random_pairs(rng, count, ns, t_max, spread):
+    """`count` pairs at n in `ns`, t <= t_max and sizes t+1 to t+spread:
+    default-anchored pairs, in either order, and pairs of random specs,
+    mostly neither cross t-intersecting nor maximal."""
+    pairs = []
+    for _ in range(count):
+        n, t = rng.choice(ns), rng.randint(1, t_max)
+        k, l = (rng.randint(t + 1, min(t + spread, n - 1)) for _ in "kl")
+        kind = rng.choice(PAIR_KINDS)
+        if rng.random() < 0.5 and not (kind == "BB" and t != 1):
+            pair = construction_pair(kind, n, k, l, t)
+            pairs.append(pair if rng.random() < 0.5 else pair[::-1])
+        else:
+            pairs.append((_random_spec(rng, n, k, t), _random_spec(rng, n, l, t)))
+    return pairs
+
+
+@pytest.mark.parametrize("ns, t_max, spread", [(range(6, 21), 3, 3), (range(21, 25), 2, 2)], ids=["upset", "select"])
+def test_verification_matches_the_oracle_on_random_specs(ns, t_max, spread):
+    # up to 20 bits every check reads closures, built in batches; past 20
+    # bits, at n = 21 to 24, the same checks read the outer product
+    rng = random.Random(len(ns))
+    pairs = _random_pairs(rng, 40, ns, t_max, spread)
+    outcomes = set()
+    for check_maximal in (False, True):
+        expect = [verify_construction_reference(spec, partner, check_maximal) for spec, partner in pairs]
+        assert _verify(pairs, check_maximal) == expect
+        for (spec, partner), rep in list(zip(pairs, expect))[:5]:
+            assert verify_construction(spec, partner, check_maximal) == rep
+        outcomes |= {(rep["checks"]["cross_intersecting"], rep.get("maximal_measured")) for rep in expect}
+    assert {(False, False), (True, False), (True, True)} <= outcomes
+
+
+# each invalid spec, as the first or second side, with the text it raises
+INVALID_SPECS = [
+    (ConstructionSpec("H", 8, 3, 2, X=(3, 4), Y=(4, 5)), "need |X ∩ Y| >= 2"),
+    (ConstructionSpec("B", 8, 3, 2, quad=(1, 2, 3, 4)), "the three-interval family requires t = 1"),
+    (ConstructionSpec("D", 9, 4, 3, T=(1,), quad=(2, 3, 4, 5)), "anchor T must have t-1 = 2 elements, got (1,)"),
+]
+
+
+@pytest.mark.parametrize("bad, message", INVALID_SPECS, ids=["H", "B", "D"])
+def test_an_invalid_spec_raises_its_own_text(bad, message):
+    good = ConstructionSpec("A", bad.n, bad.k, bad.t)
+    for pair in ((bad, good), (good, bad)):
+        for check_maximal in (False, True):
+            with pytest.raises(ValueError) as alone:
+                verify_construction(*pair, check_maximal)
+            assert str(alone.value) == message
+            # after valid pairs, and before another invalid one
+            other = INVALID_SPECS[INVALID_SPECS.index((bad, message)) - 1][0]
+            with pytest.raises(ValueError) as among:
+                _verify([(good, good), pair, (good, other)], check_maximal)
+            assert str(among.value) == message
 
 
 def test_spec_validation():

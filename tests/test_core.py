@@ -5,8 +5,11 @@ import sys
 from itertools import combinations
 from math import ceil
 from pathlib import Path
+from unittest import mock
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from xfam import (
     Family,
@@ -202,9 +205,9 @@ def closures_built(monkeypatch):
     built = []
     real = core._outside_flags
 
-    def spy(members, t, n):
-        built.append((members, t))
-        return real(members, t, n)
+    def spy(keys, n):
+        built.extend(keys)
+        return real(keys, n)
 
     monkeypatch.setattr(core, "_closures", core._ClosureMemo())
     monkeypatch.setattr(core, "_outside_flags", spy)
@@ -255,6 +258,71 @@ def test_closure_memo_stays_within_its_bound(closures_built, monkeypatch):
     table = subsets(full_mask(16), 2)
     assert core._outside_upset(table, members, 2) == select_reference(table, members, 2)
     assert list(memo.entries) == held and memo.words == words()
+
+
+def _closure_keys(bits):
+    """(members, t) over `bits` bits: up to 6 members of at most 7 elements,
+    the empty member and members shorter than t among them, t from 1 to 4."""
+    member = st.sets(st.integers(1, bits), max_size=7).map(mask_of)
+    members = st.lists(member, min_size=1, max_size=6).map(lambda ms: tuple(sorted(set(ms))))
+    return st.tuples(members, st.integers(1, 4))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_batched_closures_equal_one_key_closures_and_the_reference(data):
+    n = data.draw(st.integers(6, 20), label="n")
+    keys = data.draw(st.lists(_closure_keys(n), min_size=1, max_size=4), label="keys")
+    if n <= 10:  # every flag
+        cands = SubsetTable.of(range(1 << n))
+    else:
+        cands = SubsetTable.of(sorted(set(data.draw(st.lists(st.integers(0, full_mask(n)), min_size=1, max_size=40)))))
+    rows = core._outside_flags(keys, n)
+    assert rows.shape == (len(keys), 1 << n) and not rows.flags.writeable
+    for key, row in zip(keys, rows):
+        assert np.array_equal(row, core._outside_flags([key], n)[0])
+        assert core._table_ints(cands, core._complements_outside(row, cands.array)) == select_reference(cands, *key)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_meet_readers_build_bounded_batches(data):
+    # members over 1 to 24 bits, so closures of 6 to 20 bits and outer
+    # products past 20, under word bounds that split most batches
+    keys = data.draw(st.lists(_closure_keys(24), min_size=1, max_size=8), label="keys")
+    bound = data.draw(st.integers(8, 5_000), label="bound")
+    cands = SubsetTable.of(sorted(set(data.draw(st.lists(st.integers(0, full_mask(24)), min_size=1, max_size=40)))))
+    batches, seen = [], []
+    real = core._outside_flags
+
+    def spy(batch, b):
+        batches.append((list(batch), b))
+        return real(batch, b)
+
+    def visit(i, read):
+        seen.append(i)
+        assert core._table_ints(cands, read(cands.array)) == select_reference(cands, *keys[i])
+
+    with mock.patch.object(core, "_UPSET_MEMO_WORDS", bound), mock.patch.object(core, "_outside_flags", spy):
+        core._read_meets(keys, visit)
+    assert sorted(seen) == list(range(len(keys)))
+    for batch, b in batches:
+        assert 6 <= b <= core._UPSET_MAX_BITS
+        assert all(max(max(members).bit_length(), 6) == b for members, _ in batch)
+        assert len(batch) == 1 or sum(len(members) + (1 << b) // 8 for members, _ in batch) <= bound
+    closed = [key for batch, _ in batches for key in batch]
+    assert len(closed) == sum(max(max(members).bit_length(), 6) <= core._UPSET_MAX_BITS for members, _ in keys)
+
+
+def test_meet_readers_fill_each_batch_to_the_bound(monkeypatch):
+    # twelve closures over 10 bits take 130 words each: 1,000 words hold 7
+    monkeypatch.setattr(core, "_UPSET_MEMO_WORDS", 1_000)
+    sizes = []
+    real = core._outside_flags
+    monkeypatch.setattr(core, "_outside_flags", lambda keys, n: sizes.append(len(keys)) or real(keys, n))
+    keys = [((mask_of([1, 10]), mask_of([2 + i % 8, 10])), 1) for i in range(12)]
+    core._read_meets(keys, lambda i, read: None)
+    assert sizes == [7, 5]
 
 
 def test_anchored_family():
