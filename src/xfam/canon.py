@@ -40,20 +40,30 @@ automorphism maps the new leaf's path onto the best leaf's path and fixes
 their common prefix, so, as in nauty, the search backjumps to that prefix:
 every leaf below the abandoned nodes is the image of a leaf already seen.
 
-`canonical_form_tuple` also keeps a bounded memo of the forms that complete
-searches proved, and a search ends at the first leaf whose form is in it.
+`canonical_form_tuple` also keeps a bounded memo. It maps the forms that
+complete searches proved to themselves, and root keys to their input's
+form. A root key is the input relabeled after the root refinement: the
+element at position i of the root cells, taken in cell order and each
+cell in its own order, goes to bit i, encoded as a leaf is, after the
+header. A search whose root key is stored ends at its root; otherwise it
+ends at the first leaf whose bytes are stored, and once it has its form it
+stores its root key (a discrete root is its own leaf and stores none).
+Roots refine alike up to ties inside a cell, so a class gets a few keys,
+and any later copy with one of them costs one refinement.
 
 None of this changes the bytes: they are those of the plain search that
 sorts color tuples and encodes every leaf, which the tests keep as the
-oracle. The memo is exact too. A leaf is the input relabeled, so a leaf
-equal to the proved minimum leaf of an earlier input X (under the same
-header: n, and k and m per family) shows that the two inputs are
-isomorphic, and isomorphic inputs have the same form, X's. Only the
-winner of a search that ran to its end is stored, never a first or
-best-so-far leaf. A stored form is the minimum of every leaf of the
-current input, so only leaves that improve on the best so far are looked
-up. Incremental cell splitting or invariant-based leaf pruning would
-change the cell order or which leaf is minimal, and so the bytes.
+oracle. The memo is exact too. A leaf and a root key are both the input
+relabeled, so a leaf or key equal to a stored entry of an earlier input X
+(under the same header: n, and k and m per family) shows that the two
+inputs are isomorphic, and isomorphic inputs have the same form, X's.
+Only the winner of a search that ran to its end is stored as a form,
+never a first or best-so-far leaf. The input's form is the minimum of its
+leaves, so only leaves that improve on the best so far are looked up.
+Forms and root keys share one bound on the member masks they hold (a key
+holds as many as its form), and the oldest entries are evicted first.
+Incremental cell splitting or invariant-based leaf pruning would change
+the cell order or which leaf is minimal, and so the bytes.
 """
 
 from __future__ import annotations
@@ -68,8 +78,8 @@ from .core import Family
 
 Cells = tuple[tuple[int, ...], ...]
 
-# the memo holds at most this many member masks (8 bytes each), oldest
-# forms evicted first
+# the memo holds at most this many member masks (8 bytes each) over its
+# forms and root keys, oldest entries evicted first
 _MEMO_MASKS = 1 << 16
 
 
@@ -79,29 +89,33 @@ class FormCacheInfo(NamedTuple):
     forms: int
     masks: int
     max_masks: int
+    aliases: int
 
 
 class _FormMemo:
-    """Canonical forms proved by complete searches, oldest first, with the
-    number of member masks each holds; `hits` and `misses` count the
-    searches that did and did not end at a stored form."""
+    """Canonical forms proved by complete searches, each mapped to itself,
+    and root keys (module docstring) mapped to their input's form, oldest
+    first, with the number of member masks each key holds. `hits` and
+    `misses` count the searches that did and did not end at a stored entry,
+    and `root_hits` those that ended at their root."""
 
     def __init__(self, max_masks: int):
         self.max_masks = max_masks
-        self.forms: dict[bytes, int] = {}
-        self.masks = self.hits = self.misses = 0
+        self.entries: dict[bytes, tuple[bytes, int]] = {}
+        self.masks = self.hits = self.misses = self.root_hits = 0
 
-    def store(self, form: bytes, masks: int) -> None:
-        self.misses += 1
-        if masks > self.max_masks:
-            return  # it would evict every stored form, then itself
-        self.forms[form] = masks
+    def store(self, key: bytes, form: bytes, masks: int) -> None:
+        if masks > self.max_masks or key in self.entries:
+            return  # stored already, or it would evict every entry, then itself
+        self.entries[key] = form, masks
         self.masks += masks
         while self.masks > self.max_masks:
-            self.masks -= self.forms.pop(next(iter(self.forms)))
+            self.masks -= self.entries.pop(next(iter(self.entries)))[1]
 
     def info(self) -> FormCacheInfo:
-        return FormCacheInfo(self.hits, self.misses, len(self.forms), self.masks, self.max_masks)
+        aliases = sum(key != form for key, (form, _) in self.entries.items())
+        forms = len(self.entries) - aliases
+        return FormCacheInfo(self.hits, self.misses, forms, self.masks, self.max_masks, aliases)
 
 
 _FORMS = _FormMemo(_MEMO_MASKS)
@@ -111,19 +125,22 @@ _BYTE_BITS = tuple(tuple(i for i in range(8) if b >> i & 1) for b in range(256))
 
 
 def form_cache_info() -> FormCacheInfo:
-    """Hits, misses, forms and member masks stored, and the mask bound, of
-    the memo behind `canonical_form_tuple` (read-only, like
-    `functools.lru_cache`'s `cache_info`)."""
+    """Hits, misses, forms and member masks stored, the mask bound, and the
+    root keys stored, of the memo behind `canonical_form_tuple` (read-only,
+    like `functools.lru_cache`'s `cache_info`)."""
     return _FORMS.info()
 
 
 class _Canonicalizer:
     """One individualization-refinement search over a tuple of families.
 
-    With a `memo`, the search ends at the first leaf whose form (`head`
-    plus the leaf's bytes) the memo holds, and a search that runs to its end
-    stores its winner there; without one it is the plain search. `nodes`
-    and `leaves` count the search nodes and leaves visited."""
+    With a `memo`, the search ends at its root when the memo holds the root
+    key (`head` plus the bytes of the input relabeled in root cell order),
+    or else at the first leaf whose form (`head` plus the leaf's bytes) the
+    memo holds. A search that runs to its end stores its winner there, and
+    one that does not end at its root stores its root key; without a memo it
+    is the plain search. `nodes` and `leaves` count the search nodes and
+    leaves visited."""
 
     def __init__(
         self, n: int, families: Sequence[tuple[int, ...]], memo: _FormMemo | None = None, head: bytes = b""
@@ -148,6 +165,7 @@ class _Canonicalizer:
         self.leaf = b""
         self.best_cells: Cells = ()
         self.best_path: list[int] = []
+        self.root_key = b""
         self.autos: list[tuple[int, ...]] = []
         self.nodes = 0
         self.leaves = 0
@@ -155,11 +173,17 @@ class _Canonicalizer:
     def run(self) -> bytes:
         """The canonical leaf's bytes (without the header)."""
         hit = self._search(self._degree_cells(), []) < 0
-        if self.memo is not None:
+        memo = self.memo
+        if memo is not None:
+            form = self.head + self.leaf
+            masks = sum(len(f[0]) for f in self.families)
             if hit:
-                self.memo.hits += 1
+                memo.hits += 1
             else:
-                self.memo.store(self.head + self.leaf, sum(len(f[0]) for f in self.families))
+                memo.misses += 1
+                memo.store(form, form, masks)
+            if self.root_key:
+                memo.store(self.root_key, form, masks)
         return self.leaf
 
     def _degree_cells(self) -> Cells:
@@ -194,26 +218,34 @@ class _Canonicalizer:
             cells = split
         return cells
 
-    def _leaf(self, cells: Cells, path: list[int]) -> int:
-        """Compare the leaf with the best one; return the depth to resume at,
-        or -1 when the leaf's form is in the memo. The leaf's key is, per
-        family, the sorted member masks with the element of cell i at bit i."""
-        self.leaves += 1
+    def _relabeled(self, order: Sequence[int]) -> tuple[tuple[int, ...], ...]:
+        """Per family, the sorted member masks of the input relabeled so that
+        element order[i] is at bit i."""
         keys = []
         for members, by_elem, _ in self.families:
             masks = [0] * len(members)
-            for i, (e,) in enumerate(cells):
+            for i, e in enumerate(order):
                 bit = 1 << i
                 for mi in by_elem[e]:
                     masks[mi] |= bit
             masks.sort()
             keys.append(tuple(masks))
-        key = tuple(keys)
+        return tuple(keys)
+
+    def _leaf(self, cells: Cells, path: list[int]) -> int:
+        """Compare the leaf with the best one; return the depth to resume at,
+        or -1 when the memo holds the leaf's bytes. The leaf's key is, per
+        family, the sorted member masks with the element of cell i at bit i."""
+        self.leaves += 1
+        key = self._relabeled([e for (e,) in cells])
         if self.best is None or key < self.best:
             self.best, self.best_cells, self.best_path = key, cells, path
             self.leaf = _encode(key)
-            if self.memo is not None and self.head + self.leaf in self.memo.forms:
-                return -1  # a proved minimum: end the whole search
+            if self.memo is not None:
+                hit = self.memo.entries.get(self.head + self.leaf)
+                if hit is not None:
+                    self.leaf = hit[0][len(self.head) :]
+                    return -1  # the input's form is known: end the whole search
             return len(path)
         if key > self.best:
             return len(path)
@@ -241,6 +273,15 @@ class _Canonicalizer:
         cells = self._refine(cells)
         if len(cells) == self.n:
             return self._leaf(cells, fixed)
+        if not fixed and self.memo is not None:
+            # the root key: the input relabeled in root cell order, ties in
+            # cell order (a discrete root is the leaf, looked up there)
+            self.root_key = self.head + _encode(self._relabeled([e for cell in cells for e in cell]))
+            hit = self.memo.entries.get(self.root_key)
+            if hit is not None:
+                self.memo.root_hits += 1
+                self.leaf = hit[0][len(self.head) :]
+                return -1
         for target, cell in enumerate(cells):
             if len(cell) > 1:
                 break

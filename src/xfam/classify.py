@@ -55,7 +55,6 @@ import numpy as np
 from .core import (
     CoverStructure,
     Family,
-    anchored_family,
     covering_number,
     elements_of,
     full_mask,
@@ -97,7 +96,7 @@ def _no_match() -> TemplateMatch:
 
 def _iii_members(n: int, k: int, M: int, residuals: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
     mels = elements_of(M)
-    out = set(anchored_family(n, k, M).members)
+    out = {M | m for m in subsets(full_mask(n) & ~M, k - len(mels)).masks}  # the k-sets holding M
     for i, e in enumerate(mels):
         anchor = M ^ (1 << (e - 1))
         out |= {anchor | a for a in residuals[i]}
@@ -417,16 +416,18 @@ def theorem_1_2_instances(n: int, k: int, t: int) -> list[tuple[Family, str, dic
     """Every template instance at canonical anchor positions: the two rigid
     shapes, plus one family per maximal residual tuple for the composite
     shapes (anchor at the lowest indices, residual tuples enumerated
-    exhaustively over the reduced universe)."""
+    exhaustively over the reduced universe). The member builders return
+    sorted unions of k-subsets, so the families are not checked again."""
     if k < t + 2:
         raise ValueError("templates need k >= t+2")
     out: list[tuple[Family, str, dict]] = []
-    out.append((Family(n, k, _a_members(n, k, t, full_mask(t + 2))), "T1.2-i", {"M": tuple(range(1, t + 3))}))
+    a_members = _a_members(n, k, t, full_mask(t + 2))
+    out.append((Family.from_table(n, k, a_members), "T1.2-i", {"M": tuple(range(1, t + 3))}))
     Tm = full_mask(t)
     Xm = mask_of(range(t + 1, k + 2))
     out.append(
         (
-            Family(n, k, _h_members(n, k, Tm, Xm, Xm)),
+            Family.from_table(n, k, _h_members(n, k, Tm, Xm, Xm)),
             "T1.2-ii",
             {"T": tuple(range(1, t + 1)), "X": tuple(range(t + 1, k + 2))},
         )
@@ -436,7 +437,7 @@ def theorem_1_2_instances(n: int, k: int, t: int) -> list[tuple[Family, str, dic
     for tup in maximal_cross_tuples(universe, (k - t,) * (t + 1)):
         if sum(1 for r in tup if r) < 2:
             continue
-        fam = Family(n, k, _iii_members(n, k, M, tup))
+        fam = Family.from_table(n, k, _iii_members(n, k, M, tup))
         out.append((fam, "T1.2-iii", {"M": tuple(range(1, t + 2)), "residual_sizes": tuple(len(r) for r in tup)}))
     for m in range(t + 2, k + 1):
         Mm = full_mask(m)
@@ -444,7 +445,7 @@ def theorem_1_2_instances(n: int, k: int, t: int) -> list[tuple[Family, str, dic
         for A, B in maximal_cross_tuples(universe, (k - t, k - m + 1)):
             if not B:
                 continue
-            fam = Family(n, k, _iv_members(n, k, t, full_mask(t), Mm, A, B))
+            fam = Family.from_table(n, k, _iv_members(n, k, t, full_mask(t), Mm, A, B))
             out.append(
                 (
                     fam,

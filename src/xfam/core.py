@@ -334,8 +334,9 @@ class Family:
     @classmethod
     def from_table(cls, n: int, k: int, members: tuple[int, ...]) -> "Family":
         """A family of masks kept from the table subsets(full_mask(n), k), in
-        its order: they are strictly increasing k-subsets of [n] already, so
-        they are not checked again, only n and k are."""
+        its order, or a sorted union of k-subsets of [n] from such tables:
+        they are strictly increasing k-subsets of [n] already, so they are
+        not checked again, only n and k are."""
         family = cls(n, k, ())
         object.__setattr__(family, "members", members)
         return family

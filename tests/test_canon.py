@@ -1,5 +1,6 @@
 import random
 from itertools import combinations, combinations_with_replacement
+from math import comb
 
 import networkx as nx
 import pytest
@@ -208,6 +209,23 @@ def memo(monkeypatch):
     return fresh
 
 
+def root_cells(families):
+    """The root partition of the plain search on `families`."""
+    search = _Canonicalizer(families[0].n, [f.members for f in families])
+    return search._refine(search._degree_cells())
+
+
+def same_root_key_perm(families):
+    """A permutation of [n] that is increasing on each root cell of
+    `families` and puts the cells in reverse order: the relabeled input
+    lists each cell in the same order, so it has the same root key."""
+    perm = [0] * families[0].n
+    order = [e for cell in reversed(root_cells(families)) for e in cell]
+    for label, e in enumerate(order, 1):
+        perm[e] = label
+    return perm
+
+
 def test_warm_memo_forms_equal_reference(memo):
     inputs = [[f] for f in enumerate_maximal_t_intersecting(7, 3, 1)]
     inputs += pair_cases(random.Random(17))
@@ -216,16 +234,29 @@ def test_warm_memo_forms_equal_reference(memo):
         canonical_form_tuple(families)
     warm = canon.form_cache_info()
     assert warm.misses == warm.forms and warm.hits > 0
+    searched = warm.hits + warm.misses  # the inputs that are not empty or complete
     rng = random.Random(31)
     for families in inputs:
-        perm = shuffled(rng, families[0].n)
+        n = families[0].n
+        perm = shuffled(rng, n)
         copy = [relabel(f, perm) for f in families]
         assert canonical_form_tuple(copy) == canonical_form_reference(copy), copy
+        # the second copy has the first one's root key, stored by the first
+        # search or already there, so a search on it ends at its root
+        perm = same_root_key_perm(copy)
+        second = [relabel(f, perm) for f in copy]
+        root_hits = memo.root_hits
+        assert canonical_form_tuple(second) == canonical_form_reference(second), second
+        searched_at_all = any(len(f.members) not in (0, comb(n, f.k)) for f in second)
+        if searched_at_all and len(root_cells(second)) < n:
+            root_hits += 1
+        assert memo.root_hits == root_hits, second
     # every class was searched to its end once while warming; every copy
-    # that was searched ended at its class's stored form
+    # that was searched ended at a stored form or root key
     info = canon.form_cache_info()
-    assert (info.misses, info.forms, info.masks) == (warm.misses, warm.forms, warm.masks)
-    assert info.hits == 2 * warm.hits + warm.misses
+    assert (info.misses, info.forms) == (warm.misses, warm.forms)
+    assert info.hits == warm.hits + 2 * searched
+    assert info.aliases > warm.aliases and info.masks == sum(m for _, m in memo.entries.values())
 
 
 def test_memo_entries_never_cross_headers(memo):
@@ -241,9 +272,10 @@ def test_memo_entries_never_cross_headers(memo):
     assert memo.info().forms == len(cases)
 
 
-def test_canonical_copy_ends_at_its_first_leaf(memo):
-    # relabelled by its own canonical labelling, a family's first leaf is its
-    # minimum: a warm search stops there, the plain one certifies symmetry
+def test_canonical_copy_ends_at_its_root(memo):
+    # relabelled by its own canonical labelling, a family's root cells are
+    # runs of positions in order, so its root key is its form: a warm search
+    # stops at the root, the plain one certifies symmetry
     f = construct_H(8, 3, 1, (2, 3, 4), (2, 3, 5))
     first = _Canonicalizer(f.n, [f.members])
     form = canonical_form(f)
@@ -251,29 +283,34 @@ def test_canonical_copy_ends_at_its_first_leaf(memo):
     rep = Family(f.n, f.k, first.best[0])
     plain = _Canonicalizer(f.n, [rep.members])
     warm = _Canonicalizer(f.n, [rep.members], memo, canon._header(f.n, [rep]))
-    assert warm.run() == plain.run()
-    assert warm.leaves == 1 < plain.leaves
-    assert memo.hits == 1
+    assert warm.run() == plain.run() == first.leaf
+    assert (warm.nodes, warm.leaves) == (1, 0)
+    assert plain.leaves == first.leaves > 1
+    assert (memo.hits, memo.root_hits) == (1, 1)
 
 
 def test_memo_stays_within_its_bound(monkeypatch):
     small = canon._FormMemo(40)
     monkeypatch.setattr(canon, "_FORMS", small)
     rng = random.Random(37)
+    aliases = 0
     for f in enumerate_maximal_t_intersecting(6, 3, 1) + list(graph_unions(10)):
         g = relabel(f, shuffled(rng, f.n))
         assert canonical_form(g) == canonical_form_reference([g]), g.members
-        assert small.masks == sum(small.forms.values()) <= 40
+        # root keys hold masks too, and count toward the bound
+        assert small.masks == sum(m for _, m in small.entries.values()) <= 40
+        aliases = max(aliases, small.info().aliases)
     info = canon.form_cache_info()
     assert info.max_masks == 40 and info.misses > info.forms  # the oldest forms were evicted
-    # the newest form stays; a form that cannot fit is not kept, and evicts
-    # nothing
-    kept = dict(small.forms)
-    assert next(reversed(kept)) == canonical_form(g)
+    assert aliases > 0
+    # the newest entry stays; a form that cannot fit is not kept, nor is its
+    # root key, and it evicts nothing
+    kept = dict(small.entries)
+    assert kept[next(reversed(kept))][0] == canonical_form(g)
     big = anchored_family(9, 4, mask_of([1]))
     assert len(big.members) > 40
     assert canonical_form(big) == canonical_form_reference([big])
-    assert small.forms == kept
+    assert small.entries == kept
 
 
 def test_pairs_of_other_shape_rejected_before_search():
@@ -400,3 +437,31 @@ def test_forms_equal_reference_across_byte_boundaries(n):
         g = top_bit_family(rng, n, rng.randint(max(2, n // 4), n // 2), 9 if n == 64 else rng.randint(3, 5))
         for families in ([f], [f, g], [g, f]):
             assert canonical_form_tuple(families) == canonical_form_reference(families), families
+
+
+def symmetric_64():
+    """Symmetric inputs over [64], each with members through element 64 (the
+    top bit of an 8-byte mask): four disjoint 16-sets, a sunflower of eight
+    15-sets with an 8-set core, and the 16-sets beside the two 32-sets they
+    pair into."""
+    blocks = Family.from_sets(64, 16, [range(1 + 16 * i, 17 + 16 * i) for i in range(4)])
+    halves = Family.from_sets(64, 32, [range(1, 33), range(33, 65)])
+    sunflower = Family.from_sets(64, 15, [[*range(1, 9), *range(9 + 7 * i, 16 + 7 * i)] for i in range(8)])
+    return [[blocks], [sunflower], [blocks, halves]]
+
+
+@pytest.mark.parametrize("families", symmetric_64(), ids=["blocks", "sunflower", "pair"])
+def test_symmetric_forms_at_64_equal_plain_search(memo, families):
+    # the reference search cannot finish these (no backjump), so the plain
+    # memo-less search is the oracle; the second copy has the first one's
+    # root key, and the third is searched with that class already known
+    rng = random.Random(47)
+    head = canon._header(64, families)
+    copy = [relabel(f, shuffled(rng, 64)) for f in families]
+    form = head + _Canonicalizer(64, [f.members for f in copy]).run()
+    perm = same_root_key_perm(copy)
+    third = shuffled(rng, 64)
+    for labelled in (copy, [relabel(f, perm) for f in copy], [relabel(f, third) for f in copy]):
+        assert canonical_form_tuple(labelled) == form
+    assert (memo.misses, memo.hits) == (1, 2) and memo.root_hits >= 1
+    assert any(m >> 63 for f in copy for m in f.members)

@@ -3,10 +3,11 @@
 Every maximal (7,3,1) family is relabelled as `perfbench/workloads.prepare`
 does it (`random.Random(0)`, one shuffle of [1..7] per family, in
 enumeration order) and canonicalized with an empty form memo. The forms,
-the search nodes and leaves visited, and the memo's hits and misses are
-fixed: a change to the refinement that keeps the bytes but alters the
-search tree shows here. `python tests/test_canon_golden.py` prints the
-values of the current code in the form of GOLDEN.
+the search nodes and leaves visited, and the memo's hits, misses and root
+key hits are fixed: a change to the refinement that keeps the bytes but
+alters the search tree, or stops searches from ending at their root key,
+shows here. `python tests/test_canon_golden.py` prints the values of the
+current code in the form of GOLDEN.
 """
 
 import hashlib
@@ -19,10 +20,11 @@ from xfam import canon, canonical_form, enumerate_maximal_t_intersecting, relabe
 
 GOLDEN = {
     "digest": "a7d89ea25cc6f8a23b4aaafe3d0ae25821f49c796ec9c844c49155c8e95ac13e",
-    "nodes": 20624,
-    "leaves": 6180,
+    "nodes": 6400,
+    "leaves": 105,
     "hits": 6112,
     "misses": 15,
+    "root_hits": 6075,
 }
 
 EXPECTED_JSON = Path(__file__).resolve().parent.parent / "perfbench" / "expected.json"
@@ -48,11 +50,11 @@ def measure() -> dict:
             searches.append(self)
             return super().run()
 
+    memo = canon._FormMemo(canon._MEMO_MASKS)
     saved = canon._FORMS, canon._Canonicalizer
-    canon._FORMS, canon._Canonicalizer = canon._FormMemo(canon._MEMO_MASKS), Counted
+    canon._FORMS, canon._Canonicalizer = memo, Counted
     try:
         forms = [canonical_form(f) for f in iso_inputs()]
-        info = canon.form_cache_info()
     finally:
         canon._FORMS, canon._Canonicalizer = saved
     framed = b"".join(len(f).to_bytes(4, "big") + f for f in forms)
@@ -60,8 +62,9 @@ def measure() -> dict:
         "digest": hashlib.sha256(framed).hexdigest(),
         "nodes": sum(s.nodes for s in searches),
         "leaves": sum(s.leaves for s in searches),
-        "hits": info.hits,
-        "misses": info.misses,
+        "hits": memo.hits,
+        "misses": memo.misses,
+        "root_hits": memo.root_hits,
     }
 
 

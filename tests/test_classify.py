@@ -348,6 +348,16 @@ def test_instances_past_the_sweep_budget():
     assert sys.getrecursionlimit() == limit
 
 
+@pytest.mark.parametrize("n, k, t", [(6, 3, 1), (8, 4, 2), (9, 4, 2), (12, 5, 3)])
+def test_instances_equal_validated_families(n, k, t):
+    # the instances skip `Family`'s member checks; the checked family of the
+    # same members is equal to each, so the members are sorted k-subsets
+    instances = theorem_1_2_instances(n, k, t)
+    assert len({name for _, name, _ in instances}) == 4
+    for family, name, wit in instances:
+        assert Family(n, k, family.members) == family, (name, wit)
+
+
 def test_unmatched_returns_none_template():
     # a maximal family with tau = t+1 over a tiny ground set where the
     # composite templates cannot fit is still matched by the simplex shape;
