@@ -100,6 +100,12 @@ CASES = {
         ["classify-all", "--n", "8", "--k", "4", "--t", "2"],
         ["search", "--n", "7", "--k1", "2", "--k2", "3", "--t", "1", "--min-tau", "2"],
     ],
+    # walks of 69 and 85 vertices at (10,4,2) and of 85 at (9,2,3,1): rows
+    # and cover words two 64-bit words wide, past every point above
+    "multiword-points": [
+        ["classify-all", "--n", "10", "--k", "4", "--t", "2"],
+        ["search", "--n", "9", "--k1", "2", "--k2", "3", "--t", "1", "--min-tau", "2"],
+    ],
     "audit-json": [
         ["audit", "--lemma", "all", "--grid", "t=1;k=2,3;l=2,3;n=259,600"],
     ],
@@ -134,6 +140,7 @@ GOLDEN = {
     "enumerate-maximal": "de99b3f41005d2b8d2c41be3c6c268a7bbd72bf8946065119ac43013779831f7",
     "eval": "4e6cfe1749a4bedda6dd931e0fcfe6630eda774ae5f4b743753d6087dfb2bbf7",
     "leading-term": "b35eb57581d3ab149be9ef3816facf35041f82bbb1a936033c6216d968d16d81",
+    "multiword-points": "9072c8a63f0452abc57c91020d9e32c8939936e7c78b0b167e28b1c2001cfc27",
     "search": "0f711bacfd11b527fc0395021815f745188db78d024a96750820c1fe2cac95c8",
     "search-equal-sizes": "4354fd1daa534b7916891fb3951ebe7e68e7f00dd5e1e1e3e4d68952ceddba7c",
     "search-none-qualifies": "2443ff992868c04b83f5bb37a91f7d2daa8a38a7785f176fde2904a3c1704f88",
