@@ -17,6 +17,7 @@ import json
 import re
 import sys
 from fractions import Fraction
+from itertools import chain
 from typing import Container
 
 from . import (
@@ -24,6 +25,7 @@ from . import (
     classify_fact_2_1,
     classify_pair_theorem_1_1,
     classify_theorem_1_2,
+    core,
     count_theorem_1_2,
     enumerate_maximal_t_intersecting,
     extremal_product_search,
@@ -169,19 +171,19 @@ def _grid_value(expr: str, env: dict[str, int]) -> int:
 def _parse_grid(text: str | None, default):
     """Grid spec 't=1,2;k=2..4;l=2..5;n=8..12' -> sorted (t,k,l,n) points.
     A bound is integers and names joined by + or -; k may name t, l may name
-    t and k, and n may name t, k and l (e.g. k=t+1..t+4, n=l+2..12)."""
+    t and k, and n may name t, k and l (e.g. k=t+1..t+4, n=l+2..12). The
+    points are counted before each range of n is listed, and a grid of more
+    than `core.BUDGET` of them is refused."""
     if text is None or text == "default":
         return default()
 
-    def parse_range(expr: str, env: dict[str, int]) -> list[int]:
-        vals: list[int] = []
+    def parse_range(expr: str, env: dict[str, int]) -> list[range]:
+        ranges = []
         for part in expr.split(","):
-            if ".." in part:
-                lo, _, hi = part.partition("..")
-                vals.extend(range(_grid_value(lo, env), _grid_value(hi, env) + 1))
-            else:
-                vals.append(_grid_value(part, env))
-        return vals
+            lo, dots, hi = part.partition("..")
+            start = _grid_value(lo, env)
+            ranges.append(range(start, (_grid_value(hi, env) if dots else start) + 1))
+        return ranges
 
     dims: dict[str, str] = {}
     for chunk in text.split(";"):
@@ -190,12 +192,16 @@ def _parse_grid(text: str | None, default):
     missing = [name for name in "tkln" if name not in dims]
     if missing:
         raise ValueError(f"grid spec {text!r} lacks {', '.join(missing)}")
-    pts = []
-    for t in parse_range(dims["t"], {}):
-        for k in parse_range(dims["k"], {"t": t}):
-            for l in parse_range(dims["l"], {"t": t, "k": k}):
-                for n in parse_range(dims["n"], {"t": t, "k": k, "l": l}):
-                    pts.append((t, k, l, n))
+    pts: list[tuple[int, int, int, int]] = []
+    for t in chain(*parse_range(dims["t"], {})):
+        for k in chain(*parse_range(dims["k"], {"t": t})):
+            for l in chain(*parse_range(dims["l"], {"t": t, "k": k})):
+                ns = parse_range(dims["n"], {"t": t, "k": k, "l": l})
+                # the length of a range, as an int however large its bounds
+                count = len(pts) + sum(max(0, r.stop - r.start) for r in ns)
+                if count > core.BUDGET:
+                    raise ValueError(f"grid spec {text!r} has {count:,} points or more, over the budget of {core.BUDGET:,}")
+                pts += [(t, k, l, n) for n in chain(*ns)]
     if not pts:
         raise ValueError(f"grid spec {text!r} has no points")
     return sorted(set(pts))

@@ -60,9 +60,10 @@ _UPSET_PAIR_CUTOFF = 2_000
 # 64-bit words the memo of up-set closures holds, each closure's flags and
 # its key's member masks counted (2 MB; a closure at 20 bits takes 1 MB)
 _UPSET_MEMO_WORDS = 1 << 18
-# (candidate, member) pairs per block of `_meet_blocks`, so its temporaries
-# stay near 160 kB however many pairs a query has
-_NP_PAIR_CUTOFF = 20_000
+# uint64 temporaries per numpy block (512 kB): the (row, column) pairs of a
+# block of `_meet_blocks`, and the (clique, cover row) tests of a block of
+# `enumeration._cover_blocks`, however many there are in all
+_BLOCK_WORDS = 1 << 16
 # one (shift, mask) per bit j < 6 of the up-set closure, applied to the 64
 # subset flags packed in one little-endian uint64 word: bit i of the word is
 # subset i, the mask selects the flags with bit j set, and their partners
@@ -278,9 +279,9 @@ _closures = _ClosureMemo()
 
 def _meet_blocks(a: np.ndarray, b: np.ndarray, t: int) -> Iterator[np.ndarray]:
     """The relation |a[i] ∩ b[j]| >= t on two uint64 arrays, as boolean
-    blocks of consecutive rows of a, each of about _NP_PAIR_CUTOFF pairs (at
+    blocks of consecutive rows of a, each of about _BLOCK_WORDS pairs (at
     least one row), so the temporaries stay bounded however long a and b are."""
-    step = max(1, _NP_PAIR_CUTOFF // max(1, len(b)))
+    step = max(1, _BLOCK_WORDS // max(1, len(b)))
     for i in range(0, len(a), step):
         yield np.bitwise_count(a[i : i + step, None] & b[None, :]) >= t
 
@@ -334,9 +335,10 @@ class Family:
     @classmethod
     def from_table(cls, n: int, k: int, members: tuple[int, ...]) -> "Family":
         """A family of masks kept from the table subsets(full_mask(n), k), in
-        its order, or a sorted union of k-subsets of [n] from such tables:
-        they are strictly increasing k-subsets of [n] already, so they are
-        not checked again, only n and k are."""
+        its order, or a sorted union of k-subsets of [n] from such tables, or
+        a fixed set S joined to each (k - |S|)-subset of the rest in table
+        order: they are strictly increasing k-subsets of [n] already, so
+        they are not checked again, only n and k are."""
         family = cls(n, k, ())
         object.__setattr__(family, "members", members)
         return family
@@ -352,7 +354,7 @@ class Family:
     @classmethod
     def complete(cls, n: int, k: int) -> "Family":
         """All k-subsets of [n]."""
-        return cls(n, k, subsets(full_mask(n), k).masks)
+        return cls.from_table(n, k, subsets(full_mask(n), k).masks)
 
     def __len__(self) -> int:
         return len(self.members)
@@ -397,7 +399,7 @@ def anchored_family(n: int, k: int, S: int) -> Family:
     s = S.bit_count()
     if not (s <= k <= n):
         raise ValueError(f"need |S| <= k <= n, got |S|={s} k={k} n={n}")
-    return Family(n, k, tuple(S | m for m in subsets(full_mask(n) & ~S, k - s).masks))
+    return Family.from_table(n, k, tuple([S | m for m in subsets(full_mask(n) & ~S, k - s).masks]))
 
 
 def is_cross_t_intersecting(F: Family, G: Family, t: int) -> bool:
@@ -492,7 +494,7 @@ def star(family: Family, m: int, t: int) -> Family:
 
     Antitone in the input; star of the empty family is the complete family.
     """
-    return Family(family.n, m, select(subsets(full_mask(family.n), m), family.members, t))
+    return Family.from_table(family.n, m, select(subsets(full_mask(family.n), m), family.members, t))
 
 
 def closure_pair(F: Family, G: Family, t: int) -> tuple[Family, Family]:

@@ -31,10 +31,13 @@ so the pivot rule takes them in turn, each the only branch at its level.
 `_orbit_count` sums the weighted terms of all the walks of one count as a
 Fraction and refuses a non-integer total.
 
-Every covering-number test on clique masks goes through one kernel,
-`_cover_blocks`: blocks of cliques (sized by COVER_CHUNK), packed as 64-bit
-words, are ANDed against one complemented row per candidate s-set cover,
-packed straight from the relation blocks into the same words.
+Every bit row is packed by one function, `_packed`, straight from the
+relation blocks into little-endian 64-bit words: the adjacency rows of the
+walk are read off them as ints. Every covering-number test on clique masks
+goes through one kernel, `_cover_blocks`: blocks of cliques (sized by
+`core._BLOCK_WORDS`, the one bound on uint64 temporaries), packed into the
+same words, are ANDed against one complemented row of `_packed` per
+candidate s-set cover.
 `classify.count_theorem_1_2` reads the tau = t+1 families and their minimum
 covers off the t- and (t+1)-set rows. The product search groups the pair
 cliques through v0 by |F| |G| and takes the groups by decreasing product
@@ -66,11 +69,8 @@ import numpy as np
 
 from . import core
 from .canon import canonical_form
-from .core import Family, _check_budget, _meet_blocks, full_mask, subsets, validate_params
+from .core import Family, _check_budget, _meet_blocks, elements_of, full_mask, subsets, validate_params
 from .formulas import n_threshold
-
-COVER_CHUNK = 1 << 16  # cover-row tests (cliques x cover rows) per block of the cover matrix
-_PACK = 2048  # masks per bytes conversion in _words
 
 
 def _meeting(universe: int, v0: int, size: int, t: int) -> list[tuple[int, int]]:
@@ -106,29 +106,33 @@ def _orbit_count(orbit: int, terms: Iterable[tuple[int, int]]) -> int:
     return total.numerator
 
 
+def _packed(a: np.ndarray, b: np.ndarray, t: int) -> np.ndarray:
+    """The one packer of bit rows: row i of -(-len(b) // 64) little-endian
+    64-bit words, bit j set iff |a[i] ∩ b[j]| >= t, for two uint64 arrays,
+    each block of `_meet_blocks` packed straight into its rows. Bits past
+    len(b) are 0."""
+    out = np.zeros((len(a), -(-len(b) // 64)), dtype="<u8")
+    octets = out.view(np.uint8)
+    done = 0
+    for block in _meet_blocks(a, b, t):
+        packed = np.packbits(block, axis=1, bitorder="little")
+        octets[done : done + len(block), : packed.shape[1]] = packed
+        done += len(block)
+    return out
+
+
 def _compat_rows(verts: Sequence[int], other: Sequence[int], t: int) -> list[int]:
     """Row i: the bitmask of the indices j with |verts[i] ∩ other[j]| >= t,
-    packed off the blocks of `_meet_blocks`, one bytes object per row. A
-    uint64 array `verts`, such as a subset table's, is read in place."""
+    read off the words of `_packed`, one bytes object per row. A uint64
+    array `verts`, such as a subset table's, is read in place."""
     if not other:
         return [0] * len(verts)
-    rows: list[int] = []
-    for block in _meet_blocks(np.asarray(verts, dtype=np.uint64), np.array(other, dtype=np.uint64), t):
-        packed = np.packbits(block, axis=1, bitorder="little")
-        rows += [int.from_bytes(row, "little") for row in packed.view(f"V{packed.shape[1]}").ravel().tolist()]
-    return rows
-
-
-def _bits(mask: int):
-    """Indices of the set bits of `mask`, ascending."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
+    words = _packed(np.asarray(verts, dtype=np.uint64), np.array(other, dtype=np.uint64), t)
+    return [int.from_bytes(row, "little") for row in words.view(f"V{8 * words.shape[1]}").ravel().tolist()]
 
 
 def _set_text(mask: int) -> str:
-    return "{" + ",".join(str(i + 1) for i in _bits(mask)) + "}"
+    return "{" + ",".join(map(str, elements_of(mask))) + "}"
 
 
 def _bron_kerbosch(rows: Sequence[int], nverts: int, walked: int = 0) -> list[int]:
@@ -193,7 +197,7 @@ def _coloured_graph(
     elements."""
     m = universe.bit_count()
     counted = " + ".join(f"C({m},{size})" for size in sizes)
-    v0 = sum(1 << i for i in islice(_bits(universe), sizes[0]))
+    v0 = sum(1 << (e - 1) for e in elements_of(universe)[: sizes[0]])
     if through_v0:
         counted = f"N[{_set_text(v0)}] in {counted}"
         nverts = comb(m, sizes[0]) + sum(c for size in sizes[1:] for _, c in _meeting(universe, v0, size, t))
@@ -215,8 +219,9 @@ def _coloured_graph(
 
 
 def _decode(verts: list[int], colours: list[int], clique: int) -> tuple[tuple[int, ...], ...]:
-    """The member masks of each colour of `clique`, ascending."""
-    return tuple(tuple([verts[v] for v in _bits(clique & colour)]) for colour in colours)
+    """The member masks of each colour of `clique`, ascending; element e of
+    a clique mask is vertex e - 1."""
+    return tuple(tuple([verts[v - 1] for v in elements_of(clique & colour)]) for colour in colours)
 
 
 def maximal_cross_tuples(
@@ -266,34 +271,9 @@ def maximal_cliques(
 def enumerate_maximal_t_intersecting(n: int, k: int, t: int) -> list[Family]:
     """Every maximal t-intersecting k-uniform family over [n], exactly once."""
     verts, cliques = maximal_cliques(n, k, t)
-    fams = [Family(n, k, tuple(verts[i] for i in _bits(cm))) for cm in cliques]
+    fams = [Family.from_table(n, k, tuple([verts[i - 1] for i in elements_of(cm)])) for cm in cliques]
     fams.sort(key=lambda f: f.members)
     return fams
-
-
-def _words(masks: Sequence[int], nwords: int) -> np.ndarray:
-    """The masks as rows of `nwords` little-endian 64-bit words, converted
-    _PACK at a time to bound the bytes objects alive at once."""
-    out = np.empty((len(masks), nwords), dtype="<u8")
-    for i in range(0, len(masks), _PACK):
-        part = masks[i : i + _PACK]
-        data = b"".join([m.to_bytes(8 * nwords, "little") for m in part])
-        out[i : i + len(part)] = np.frombuffer(data, dtype="<u8").reshape(len(part), nwords)
-    return out
-
-
-def _cover_words(cands: np.ndarray, verts: np.ndarray, t: int, nwords: int) -> np.ndarray:
-    """One row of `nwords` little-endian 64-bit words per candidate, bit i
-    set iff the candidate meets verts[i] in fewer than t elements: each
-    block of `_meet_blocks`, complemented, packed straight into its rows."""
-    out = np.zeros((len(cands), nwords), dtype="<u8")
-    octets = out.view(np.uint8)
-    done = 0
-    for block in _meet_blocks(cands, verts, t):
-        packed = np.packbits(~block, axis=1, bitorder="little")
-        octets[done : done + len(block), : packed.shape[1]] = packed
-        done += len(block)
-    return out
 
 
 def _cover_blocks(n: int, t: int, sizes: Sequence[int], verts: Sequence[int]):
@@ -304,16 +284,18 @@ def _cover_blocks(n: int, t: int, sizes: Sequence[int], verts: Sequence[int]):
     counted against `core.BUDGET` before any row is built. Returns a function
     from cliques to an iterator over blocks of them, each with one boolean
     matrix per size, true where the column covers the row's clique. A block
-    holds COVER_CHUNK // (cover rows) cliques, at least one, so its
-    temporaries stay near COVER_CHUNK words however many cover rows there
-    are."""
+    holds `core._BLOCK_WORDS` // (cover rows) cliques, at least one, so its
+    uint64 temporaries stay near `core._BLOCK_WORDS` however many cover rows
+    there are. A row is the complement of a row of `_packed`, so its bits
+    past the vertices are 1; a clique has none there, so they test
+    nothing."""
     nrows = sum(comb(n, s) for s in sizes)
     counted = " + ".join(f"C({n},{s})" for s in sizes)
     _check_budget(f"{counted} = {nrows:,} cover rows of {len(verts):,} vertices", nrows * len(verts))
     nwords = -(-len(verts) // 64)
     varray = np.array(verts, dtype=np.uint64)
-    tables = [_cover_words(subsets(full_mask(n), s).array, varray, t, nwords) for s in sizes]
-    step = max(1, COVER_CHUNK // nrows)
+    tables = [~_packed(subsets(full_mask(n), s).array, varray, t) for s in sizes]
+    step = max(1, core._BLOCK_WORDS // nrows)
 
     def covered(words: np.ndarray, rows: np.ndarray) -> np.ndarray:
         # entry (i, j): row j misses no vertex of clique i, one word at a time
@@ -325,7 +307,8 @@ def _cover_blocks(n: int, t: int, sizes: Sequence[int], verts: Sequence[int]):
     def blocks(cliques: Iterable[int]):
         it = iter(cliques)
         while chunk := list(islice(it, step)):
-            words = _words(chunk, nwords)
+            data = b"".join([c.to_bytes(8 * nwords, "little") for c in chunk])
+            words = np.frombuffer(data, dtype="<u8").reshape(len(chunk), nwords)
             yield chunk, [covered(words, rows) for rows in tables]
 
     return blocks
@@ -407,11 +390,11 @@ def extremal_product_search(n: int, k1: int, k2: int, t: int, min_tau: int) -> S
         # canonical_form(F) is a key for them.
         seen: set[bytes] = set()
         for fm, gm in sorted(_decode(verts, colours, c) for c in group):
-            f = Family(n, k1, fm)
+            f = Family.from_table(n, k1, fm)
             key = canonical_form(f)
             if key not in seen:
                 seen.add(key)
-                witnesses.append((f, Family(n, k2, gm)))
+                witnesses.append((f, Family.from_table(n, k2, gm)))
         if witnesses:
             best = product
             break

@@ -20,8 +20,8 @@ orbit pruning only), kept as the byte-for-byte oracle of `xfam.canon`.
 `select_reference` is the one-line loop `core.select` once was (every
 candidate against every member), kept as the oracle of its two paths.
 `compat_rows_reference` is the pair loop `enumeration._compat_rows` once
-was, kept as the oracle of the adjacency and cover rows it reads off
-`core._meet_blocks`.
+was, kept as the oracle of the adjacency rows it reads off the words that
+`enumeration._packed` packs from `core._meet_blocks`.
 
 The `*_members_reference` builders (B, C1, C2, H, D and the T1.2-iv
 template) are the member builders in their filter shape: a Python membership
@@ -45,8 +45,9 @@ on clique masks. `count_theorem_1_2_vertex_orbit` is `classify-all` in its
 vertex-orbit shape (one walk through v0, each family weighed by
 C(n,k)/|F|), kept as the oracle of the edge-orbit walks past the full
 walk's budget. `cover_words_reference` is the cover-row table in its
-two-step shape (rows as ints off `_compat_rows`, then packed by `_words`),
-kept as the oracle of `enumeration._cover_words`.
+two-step shape (rows as ints off `_compat_rows`, then split into 64-bit
+words one int at a time), kept as the oracle of the complemented rows of
+`enumeration._packed` that `_cover_blocks` tests cliques against.
 
 `match_theorem_1_2_reference` and `classify_pair_reference` are the template
 matchers in their rebuild shape (every candidate template rebuilt over all
@@ -109,7 +110,6 @@ from xfam.enumeration import (
     _compat_rows,
     _cover_blocks,
     _orbit_count,
-    _words,
     maximal_cliques,
     maximal_cross_tuples,
 )
@@ -295,9 +295,11 @@ def compat_rows_reference(verts: Sequence[int], other: Sequence[int], t: int) ->
 
 def cover_words_reference(cands: Sequence[int], verts: Sequence[int], t: int) -> np.ndarray:
     """Row i: the vertices of `verts` meeting cands[i] in fewer than t
-    elements, as little-endian 64-bit words, converted through Python ints."""
+    elements, as little-endian 64-bit words, converted through Python ints
+    one word at a time."""
     full, nwords = (1 << len(verts)) - 1, -(-len(verts) // 64)
-    return _words([full ^ row for row in _compat_rows(cands, verts, t)], nwords)
+    rows = [full ^ row for row in _compat_rows(cands, verts, t)]
+    return np.array([[row >> (64 * w) & (2**64 - 1) for w in range(nwords)] for row in rows], dtype="<u8")
 
 
 def _bits(mask: int):

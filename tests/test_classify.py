@@ -5,7 +5,7 @@ from math import comb
 
 import pytest
 
-import xfam.enumeration
+import xfam.core
 from xfam import (
     Family,
     anchored_family,
@@ -125,7 +125,7 @@ def test_cover_matrix_counts_across_chunk_boundaries(monkeypatch, chunk):
     # (7,4,2) has 6,127 cliques and 21 + 35 cover rows: blocks of one
     # clique, then of 7 with the last one partial
     expected = _matcher_counts(7, 4, 2)
-    monkeypatch.setattr(xfam.enumeration, "COVER_CHUNK", chunk)
+    monkeypatch.setattr(xfam.core, "_BLOCK_WORDS", chunk)
     assert count_theorem_1_2(7, 4, 2) == expected
     assert _matcher_counts(7, 4, 2) == expected
 
@@ -148,7 +148,7 @@ def test_orbit_counts_across_chunk_boundaries(monkeypatch):
     # ..., so blocks mix sizes and boundaries fall between sizes; blocks of
     # 1 to 16 cliques at the other points
     expected = {point: count_theorem_1_2_reference(*point) for point in _ORBIT_POINTS[:7]}
-    monkeypatch.setattr(xfam.enumeration, "COVER_CHUNK", 3 * (21 + 35))
+    monkeypatch.setattr(xfam.core, "_BLOCK_WORDS", 3 * (21 + 35))
     assert {point: count_theorem_1_2(*point) for point in expected} == expected
 
 
@@ -168,7 +168,7 @@ def test_edge_orbit_counts_at_the_edge_cases(monkeypatch, chunk, n, k, t):
     # j = t is empty (n - k < k - j), so no edge of it is walked. Blocks of
     # one clique, of a few, and the default
     if chunk:
-        monkeypatch.setattr(xfam.enumeration, "COVER_CHUNK", chunk)
+        monkeypatch.setattr(xfam.core, "_BLOCK_WORDS", chunk)
     expected = count_theorem_1_2_reference(n, k, t)
     assert count_theorem_1_2(n, k, t) == count_theorem_1_2_vertex_orbit(n, k, t) == expected
 

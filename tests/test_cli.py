@@ -419,6 +419,31 @@ def test_grid_points():
     ]
 
 
+def test_grid_over_the_budget_is_refused_before_it_is_listed(capsys, monkeypatch):
+    from xfam.cli import _parse_grid
+
+    # 100,000,000 points in one range of n: counted, never listed
+    tracemalloc.start()
+    try:
+        code, out, err = run(capsys, "audit", "--lemma", "all", "--grid", "t=1;k=2;l=2;n=1..100000000")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2 and out == ""
+    assert err == (
+        "error: grid spec 't=1;k=2;l=2;n=1..100000000' has 100,000,000 points or more,"
+        " over the budget of 1,300,000\n"
+    )
+    assert peak < 1 << 20
+    # a bound past 64 bits; a grid over the budget only across its ranges of n
+    code, _, err = run(capsys, "verify-constructions", "--grid", "t=1;k=2;l=2;n=1.." + "9" * 30)
+    assert code == 2 and f"has {10**30 - 1:,} points or more" in err
+    monkeypatch.setattr(xfam.core, "BUDGET", 10)
+    code, _, err = run(capsys, "audit", "--lemma", "all", "--grid", "t=1;k=2,3;l=2,3;n=1..3")
+    assert code == 2 and "has 12 points or more, over the budget of 10" in err
+    assert len(_parse_grid("t=1;k=2;l=2,3;n=1..5", None)) == 10  # the budget itself passes
+
+
 def test_classify_all_calls_no_covering_number(capsys, monkeypatch, tmp_path):
     # classify-all counts templates off the minimum-cover matrix; the library
     # covering_number, the matcher and Family objects are only its test oracle

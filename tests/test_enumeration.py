@@ -27,7 +27,7 @@ from xfam.enumeration import (
     _bron_kerbosch,
     _coloured_graph,
     _compat_rows,
-    _cover_words,
+    _packed,
     maximal_cliques,
     maximal_cross_tuples,
 )
@@ -62,12 +62,12 @@ def test_intersection_graph(monkeypatch):
         maximal_cliques(15, 4, 1)
 
 
-@pytest.mark.parametrize("chunk", [xfam.core._NP_PAIR_CUTOFF, 1, 7], ids=["default", "chunk-1", "chunk-7"])
+@pytest.mark.parametrize("chunk", [xfam.core._BLOCK_WORDS, 1, 7], ids=["default", "chunk-1", "chunk-7"])
 def test_compat_rows_match_the_pair_loop(chunk, monkeypatch):
     # rows of V bits either side of the byte and word boundaries, against an
     # empty, a one-set and a three-set side too; at chunk 7 a block holds 7,
     # 2 or 1 rows, at chunk 1 always one
-    monkeypatch.setattr(xfam.core, "_NP_PAIR_CUTOFF", chunk)
+    monkeypatch.setattr(xfam.core, "_BLOCK_WORDS", chunk)
     rng = random.Random(29)
     sets = [mask_of(rng.sample(range(1, 65), rng.randint(0, 64))) for _ in range(65)]
     for V in (1, 7, 8, 9, 63, 64, 65):
@@ -78,21 +78,25 @@ def test_compat_rows_match_the_pair_loop(chunk, monkeypatch):
                 assert _compat_rows(other, verts, t) == compat_rows_reference(other, verts, t), (V, len(other), t)
 
 
-@pytest.mark.parametrize("chunk", [xfam.core._NP_PAIR_CUTOFF, 1, 7], ids=["default", "chunk-1", "chunk-7"])
+@pytest.mark.parametrize("chunk", [xfam.core._BLOCK_WORDS, 1, 7], ids=["default", "chunk-1", "chunk-7"])
 def test_cover_words_match_the_two_step_packing(chunk, monkeypatch):
-    # the cover table packed straight from the relation blocks, against rows
-    # as ints packed word by word, at V either side of the word boundaries
-    monkeypatch.setattr(xfam.core, "_NP_PAIR_CUTOFF", chunk)
+    # the cover table of `_cover_blocks`, the complement of the packed
+    # relation blocks, against rows as ints packed word by word, at V either
+    # side of the word boundaries; only its V valid bits are compared, since
+    # the complement sets the bits past V, and `_packed` leaves those 0
+    monkeypatch.setattr(xfam.core, "_BLOCK_WORDS", chunk)
     rng = random.Random(31)
     verts = [mask_of(rng.sample(range(1, 21), 8)) for _ in range(129)]
     cands = subsets(full_mask(20), 3).masks[::97]
     for V in (1, 63, 64, 65, 129):
         nwords = -(-V // 64)
+        valid = cover_words_reference([0], verts[:V], 1)  # no vertex meets the empty set
         for t in (1, 2, 3):
-            got = _cover_words(np.array(cands, dtype=np.uint64), np.array(verts[:V], dtype=np.uint64), t, nwords)
+            packed = _packed(np.array(cands, dtype=np.uint64), np.array(verts[:V], dtype=np.uint64), t)
             want = cover_words_reference(cands, verts[:V], t)
-            assert got.dtype == want.dtype and got.shape == want.shape == (len(cands), nwords), (V, t)
-            assert np.array_equal(got, want), (V, t)
+            assert packed.dtype == want.dtype and packed.shape == want.shape == (len(cands), nwords), (V, t)
+            assert not (packed & ~valid).any(), (V, t)
+            assert np.array_equal(~packed & valid, want), (V, t)
 
 
 def test_enumeration_matches_brute_force():
@@ -372,12 +376,13 @@ def test_search_builds_families_only_for_groups_that_can_tie(monkeypatch):
     # >= 40, and only the 340 among those with both covering numbers >= 2
     # are decoded: F for each, G only for the first of each class
     built = []
+    from_table = Family.from_table.__func__
 
-    def counting_family(*args):
+    def counting_from_table(cls, *args):
         built.append(args)
-        return Family(*args)
+        return from_table(cls, *args)
 
-    monkeypatch.setattr(xfam.enumeration, "Family", counting_family)
+    monkeypatch.setattr(Family, "from_table", classmethod(counting_from_table))
     res = extremal_product_search(7, 2, 3, 1, 2)
     assert (res.best_product, res.pairs_examined) == (40, 24_696)
     assert len(res.witnesses) == 3
@@ -404,7 +409,7 @@ def test_search_across_chunk_boundaries(monkeypatch, chunk):
     # C(7,1) = 7 rows of 1-sets: blocks of one side, then of three sides,
     # so the two sides of a clique fall in different blocks
     expected = extremal_product_search_reference(7, 2, 3, 1, 2)
-    monkeypatch.setattr(xfam.enumeration, "COVER_CHUNK", chunk)
+    monkeypatch.setattr(xfam.core, "_BLOCK_WORDS", chunk)
     assert extremal_product_search(7, 2, 3, 1, 2) == expected
 
 
