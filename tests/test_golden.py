@@ -106,6 +106,11 @@ CASES = {
         ["classify-all", "--n", "10", "--k", "4", "--t", "2"],
         ["search", "--n", "9", "--k1", "2", "--k2", "3", "--t", "1", "--min-tau", "2"],
     ],
+    # 92,375 qualifying tied pairs in 351 isomorphism classes, each pair
+    # canonicalized: the widest use of the form memo among these cases
+    "search-tied-classes": [
+        ["search", "--n", "6", "--k1", "3", "--k2", "3", "--t", "1", "--min-tau", "2"],
+    ],
     "audit-json": [
         ["audit", "--lemma", "all", "--grid", "t=1;k=2,3;l=2,3;n=259,600"],
     ],
@@ -144,6 +149,7 @@ GOLDEN = {
     "search": "0f711bacfd11b527fc0395021815f745188db78d024a96750820c1fe2cac95c8",
     "search-equal-sizes": "4354fd1daa534b7916891fb3951ebe7e68e7f00dd5e1e1e3e4d68952ceddba7c",
     "search-none-qualifies": "2443ff992868c04b83f5bb37a91f7d2daa8a38a7785f176fde2904a3c1704f88",
+    "search-tied-classes": "c2a3ef037c7e5129e70b4f9d2c5eb651abe5c6cc96116f1fa73b11dbd27eb8d5",
     "search-tau-edges": "990f8aa255639baec612ae42332b3b09343db69fc776ef11d923781f676cce0c",
     "threshold": "857089a9b70b38f1a73771efea60119d0f17639bfb6c36c579ce0e5f4dc71e01",
     "verify-constructions-default": "26be5142732909835478c3f42fa44dbd5868a59df538e60a8291e15e8c79f283",
