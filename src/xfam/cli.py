@@ -172,18 +172,28 @@ def _parse_grid(text: str | None, default):
     """Grid spec 't=1,2;k=2..4;l=2..5;n=8..12' -> sorted (t,k,l,n) points.
     A bound is integers and names joined by + or -; k may name t, l may name
     t and k, and n may name t, k and l (e.g. k=t+1..t+4, n=l+2..12). The
-    points are counted before each range of n is listed, and a grid of more
+    values of t, the (t, k) and (t, k, l) prefixes and the points are
+    counted together, each range before it is walked, and a grid of more
     than `core.BUDGET` of them is refused."""
     if text is None or text == "default":
         return default()
+    walked = 0
 
-    def parse_range(expr: str, env: dict[str, int]) -> list[range]:
+    def walk(expr: str, env: dict[str, int]):
+        nonlocal walked
         ranges = []
         for part in expr.split(","):
             lo, dots, hi = part.partition("..")
             start = _grid_value(lo, env)
             ranges.append(range(start, (_grid_value(hi, env) if dots else start) + 1))
-        return ranges
+        # the length of a range, as an int however large its bounds
+        walked += sum(max(0, r.stop - r.start) for r in ranges)
+        if walked > core.BUDGET:
+            raise ValueError(
+                f"grid spec {text!r} walks {walked:,} or more values of t, (t, k), (t, k, l) and (t, k, l, n),"
+                f" over the budget of {core.BUDGET:,}"
+            )
+        return chain(*ranges)
 
     dims: dict[str, str] = {}
     for chunk in text.split(";"):
@@ -193,15 +203,10 @@ def _parse_grid(text: str | None, default):
     if missing:
         raise ValueError(f"grid spec {text!r} lacks {', '.join(missing)}")
     pts: list[tuple[int, int, int, int]] = []
-    for t in chain(*parse_range(dims["t"], {})):
-        for k in chain(*parse_range(dims["k"], {"t": t})):
-            for l in chain(*parse_range(dims["l"], {"t": t, "k": k})):
-                ns = parse_range(dims["n"], {"t": t, "k": k, "l": l})
-                # the length of a range, as an int however large its bounds
-                count = len(pts) + sum(max(0, r.stop - r.start) for r in ns)
-                if count > core.BUDGET:
-                    raise ValueError(f"grid spec {text!r} has {count:,} points or more, over the budget of {core.BUDGET:,}")
-                pts += [(t, k, l, n) for n in chain(*ns)]
+    for t in walk(dims["t"], {}):
+        for k in walk(dims["k"], {"t": t}):
+            for l in walk(dims["l"], {"t": t, "k": k}):
+                pts += [(t, k, l, n) for n in walk(dims["n"], {"t": t, "k": k, "l": l})]
     if not pts:
         raise ValueError(f"grid spec {text!r} has no points")
     return sorted(set(pts))

@@ -209,18 +209,25 @@ def memo(monkeypatch):
     return fresh
 
 
+def first_cells(families):
+    """The first partition (the degree cells) of the plain search on
+    `families`."""
+    return _Canonicalizer(families[0].n, [f.members for f in families])._degree_cells()
+
+
 def root_cells(families):
     """The root partition of the plain search on `families`."""
     search = _Canonicalizer(families[0].n, [f.members for f in families])
     return search._refine(search._degree_cells())
 
 
-def same_root_key_perm(families):
-    """A permutation of [n] that is increasing on each root cell of
-    `families` and puts the cells in reverse order: the relabeled input
-    lists each cell in the same order, so it has the same root key."""
-    perm = [0] * families[0].n
-    order = [e for cell in reversed(root_cells(families)) for e in cell]
+def same_key_perm(cells):
+    """A permutation of [n] that is increasing on each of `cells`, the first
+    or root cells of an input, and puts the cells in reverse order: the
+    relabeled input lists each cell in the same order, so it has the same
+    first or root key."""
+    perm = [0] * sum(map(len, cells))
+    order = [e for cell in reversed(cells) for e in cell]
     for label, e in enumerate(order, 1):
         perm[e] = label
     return perm
@@ -241,18 +248,18 @@ def test_warm_memo_forms_equal_reference(memo):
         perm = shuffled(rng, n)
         copy = [relabel(f, perm) for f in families]
         assert canonical_form_tuple(copy) == canonical_form_reference(copy), copy
-        # the second copy has the first one's root key, stored by the first
-        # search or already there, so a search on it ends at its root
-        perm = same_root_key_perm(copy)
+        # the second copy has the first one's first key, stored by the first
+        # search or already there, so it ends before any search node
+        perm = same_key_perm(first_cells(copy))
         second = [relabel(f, perm) for f in copy]
-        root_hits = memo.root_hits
+        first_hits = memo.first_hits
         assert canonical_form_tuple(second) == canonical_form_reference(second), second
         searched_at_all = any(len(f.members) not in (0, comb(n, f.k)) for f in second)
-        if searched_at_all and len(root_cells(second)) < n:
-            root_hits += 1
-        assert memo.root_hits == root_hits, second
+        if searched_at_all and len(first_cells(second)) < n:
+            first_hits += 1
+        assert memo.first_hits == first_hits, second
     # every class was searched to its end once while warming; every copy
-    # that was searched ended at a stored form or root key
+    # that was searched ended at a stored form or key
     info = canon.form_cache_info()
     assert (info.misses, info.forms) == (warm.misses, warm.forms)
     assert info.hits == warm.hits + 2 * searched
@@ -273,20 +280,49 @@ def test_memo_entries_never_cross_headers(memo):
 
 
 def test_canonical_copy_ends_at_its_root(memo):
-    # relabelled by its own canonical labelling, a family's root cells are
-    # runs of positions in order, so its root key is its form: a warm search
-    # stops at the root, the plain one certifies symmetry
+    # relabelled by its own canonical labelling, a family's first cells are
+    # runs of positions in order, so its first key is its form: a warm search
+    # stops at the root before any refinement, the plain one certifies
+    # symmetry
     f = construct_H(8, 3, 1, (2, 3, 4), (2, 3, 5))
     first = _Canonicalizer(f.n, [f.members])
     form = canonical_form(f)
     assert form == canon._header(f.n, [f]) + first.run()
     rep = Family(f.n, f.k, first.best[0])
+    assert len(first_cells([rep])) < f.n  # not a leaf already
     plain = _Canonicalizer(f.n, [rep.members])
     warm = _Canonicalizer(f.n, [rep.members], memo, canon._header(f.n, [rep]))
     assert warm.run() == plain.run() == first.leaf
-    assert (warm.nodes, warm.leaves) == (1, 0)
+    assert (warm.nodes, warm.leaves) == (0, 0)
     assert plain.leaves == first.leaves > 1
-    assert (memo.hits, memo.root_hits) == (1, 1)
+    assert (memo.hits, memo.first_hits, memo.root_hits) == (1, 1, 0)
+
+
+def test_split_first_partition_ends_at_its_root_key():
+    # a copy increasing on each root cell of an input whose refinement splits
+    # its first partition, with the root cells reversed, has the input's root
+    # key; its first key differs unless the two orders are automorphic, and
+    # then the search ends at its first key instead
+    rng = random.Random(53)
+    inputs = [[f] for f in enumerate_maximal_t_intersecting(6, 3, 1)] + [[f] for f in graph_unions(10)]
+    inputs += pair_cases(random.Random(19))
+    at_root = 0
+    for families in inputs:
+        copy = [relabel(f, shuffled(rng, f.n)) for f in families]
+        n, cells = copy[0].n, root_cells(copy)
+        if not len(first_cells(copy)) < len(cells) < n:
+            continue
+        second = [relabel(f, same_key_perm(cells)) for f in copy]
+        memo = canon._FormMemo(canon._MEMO_MASKS)
+        cold, warm = (_Canonicalizer(n, [f.members for f in c], memo, canon._header(n, c)) for c in (copy, second))
+        cold.run()
+        assert canon._header(n, second) + warm.run() == canonical_form_reference(second), second
+        if cold._key(first_cells(copy)) == warm._key(first_cells(second)):
+            assert (memo.first_hits, memo.root_hits, warm.nodes) == (1, 0, 0), second
+        else:
+            assert (memo.first_hits, memo.root_hits, warm.nodes, warm.leaves) == (0, 1, 1, 0), second
+            at_root += 1
+    assert at_root >= 100
 
 
 def test_memo_stays_within_its_bound(monkeypatch):
@@ -294,17 +330,30 @@ def test_memo_stays_within_its_bound(monkeypatch):
     monkeypatch.setattr(canon, "_FORMS", small)
     rng = random.Random(37)
     aliases = 0
-    for f in enumerate_maximal_t_intersecting(6, 3, 1) + list(graph_unions(10)):
+    stored = set()
+    # small random families, some of whose roots split their first partition
+    # and have a key of their own
+    sizes = rng.choices(range(5, 10), k=100)
+    sparse = [random_family(rng, n, rng.randint(2, n - 2), rng.randint(3, 9)) for n in sizes]
+    for f in enumerate_maximal_t_intersecting(6, 3, 1) + list(graph_unions(10)) + sparse:
         g = relabel(f, shuffled(rng, f.n))
         assert canonical_form(g) == canonical_form_reference([g]), g.members
-        # root keys hold masks too, and count toward the bound
+        # first and root keys hold as many masks as their form, and count
+        # toward the bound
         assert small.masks == sum(m for _, m in small.entries.values()) <= 40
+        masks = {form: m for form, m in small.entries.values()}
+        assert all(masks[form] == m for form, m in small.entries.values())
+        search = _Canonicalizer(g.n, [g.members], head=canon._header(g.n, [g]))
+        # an unrefined root's key is its first key
+        kinds = {search._key(root_cells([g])): "root", search._key(first_cells([g])): "first"}
+        stored |= {kind for key, kind in kinds.items() if small.entries.get(key, (key,))[0] != key}
         aliases = max(aliases, small.info().aliases)
     info = canon.form_cache_info()
     assert info.max_masks == 40 and info.misses > info.forms  # the oldest forms were evicted
     assert aliases > 0
-    # the newest entry stays; a form that cannot fit is not kept, nor is its
-    # root key, and it evicts nothing
+    assert stored == {"first", "root"}
+    # the newest entry stays; a form that cannot fit is not kept, nor are its
+    # keys, and it evicts nothing
     kept = dict(small.entries)
     assert kept[next(reversed(kept))][0] == canonical_form(g)
     big = anchored_family(9, 4, mask_of([1]))
@@ -454,14 +503,14 @@ def symmetric_64():
 def test_symmetric_forms_at_64_equal_plain_search(memo, families):
     # the reference search cannot finish these (no backjump), so the plain
     # memo-less search is the oracle; the second copy has the first one's
-    # root key, and the third is searched with that class already known
+    # first key, and the third is searched with that class already known
     rng = random.Random(47)
     head = canon._header(64, families)
     copy = [relabel(f, shuffled(rng, 64)) for f in families]
     form = head + _Canonicalizer(64, [f.members for f in copy]).run()
-    perm = same_root_key_perm(copy)
+    perm = same_key_perm(first_cells(copy))
     third = shuffled(rng, 64)
     for labelled in (copy, [relabel(f, perm) for f in copy], [relabel(f, third) for f in copy]):
         assert canonical_form_tuple(labelled) == form
-    assert (memo.misses, memo.hits) == (1, 2) and memo.root_hits >= 1
+    assert (memo.misses, memo.hits) == (1, 2) and memo.first_hits >= 1
     assert any(m >> 63 for f in copy for m in f.members)

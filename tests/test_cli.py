@@ -431,17 +431,41 @@ def test_grid_over_the_budget_is_refused_before_it_is_listed(capsys, monkeypatch
         tracemalloc.stop()
     assert code == 2 and out == ""
     assert err == (
-        "error: grid spec 't=1;k=2;l=2;n=1..100000000' has 100,000,000 points or more,"
-        " over the budget of 1,300,000\n"
+        "error: grid spec 't=1;k=2;l=2;n=1..100000000' walks 100,000,003 or more values of t, (t, k), (t, k, l)"
+        " and (t, k, l, n), over the budget of 1,300,000\n"
     )
     assert peak < 1 << 20
     # a bound past 64 bits; a grid over the budget only across its ranges of n
     code, _, err = run(capsys, "verify-constructions", "--grid", "t=1;k=2;l=2;n=1.." + "9" * 30)
-    assert code == 2 and f"has {10**30 - 1:,} points or more" in err
-    monkeypatch.setattr(xfam.core, "BUDGET", 10)
-    code, _, err = run(capsys, "audit", "--lemma", "all", "--grid", "t=1;k=2,3;l=2,3;n=1..3")
-    assert code == 2 and "has 12 points or more, over the budget of 10" in err
-    assert len(_parse_grid("t=1;k=2;l=2,3;n=1..5", None)) == 10  # the budget itself passes
+    assert code == 2 and f"walks {10**30 + 2:,} or more" in err
+    # 1 value of t, 1 (t, k), 2 (t, k, l) and 10 points: the budget itself passes
+    monkeypatch.setattr(xfam.core, "BUDGET", 14)
+    assert len(_parse_grid("t=1;k=2;l=2,3;n=1..5", None)) == 10
+    monkeypatch.setattr(xfam.core, "BUDGET", 13)
+    code, _, err = run(capsys, "audit", "--lemma", "all", "--grid", "t=1;k=2;l=2,3;n=1..5")
+    assert code == 2 and "walks 14 or more values of t, (t, k), (t, k, l) and (t, k, l, n), over the budget of 13" in err
+
+
+def test_grid_prefixes_count_against_the_budget(capsys, monkeypatch):
+    # grids whose ranges of l are empty have no points, yet walking their
+    # (t, k) prefixes is work: 1,000 values of t and the 1,000 (1, k) prefixes
+    # pass a budget of 2,000; the (2, k) prefixes are refused before any is walked
+    spec = "t=1..1000;k=1..1000;l=2..1;n=5"
+    monkeypatch.setattr(xfam.core, "BUDGET", 2000)
+    code, out, err = run(capsys, "verify-constructions", "--grid", spec)
+    assert (code, out) == (2, "")
+    assert err == (
+        f"error: grid spec {spec!r} walks 3,000 or more values of t, (t, k), (t, k, l) and (t, k, l, n),"
+        " over the budget of 2,000\n"
+    )
+    monkeypatch.undo()
+    # a million values of t and of k: refused at t = 1, with 2,000,000 counted
+    spec = "t=1..1000000;k=1..1000000;l=2..1;n=5"
+    code, out, err = run(capsys, "audit", "--lemma", "all", "--grid", spec)
+    assert (code, out) == (2, "")
+    assert "walks 2,000,000 or more values of t, (t, k), (t, k, l) and (t, k, l, n), over the budget" in err
+    code, _, err = run(capsys, "audit", "--lemma", "all", "--grid", "t=1;k=1..1000;l=2..1;n=5")
+    assert code == 2 and "has no points" in err  # 1,001 walked, within the budget
 
 
 def test_classify_all_calls_no_covering_number(capsys, monkeypatch, tmp_path):
