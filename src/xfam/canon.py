@@ -187,11 +187,11 @@ class _Canonicalizer:
             # the first key, before any refinement round (a discrete first
             # partition is the leaf, looked up there)
             first_key = self._key(cells)
-            hit = memo.entries.get(first_key)
-            if hit is not None:
+            entry = memo.entries.get(first_key)
+            if entry is not None:
                 memo.hits += 1
                 memo.first_hits += 1
-                return hit[0][len(self.head) :]
+                return entry[0][len(self.head) :]
         hit = self._search(cells, []) < 0
         if memo is not None:
             form = self.head + self.leaf

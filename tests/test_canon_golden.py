@@ -6,8 +6,8 @@ enumeration order) and canonicalized with an empty form memo. The forms,
 the search nodes and leaves visited, and the memo's hits, misses, first key
 hits and root key hits are fixed: a change to the refinement that keeps the
 bytes but alters the search tree, or stops searches from ending at their
-first or root key, shows here. `python tests/test_canon_golden.py` prints the values of the
-current code in the form of GOLDEN.
+first or root key, shows here. `python tests/test_canon_golden.py` prints
+the values of the current code in the form of GOLDEN.
 """
 
 import hashlib
