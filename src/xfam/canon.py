@@ -41,33 +41,29 @@ their common prefix, so, as in nauty, the search backjumps to that prefix:
 every leaf below the abandoned nodes is the image of a leaf already seen.
 
 `canonical_form_tuple` also keeps a bounded memo. It maps the forms that
-complete searches proved to themselves, and first and root keys to their
-input's form. A key is the input relabeled in the order of a partition:
-the element at position i of the cells, taken in cell order and each cell
-in its own order, goes to bit i, encoded as a leaf is, after the header.
-The first key takes the first partition, the degree cells, before any
-refinement round; the root key takes the root cells, after the root
-refinement, when that split the first partition (otherwise the two keys
-are one). A search whose first key is stored ends before any search node
-or refinement round, one whose root key is stored ends at its root, and
-any other ends at the first leaf whose bytes are stored. Once a search has
-its form it stores both keys (a discrete partition is its own leaf and
-has no key). Partitions agree up to ties inside a cell, so a class gets a
-few keys, and any later copy with one of them costs at most one
-refinement.
+complete searches proved to themselves, and first keys to their input's
+form. A first key is the input relabeled in the order of its first
+partition, the degree cells, before any refinement round: the element at
+position i of the cells, taken in cell order and each cell in its own
+order, goes to bit i, encoded as a leaf is, after the header. A search
+whose first key is stored ends before any search node or refinement round;
+otherwise it ends at the first leaf whose bytes are stored, and once it
+has its form it stores its first key (a discrete first partition is its
+own leaf and stores none). A class gets one key per order of its degree
+cells among the copies searched, and any later copy with one of them costs
+no refinement at all.
 
 None of this changes the bytes: they are those of the plain search that
 sorts color tuples and encodes every leaf, which the tests keep as the
-oracle. The memo is exact too. A leaf, a first key and a root key are
-each the input relabeled by some permutation, so a leaf or key equal to a
-stored entry of an earlier input X (under the same header: n, and k and m
-per family) shows that the two inputs are isomorphic, and isomorphic
-inputs have the same form, X's. Only the winner of a search that ran to
-its end is stored as a form, never a first or best-so-far leaf. The
-input's form is the minimum of its leaves, so only leaves that improve on
-the best so far are looked up. Forms and keys share one bound on the
-member masks they hold (a key holds as many as its form), and the oldest
-entries are evicted first.
+oracle. The memo is exact too. A leaf and a first key are both the input
+relabeled, so a leaf or key equal to a stored entry of an earlier input X
+(under the same header: n, and k and m per family) shows that the two
+inputs are isomorphic, and isomorphic inputs have the same form, X's.
+Only the winner of a search that ran to its end is stored as a form,
+never a first or best-so-far leaf. The input's form is the minimum of its
+leaves, so only leaves that improve on the best so far are looked up.
+Forms and first keys share one bound on the member masks they hold (a key
+holds as many as its form), and the oldest entries are evicted first.
 Incremental cell splitting or invariant-based leaf pruning would change
 the cell order or which leaf is minimal, and so the bytes.
 """
@@ -100,16 +96,15 @@ class FormCacheInfo(NamedTuple):
 
 class _FormMemo:
     """Canonical forms proved by complete searches, each mapped to itself,
-    and first and root keys (module docstring) mapped to their input's form,
-    oldest first, with the number of member masks each key holds. `hits` and
+    and first keys (module docstring) mapped to their input's form, oldest
+    first, with the number of member masks each key holds. `hits` and
     `misses` count the searches that did and did not end at a stored entry,
-    `first_hits` those that ended at their first key and `root_hits` those
-    that ended at their root key."""
+    and `first_hits` those that ended at their first key."""
 
     def __init__(self, max_masks: int):
         self.max_masks = max_masks
         self.entries: dict[bytes, tuple[bytes, int]] = {}
-        self.masks = self.hits = self.misses = self.first_hits = self.root_hits = 0
+        self.masks = self.hits = self.misses = self.first_hits = 0
 
     def store(self, key: bytes, form: bytes, masks: int) -> None:
         if masks > self.max_masks or key in self.entries:
@@ -133,7 +128,7 @@ _BYTE_BITS = tuple(tuple(i for i in range(8) if b >> i & 1) for b in range(256))
 
 def form_cache_info() -> FormCacheInfo:
     """Hits, misses, forms and member masks stored, the mask bound, and the
-    first and root keys stored, of the memo behind `canonical_form_tuple`
+    first keys stored, of the memo behind `canonical_form_tuple`
     (read-only, like `functools.lru_cache`'s `cache_info`)."""
     return _FORMS.info()
 
@@ -143,12 +138,11 @@ class _Canonicalizer:
 
     With a `memo`, the search ends before its root node when the memo holds
     the first key (`head` plus the bytes of the input relabeled in the order
-    of the degree cells), at its root when it holds the root key (the same
-    in root cell order), or else at the first leaf whose form (`head` plus
+    of the degree cells), or else at the first leaf whose form (`head` plus
     the leaf's bytes) the memo holds. A search that runs to its end stores
-    its winner there, and one that does not end at its first key stores its
-    keys; without a memo it is the plain search. `nodes` and `leaves` count
-    the search nodes and leaves visited."""
+    its winner there, and one that does not end at its first key stores
+    that key; without a memo it is the plain search. `nodes` and `leaves`
+    count the search nodes and leaves visited."""
 
     def __init__(
         self, n: int, families: Sequence[tuple[int, ...]], memo: _FormMemo | None = None, head: bytes = b""
@@ -173,7 +167,6 @@ class _Canonicalizer:
         self.leaf = b""
         self.best_cells: Cells = ()
         self.best_path: list[int] = []
-        self.root_key = b""
         self.autos: list[tuple[int, ...]] = []
         self.nodes = 0
         self.leaves = 0
@@ -182,16 +175,17 @@ class _Canonicalizer:
         """The canonical leaf's bytes (without the header)."""
         cells = self._degree_cells()
         memo = self.memo
-        first_key = b""
+        key = b""
         if memo is not None and len(cells) < self.n:
             # the first key, before any refinement round (a discrete first
             # partition is the leaf, looked up there)
-            first_key = self._key(cells)
-            entry = memo.entries.get(first_key)
+            key = self.head + _encode(self._relabeled([e for cell in cells for e in cell]))
+            entry = memo.entries.get(key)
             if entry is not None:
                 memo.hits += 1
                 memo.first_hits += 1
-                return entry[0][len(self.head) :]
+                self.leaf = entry[0][len(self.head) :]
+                return self.leaf
         hit = self._search(cells, []) < 0
         if memo is not None:
             form = self.head + self.leaf
@@ -201,9 +195,8 @@ class _Canonicalizer:
             else:
                 memo.misses += 1
                 memo.store(form, form, masks)
-            for key in (first_key, self.root_key):
-                if key:
-                    memo.store(key, form, masks)
+            if key:
+                memo.store(key, form, masks)
         return self.leaf
 
     def _degree_cells(self) -> Cells:
@@ -237,12 +230,6 @@ class _Canonicalizer:
                 break
             cells = split
         return cells
-
-    def _key(self, cells: Cells) -> bytes:
-        """The header and the bytes of the input relabeled so that the
-        elements of `cells`, in cell order and each cell in its own order, go
-        to bits 0, 1, ..."""
-        return self.head + _encode(self._relabeled([e for cell in cells for e in cell]))
 
     def _relabeled(self, order: Sequence[int]) -> tuple[tuple[int, ...], ...]:
         """Per family, the sorted member masks of the input relabeled so that
@@ -296,20 +283,9 @@ class _Canonicalizer:
         the depth to resume at (below len(fixed) abandons this node, and -1
         ends the search)."""
         self.nodes += 1
-        first = len(cells)
         cells = self._refine(cells)
         if len(cells) == self.n:
             return self._leaf(cells, fixed)
-        if not fixed and self.memo is not None and len(cells) > first:
-            # the root key (a discrete root is the leaf, looked up there; a
-            # root the refinement did not split is the first partition, whose
-            # key `run` looked up)
-            self.root_key = self._key(cells)
-            hit = self.memo.entries.get(self.root_key)
-            if hit is not None:
-                self.memo.root_hits += 1
-                self.leaf = hit[0][len(self.head) :]
-                return -1
         for target, cell in enumerate(cells):
             if len(cell) > 1:
                 break

@@ -215,19 +215,12 @@ def first_cells(families):
     return _Canonicalizer(families[0].n, [f.members for f in families])._degree_cells()
 
 
-def root_cells(families):
-    """The root partition of the plain search on `families`."""
-    search = _Canonicalizer(families[0].n, [f.members for f in families])
-    return search._refine(search._degree_cells())
-
-
-def same_key_perm(cells):
-    """A permutation of [n] that is increasing on each of `cells`, the first
-    or root cells of an input, and puts the cells in reverse order: the
-    relabeled input lists each cell in the same order, so it has the same
-    first or root key."""
-    perm = [0] * sum(map(len, cells))
-    order = [e for cell in reversed(cells) for e in cell]
+def same_first_key_perm(families):
+    """A permutation of [n] that is increasing on each first cell of
+    `families` and puts the cells in reverse order: the relabeled input
+    lists each cell in the same order, so it has the same first key."""
+    perm = [0] * families[0].n
+    order = [e for cell in reversed(first_cells(families)) for e in cell]
     for label, e in enumerate(order, 1):
         perm[e] = label
     return perm
@@ -250,7 +243,7 @@ def test_warm_memo_forms_equal_reference(memo):
         assert canonical_form_tuple(copy) == canonical_form_reference(copy), copy
         # the second copy has the first one's first key, stored by the first
         # search or already there, so it ends before any search node
-        perm = same_key_perm(first_cells(copy))
+        perm = same_first_key_perm(copy)
         second = [relabel(f, perm) for f in copy]
         first_hits = memo.first_hits
         assert canonical_form_tuple(second) == canonical_form_reference(second), second
@@ -292,37 +285,10 @@ def test_canonical_copy_ends_at_its_root(memo):
     assert len(first_cells([rep])) < f.n  # not a leaf already
     plain = _Canonicalizer(f.n, [rep.members])
     warm = _Canonicalizer(f.n, [rep.members], memo, canon._header(f.n, [rep]))
-    assert warm.run() == plain.run() == first.leaf
+    assert warm.run() == warm.leaf == plain.run() == first.leaf
     assert (warm.nodes, warm.leaves) == (0, 0)
     assert plain.leaves == first.leaves > 1
-    assert (memo.hits, memo.first_hits, memo.root_hits) == (1, 1, 0)
-
-
-def test_split_first_partition_ends_at_its_root_key():
-    # a copy increasing on each root cell of an input whose refinement splits
-    # its first partition, with the root cells reversed, has the input's root
-    # key; its first key differs unless the two orders are automorphic, and
-    # then the search ends at its first key instead
-    rng = random.Random(53)
-    inputs = [[f] for f in enumerate_maximal_t_intersecting(6, 3, 1)] + [[f] for f in graph_unions(10)]
-    inputs += pair_cases(random.Random(19))
-    at_root = 0
-    for families in inputs:
-        copy = [relabel(f, shuffled(rng, f.n)) for f in families]
-        n, cells = copy[0].n, root_cells(copy)
-        if not len(first_cells(copy)) < len(cells) < n:
-            continue
-        second = [relabel(f, same_key_perm(cells)) for f in copy]
-        memo = canon._FormMemo(canon._MEMO_MASKS)
-        cold, warm = (_Canonicalizer(n, [f.members for f in c], memo, canon._header(n, c)) for c in (copy, second))
-        cold.run()
-        assert canon._header(n, second) + warm.run() == canonical_form_reference(second), second
-        if cold._key(first_cells(copy)) == warm._key(first_cells(second)):
-            assert (memo.first_hits, memo.root_hits, warm.nodes) == (1, 0, 0), second
-        else:
-            assert (memo.first_hits, memo.root_hits, warm.nodes, warm.leaves) == (0, 1, 1, 0), second
-            at_root += 1
-    assert at_root >= 100
+    assert (memo.hits, memo.first_hits) == (1, 1)
 
 
 def test_memo_stays_within_its_bound(monkeypatch):
@@ -330,28 +296,18 @@ def test_memo_stays_within_its_bound(monkeypatch):
     monkeypatch.setattr(canon, "_FORMS", small)
     rng = random.Random(37)
     aliases = 0
-    stored = set()
-    # small random families, some of whose roots split their first partition
-    # and have a key of their own
-    sizes = rng.choices(range(5, 10), k=100)
-    sparse = [random_family(rng, n, rng.randint(2, n - 2), rng.randint(3, 9)) for n in sizes]
-    for f in enumerate_maximal_t_intersecting(6, 3, 1) + list(graph_unions(10)) + sparse:
+    for f in enumerate_maximal_t_intersecting(6, 3, 1) + list(graph_unions(10)):
         g = relabel(f, shuffled(rng, f.n))
         assert canonical_form(g) == canonical_form_reference([g]), g.members
-        # first and root keys hold as many masks as their form, and count
-        # toward the bound
+        # first keys hold as many masks as their form, and count toward the
+        # bound
         assert small.masks == sum(m for _, m in small.entries.values()) <= 40
         masks = {form: m for form, m in small.entries.values()}
         assert all(masks[form] == m for form, m in small.entries.values())
-        search = _Canonicalizer(g.n, [g.members], head=canon._header(g.n, [g]))
-        # an unrefined root's key is its first key
-        kinds = {search._key(root_cells([g])): "root", search._key(first_cells([g])): "first"}
-        stored |= {kind for key, kind in kinds.items() if small.entries.get(key, (key,))[0] != key}
         aliases = max(aliases, small.info().aliases)
     info = canon.form_cache_info()
     assert info.max_masks == 40 and info.misses > info.forms  # the oldest forms were evicted
     assert aliases > 0
-    assert stored == {"first", "root"}
     # the newest entry stays; a form that cannot fit is not kept, nor are its
     # keys, and it evicts nothing
     kept = dict(small.entries)
@@ -508,7 +464,7 @@ def test_symmetric_forms_at_64_equal_plain_search(memo, families):
     head = canon._header(64, families)
     copy = [relabel(f, shuffled(rng, 64)) for f in families]
     form = head + _Canonicalizer(64, [f.members for f in copy]).run()
-    perm = same_key_perm(first_cells(copy))
+    perm = same_first_key_perm(copy)
     third = shuffled(rng, 64)
     for labelled in (copy, [relabel(f, perm) for f in copy], [relabel(f, third) for f in copy]):
         assert canonical_form_tuple(labelled) == form

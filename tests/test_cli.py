@@ -1,7 +1,9 @@
 import argparse
 import inspect
 import json
+import os
 import re
+import subprocess
 import sys
 import time
 import tracemalloc
@@ -25,6 +27,31 @@ def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+# the CLI in a fresh interpreter whose address space is capped at 512 MiB,
+# with the peak of the memory Python allocated during `main` as the last
+# line of stderr
+CAPPED = """
+import resource, sys, tracemalloc
+resource.setrlimit(resource.RLIMIT_AS, (1 << 29, 1 << 29))
+from xfam.cli import main
+tracemalloc.start()
+code = main(sys.argv[1:])
+print(tracemalloc.get_traced_memory()[1], file=sys.stderr)
+sys.exit(code)
+"""
+
+
+def run_capped(*argv):
+    """Exit code, stdout, stderr without its last line, and the peak bytes
+    allocated, of the CLI on `argv` run by CAPPED. A grid that is listed or
+    walked against its budget fails with a MemoryError or the timeout,
+    without filling the memory of the machine or stalling the suite."""
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.run([sys.executable, "-c", CAPPED, *argv], env=env, capture_output=True, text=True, timeout=60)
+    err, _, peak = proc.stderr.rstrip("\n").rpartition("\n")
+    return proc.returncode, proc.stdout, err + "\n", int(peak) if peak.isdigit() else None
 
 
 def test_threshold(capsys):
@@ -423,21 +450,16 @@ def test_grid_over_the_budget_is_refused_before_it_is_listed(capsys, monkeypatch
     from xfam.cli import _parse_grid
 
     # 100,000,000 points in one range of n: counted, never listed
-    tracemalloc.start()
-    try:
-        code, out, err = run(capsys, "audit", "--lemma", "all", "--grid", "t=1;k=2;l=2;n=1..100000000")
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert code == 2 and out == ""
+    code, out, err, peak = run_capped("audit", "--lemma", "all", "--grid", "t=1;k=2;l=2;n=1..100000000")
+    assert (code, out) == (2, ""), err
     assert err == (
         "error: grid spec 't=1;k=2;l=2;n=1..100000000' walks 100,000,003 or more values of t, (t, k), (t, k, l)"
         " and (t, k, l, n), over the budget of 1,300,000\n"
     )
     assert peak < 1 << 20
     # a bound past 64 bits; a grid over the budget only across its ranges of n
-    code, _, err = run(capsys, "verify-constructions", "--grid", "t=1;k=2;l=2;n=1.." + "9" * 30)
-    assert code == 2 and f"walks {10**30 + 2:,} or more" in err
+    code, _, err, _ = run_capped("verify-constructions", "--grid", "t=1;k=2;l=2;n=1.." + "9" * 30)
+    assert code == 2 and f"walks {10**30 + 2:,} or more" in err, err
     # 1 value of t, 1 (t, k), 2 (t, k, l) and 10 points: the budget itself passes
     monkeypatch.setattr(xfam.core, "BUDGET", 14)
     assert len(_parse_grid("t=1;k=2;l=2,3;n=1..5", None)) == 10
@@ -461,8 +483,8 @@ def test_grid_prefixes_count_against_the_budget(capsys, monkeypatch):
     monkeypatch.undo()
     # a million values of t and of k: refused at t = 1, with 2,000,000 counted
     spec = "t=1..1000000;k=1..1000000;l=2..1;n=5"
-    code, out, err = run(capsys, "audit", "--lemma", "all", "--grid", spec)
-    assert (code, out) == (2, "")
+    code, out, err, _ = run_capped("audit", "--lemma", "all", "--grid", spec)
+    assert (code, out) == (2, ""), err
     assert "walks 2,000,000 or more values of t, (t, k), (t, k, l) and (t, k, l, n), over the budget" in err
     code, _, err = run(capsys, "audit", "--lemma", "all", "--grid", "t=1;k=1..1000;l=2..1;n=5")
     assert code == 2 and "has no points" in err  # 1,001 walked, within the budget
