@@ -10,14 +10,14 @@ the minimum leaf wins. Cell order is derived from signature values only,
 never from element indices, so the result is invariant under every
 permutation of [n].
 
-Signatures and leaves are integers, and every round is computed by
-accumulating over the incidence lists (members through each element, and
-elements of each member). All members of a family have k elements, so the
-sorted color tuple of a member is represented by its profile, the sum of its
-elements' weights -(k+1)^(n-1-color): the count of each color is one
-base-(k+1) digit, no digit carries, and the profiles order exactly as the
-tuples do. An element's signature is the sum, over the members through it,
-of -B^(R-1-r) for the rank r of the member's profile among the round's R
+Signatures are integers, and every round is computed by accumulating over
+the incidence lists (members through each element, and elements of each
+member). All members of a family have k elements, so the sorted color tuple
+of a member is represented by its profile, the sum of its elements' weights
+-(k+1)^(n-1-color): the count of each color is one base-(k+1) digit, no
+digit carries, and the profiles order exactly as the tuples do. An
+element's signature is the sum, over the members through it, of
+-B^(R-1-r) for the rank r of the member's profile among the round's R
 distinct ones, with B one more than the largest member count. Every
 element of a cell has the same degree, below B, so the count of each rank
 is again one carry-free digit, and the signatures order exactly as the
@@ -26,12 +26,10 @@ tuple of these sums. The first round is the exception: at the root every
 profile is equal, so the sorted tuples order by their lengths, and the unit
 partition is split by the tuple of per-family degrees directly. Every later
 partition refines that one, which is why degrees are equal within a cell.
-A leaf is compared as the tuple of each family's sorted member masks, built
-by setting bit i in the members through the element of cell i. Only a leaf
-that improves on the best so far is encoded to bytes (8-byte big-endian
-masks, families joined by b"|"), once, for the memo lookup and as the
-result; the bytes order as the keys do because member counts are fixed
-within one input.
+A leaf is the input relabeled with the element of cell i at bit i, as
+bytes: each family's sorted member masks, 8-byte big-endian, families
+joined by b"|". Leaves are compared as these bytes, which order as the
+tuples of masks do because member counts are fixed within one input.
 
 Leaves with equal keys certify automorphisms; their orbits prune sibling
 branches, which collapses the factorial stalls of highly symmetric families
@@ -43,29 +41,28 @@ every leaf below the abandoned nodes is the image of a leaf already seen.
 `canonical_form_tuple` also keeps a bounded memo. It maps the forms that
 complete searches proved to themselves, and first keys to their input's
 form. A first key is the input relabeled in the order of its first
-partition, the degree cells, before any refinement round: the element at
-position i of the cells, taken in cell order and each cell in its own
-order, goes to bit i, encoded as a leaf is, after the header. A search
-whose first key is stored ends before any search node or refinement round;
-otherwise it ends at the first leaf whose bytes are stored, and once it
-has its form it stores its first key (a discrete first partition is its
-own leaf and stores none). A class gets one key per order of its degree
-cells among the copies searched, and any later copy with one of them costs
-no refinement at all.
+partition, the degree cells: the element at position i of the cells goes
+to bit i, encoded as a leaf is, after the header. It is looked up in
+`canonical_form_tuple`, before any search state exists: one pass over the
+masks gives the incidence lists, a stable sort by degree tuple the order,
+and the key is packed from them. A hit builds no `_Canonicalizer`. A
+discrete first partition is the only leaf, so its key is its form. Any
+other miss hands the incidence lists and cells to a search, which ends at
+the first leaf whose bytes are stored; its form is stored under its first
+key. A class gets one key per order of its degree cells among the copies
+searched, and a later copy with one of them costs no refinement at all.
 
 None of this changes the bytes: they are those of the plain search that
 sorts color tuples and encodes every leaf, which the tests keep as the
-oracle. The memo is exact too. A leaf and a first key are both the input
-relabeled, so a leaf or key equal to a stored entry of an earlier input X
-(under the same header: n, and k and m per family) shows that the two
-inputs are isomorphic, and isomorphic inputs have the same form, X's.
-Only the winner of a search that ran to its end is stored as a form,
-never a first or best-so-far leaf. The input's form is the minimum of its
-leaves, so only leaves that improve on the best so far are looked up.
-Forms and first keys share one bound on the member masks they hold (a key
-holds as many as its form), and the oldest entries are evicted first.
-Incremental cell splitting or invariant-based leaf pruning would change
-the cell order or which leaf is minimal, and so the bytes.
+oracle. The memo is exact too: a leaf or first key is the input relabeled,
+so one equal to a stored entry of an earlier input X (under the same
+header: n, and k and m per family) proves the input isomorphic to X, with
+X's form. Only the winner of a finished search is stored as a form, and
+only leaves that improve on the best so far are looked up. Forms and keys
+share one bound on the member masks they hold (a key holds as many as its
+form), oldest evicted first. Incremental cell splitting or invariant-based
+leaf pruning would change the cell order or which leaf is minimal, and so
+the bytes.
 """
 
 from __future__ import annotations
@@ -79,6 +76,8 @@ from typing import NamedTuple, Sequence
 from .core import Family
 
 Cells = tuple[tuple[int, ...], ...]
+Masks = Sequence[Sequence[int]]
+Incidence = list[list[list[int]]]  # per family and element, the members through it
 
 # the memo holds at most this many member masks (8 bytes each) over its
 # forms and keys, oldest entries evicted first
@@ -92,13 +91,14 @@ class FormCacheInfo(NamedTuple):
     masks: int
     max_masks: int
     aliases: int
+    first_hits: int
 
 
 class _FormMemo:
     """Canonical forms proved by complete searches, each mapped to itself,
     and first keys (module docstring) mapped to their input's form, oldest
     first, with the number of member masks each key holds. `hits` and
-    `misses` count the searches that did and did not end at a stored entry,
+    `misses` count the inputs that did and did not end at a stored entry,
     and `first_hits` those that ended at their first key."""
 
     def __init__(self, max_masks: int):
@@ -117,7 +117,7 @@ class _FormMemo:
     def info(self) -> FormCacheInfo:
         aliases = sum(key != form for key, (form, _) in self.entries.items())
         forms = len(self.entries) - aliases
-        return FormCacheInfo(self.hits, self.misses, forms, self.masks, self.max_masks, aliases)
+        return FormCacheInfo(self.hits, self.misses, forms, self.masks, self.max_masks, aliases, self.first_hits)
 
 
 _FORMS = _FormMemo(_MEMO_MASKS)
@@ -127,83 +127,45 @@ _BYTE_BITS = tuple(tuple(i for i in range(8) if b >> i & 1) for b in range(256))
 
 
 def form_cache_info() -> FormCacheInfo:
-    """Hits, misses, forms and member masks stored, the mask bound, and the
-    first keys stored, of the memo behind `canonical_form_tuple`
-    (read-only, like `functools.lru_cache`'s `cache_info`)."""
+    """Hits, misses, forms and member masks stored, the mask bound, first
+    keys stored (`aliases`) and first-key hits of the memo behind
+    `canonical_form_tuple` (read-only, like `lru_cache`'s `cache_info`)."""
     return _FORMS.info()
 
 
 class _Canonicalizer:
-    """One individualization-refinement search over a tuple of families.
+    """One individualization-refinement search over a tuple of families
+    (member masks), from what `_first_partition` found on them. With a
+    `memo`, it ends at the first leaf whose form (`head` plus the leaf's
+    bytes) the memo holds, and `hit` says whether it did; without one it is
+    the plain search. `nodes` and `leaves` count the nodes and leaves."""
 
-    With a `memo`, the search ends before its root node when the memo holds
-    the first key (`head` plus the bytes of the input relabeled in the order
-    of the degree cells), or else at the first leaf whose form (`head` plus
-    the leaf's bytes) the memo holds. A search that runs to its end stores
-    its winner there, and one that does not end at its first key stores
-    that key; without a memo it is the plain search. `nodes` and `leaves`
-    count the search nodes and leaves visited."""
-
-    def __init__(
-        self, n: int, families: Sequence[tuple[int, ...]], memo: _FormMemo | None = None, head: bytes = b""
-    ):
-        self.n = n
-        self.memo, self.head = memo, head
+    def __init__(self, n: int, families: Masks, first: tuple, memo: _FormMemo | None = None, head: bytes = b""):
+        self.n, self.masks, self.memo, self.head = n, families, memo, head
+        self.by_elems, degrees, order = first
+        # the first partition: the elements in their degree order, grouped
+        self.cells = tuple(tuple(group) for _, group in groupby(order, degrees.__getitem__))
         # per family: its members as element lists (0-based), per element the
         # indices of the members through it, and the color weights
         self.families: list[tuple[Sequence[Sequence[int]], list[list[int]], list[int]]] = []
-        for fam in families:
+        for fam, by_elem in zip(families, self.by_elems):
             members = [_BYTE_BITS[m] if m < 256 else _elements(m) for m in fam]
-            by_elem: list[list[int]] = [[] for _ in range(n)]
-            for mi, mem in enumerate(members):
-                for e in mem:
-                    by_elem[e].append(mi)
             self.families.append((members, by_elem, _color_weights(n, len(members[0]) if members else 0)))
         # the signature base B, above every degree, and the weights -B^r for
         # r = 0, 1, ..., extended as rounds need them
         self.base = max(map(len, families)) + 1
         self.powers = [-1]
-        self.best: tuple | None = None
         self.leaf = b""
         self.best_cells: Cells = ()
         self.best_path: list[int] = []
         self.autos: list[tuple[int, ...]] = []
-        self.nodes = 0
-        self.leaves = 0
+        self.nodes = self.leaves = 0
+        self.hit = False
 
     def run(self) -> bytes:
         """The canonical leaf's bytes (without the header)."""
-        cells = self._degree_cells()
-        memo = self.memo
-        key = b""
-        if memo is not None and len(cells) < self.n:
-            # the first key, before any refinement round (a discrete first
-            # partition is the leaf, looked up there)
-            key = self.head + _encode(self._relabeled([e for cell in cells for e in cell]))
-            entry = memo.entries.get(key)
-            if entry is not None:
-                memo.hits += 1
-                memo.first_hits += 1
-                self.leaf = entry[0][len(self.head) :]
-                return self.leaf
-        hit = self._search(cells, []) < 0
-        if memo is not None:
-            form = self.head + self.leaf
-            masks = sum(len(f[0]) for f in self.families)
-            if hit:
-                memo.hits += 1
-            else:
-                memo.misses += 1
-                memo.store(form, form, masks)
-            if key:
-                memo.store(key, form, masks)
+        self.hit = self._search(self.cells, []) < 0
         return self.leaf
-
-    def _degree_cells(self) -> Cells:
-        """The first refinement round of the unit partition: every profile is
-        equal, so the elements split by their tuple of per-family degrees."""
-        degrees = [list(map(len, by_elem)) for _, by_elem, _ in self.families]
-        return _split((tuple(range(self.n)),), _keyed(degrees))
 
     def _refine(self, cells: Cells) -> Cells:
         """Iterated refinement to the fixpoint: each cell is split by the
@@ -225,42 +187,26 @@ class _Canonicalizer:
                     for e in mem:
                         sig[e] += w
                 sigs.append(sig)
-            split = _split(cells, _keyed(sigs))
+            split = _split(cells, _keyed(sigs).__getitem__)
             if len(split) == len(cells):
                 break
             cells = split
         return cells
 
-    def _relabeled(self, order: Sequence[int]) -> tuple[tuple[int, ...], ...]:
-        """Per family, the sorted member masks of the input relabeled so that
-        element order[i] is at bit i."""
-        keys = []
-        for members, by_elem, _ in self.families:
-            masks = [0] * len(members)
-            for i, e in enumerate(order):
-                bit = 1 << i
-                for mi in by_elem[e]:
-                    masks[mi] |= bit
-            masks.sort()
-            keys.append(tuple(masks))
-        return tuple(keys)
-
     def _leaf(self, cells: Cells, path: list[int]) -> int:
         """Compare the leaf with the best one; return the depth to resume at,
-        or -1 when the memo holds the leaf's bytes. The leaf's key is, per
-        family, the sorted member masks with the element of cell i at bit i."""
+        or -1 when the memo holds the leaf's bytes."""
         self.leaves += 1
-        key = self._relabeled([e for (e,) in cells])
-        if self.best is None or key < self.best:
-            self.best, self.best_cells, self.best_path = key, cells, path
-            self.leaf = _encode(key)
+        leaf = _relabeled(self.masks, self.by_elems, [e for (e,) in cells])
+        if not self.best_cells or leaf < self.leaf:
+            self.leaf, self.best_cells, self.best_path = leaf, cells, path
             if self.memo is not None:
-                hit = self.memo.entries.get(self.head + self.leaf)
+                hit = self.memo.entries.get(self.head + leaf)
                 if hit is not None:
                     self.leaf = hit[0][len(self.head) :]
                     return -1  # the input's form is known: end the whole search
             return len(path)
-        if key > self.best:
+        if leaf > self.leaf:
             return len(path)
         alpha = [0] * self.n
         for (e,), (b,) in zip(cells, self.best_cells):
@@ -329,9 +275,9 @@ def _rank_weights(values: list[int], base: int, powers: list[int]) -> dict[int, 
     return dict(zip(ranks, powers))
 
 
-def _keyed(values: list[list[int]]):
-    """Element e's key: its value in the one list, or its tuple of values."""
-    return (values[0] if len(values) == 1 else list(zip(*values))).__getitem__
+def _keyed(values: list[list[int]]) -> list:
+    """Per element its key: its value in the one list, or its tuple of values."""
+    return values[0] if len(values) == 1 else list(zip(*values))
 
 
 def _split(cells: Cells, key) -> Cells:
@@ -372,16 +318,43 @@ def _find(parent: list[int], x: int) -> int:
     return x
 
 
-def _encode(key: tuple) -> bytes:
-    """Leaf bytes: each family's sorted masks as 8-byte big-endian words,
-    families joined by b"|". Member counts are fixed within one input, so
-    byte order equals the order of the int-tuple keys."""
-    return b"|".join(pack(f">{len(masks)}Q", *masks) for masks in key)
+def _encode(key: Sequence[Sequence[int]]) -> bytes:
+    """Each family's sorted masks as 8-byte big-endian words, families
+    joined by b"|"."""
+    return b"|".join([pack(">%dQ" % len(masks), *masks) for masks in key])
 
 
-def _header(n: int, families: Sequence[Family]) -> bytes:
-    parts = [f"n={n}"] + [f"k={f.k},m={len(f.members)}" for f in families]
-    return (";".join(parts) + ":").encode()
+def _first_partition(n: int, families: Masks) -> tuple[Incidence, list, list[int]]:
+    """Per family, the indices of the members through each element, from
+    one pass over the masks; per element, its tuple of per-family degrees
+    (`_keyed`); and the elements sorted stably by it, the order of the
+    first partition."""
+    by_elems = []
+    for fam in families:
+        by_elem: list[list[int]] = [[] for _ in range(n)]
+        mi = 0
+        for m in fam:
+            for e in _BYTE_BITS[m] if m < 256 else _elements(m):
+                by_elem[e].append(mi)
+            mi += 1
+        by_elems.append(by_elem)
+    degrees = _keyed([list(map(len, by_elem)) for by_elem in by_elems])
+    return by_elems, degrees, sorted(range(n), key=degrees.__getitem__)
+
+
+def _relabeled(families: Masks, by_elems: Incidence, order: Sequence[int]) -> bytes:
+    """The input relabeled so that element order[i] is at bit i, encoded."""
+    keys = []
+    for fam, by_elem in zip(families, by_elems):
+        masks = [0] * len(fam)
+        bit = 1
+        for e in order:
+            for mi in by_elem[e]:
+                masks[mi] |= bit
+            bit <<= 1
+        masks.sort()
+        keys.append(masks)
+    return _encode(keys)
 
 
 def canonical_form_tuple(families: Sequence[Family]) -> bytes:
@@ -390,13 +363,40 @@ def canonical_form_tuple(families: Sequence[Family]) -> bytes:
     if not families:
         raise ValueError("need at least one family")
     n = families[0].n
-    if any(f.n != n for f in families):
-        raise ValueError("families live over different ground sets")
-    head = _header(n, families)
-    if all(len(f.members) in (0, comb(n, f.k)) for f in families):
-        # empty and complete families are fixed by every permutation
-        return head + _encode(tuple(f.members for f in families))
-    return head + _Canonicalizer(n, [f.members for f in families], _FORMS, head).run()
+    # one pass checks n, writes the header (n, then k and m per family), and
+    # sees whether every family is empty or complete, fixed by every relabeling
+    head, fixed = b"n=%d" % n, True
+    for f in families:
+        if f.n != n:
+            raise ValueError("families live over different ground sets")
+        head += b";k=%d,m=%d" % (f.k, len(f.members))
+        fixed = fixed and (not f.members or len(f.members) == comb(n, f.k))
+    head += b":"
+    masks = [f.members for f in families]
+    if fixed:
+        return head + _encode(masks)
+    # the first key, looked up before any search state (module docstring)
+    first = by_elems, degrees, order = _first_partition(n, masks)
+    key = head + _relabeled(masks, by_elems, order)
+    discrete = len(set(degrees)) == n
+    memo = _FORMS
+    entry = memo.entries.get(key)
+    if entry is not None:
+        memo.hits += 1
+        memo.first_hits += not discrete
+        return entry[0]
+    form, hit = key, False  # a discrete first partition is the only leaf
+    if not discrete:
+        search = _Canonicalizer(n, masks, first, memo, head)
+        form, hit = head + search.run(), search.hit
+    size = sum(map(len, masks))
+    if hit:
+        memo.hits += 1
+    else:
+        memo.misses += 1
+        memo.store(form, form, size)
+    memo.store(key, form, size)
+    return form
 
 
 def canonical_form(family: Family) -> bytes:

@@ -1,4 +1,5 @@
 import random
+import struct
 from itertools import combinations, combinations_with_replacement
 from math import comb
 
@@ -8,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from helpers import (
     ReferenceCanonicalizer,
+    _reference_header,
     _reference_round,
     canonical_form_reference,
     enumerate_maximal_pairs,
@@ -195,7 +197,7 @@ class CountingReference(ReferenceCanonicalizer):
 def test_backjumping_visits_fewer_nodes(family):
     # 111 -> 45 and 63 -> 28 nodes when this test was written
     ref = CountingReference(family.n, [family.members])
-    new = _Canonicalizer(family.n, [family.members])
+    new = plain_search([family])
     assert new.run() == ref.run()
     assert new.leaves <= new.nodes < ref.nodes
 
@@ -209,10 +211,50 @@ def memo(monkeypatch):
     return fresh
 
 
+@pytest.fixture
+def built(monkeypatch):
+    """The searches `canonical_form_tuple` builds, in order."""
+    searches = []
+
+    class Recorded(_Canonicalizer):
+        def __init__(self, *args):
+            super().__init__(*args)
+            searches.append(self)
+
+    monkeypatch.setattr(canon, "_Canonicalizer", Recorded)
+    return searches
+
+
+def plain_search(families):
+    """The plain search (no memo) on `families`, from their first partition."""
+    n, masks = families[0].n, [f.members for f in families]
+    return _Canonicalizer(n, masks, canon._first_partition(n, masks))
+
+
 def first_cells(families):
     """The first partition (the degree cells) of the plain search on
     `families`."""
-    return _Canonicalizer(families[0].n, [f.members for f in families])._degree_cells()
+    return plain_search(families).cells
+
+
+def reference_first_cells(families):
+    """The first round of the reference search on the unit partition, which
+    the first partition of `xfam.canon` must equal."""
+    n = families[0].n
+    ref = ReferenceCanonicalizer(n, [f.members for f in families])
+    return _reference_round((tuple(range(n)),), ref.fam_members, ref.elem_members, n)
+
+
+def reference_first_key(families):
+    """The first key as the reference code writes it: its header, then the
+    input relabeled so that the element at position i of the reference's
+    first cells is at bit i, encoded as a reference leaf."""
+    n = families[0].n
+    pos = [0] * n
+    for i, e in enumerate(e for cell in reference_first_cells(families) for e in cell):
+        pos[e] = i
+    ref = ReferenceCanonicalizer(n, [f.members for f in families])
+    return _reference_header(n, families) + ref._encode(pos)
 
 
 def same_first_key_perm(families):
@@ -220,7 +262,7 @@ def same_first_key_perm(families):
     `families` and puts the cells in reverse order: the relabeled input
     lists each cell in the same order, so it has the same first key."""
     perm = [0] * families[0].n
-    order = [e for cell in reversed(first_cells(families)) for e in cell]
+    order = [e for cell in reversed(reference_first_cells(families)) for e in cell]
     for label, e in enumerate(order, 1):
         perm[e] = label
     return perm
@@ -250,13 +292,92 @@ def test_warm_memo_forms_equal_reference(memo):
         searched_at_all = any(len(f.members) not in (0, comb(n, f.k)) for f in second)
         if searched_at_all and len(first_cells(second)) < n:
             first_hits += 1
-        assert memo.first_hits == first_hits, second
+        assert memo.first_hits == first_hits == canon.form_cache_info().first_hits, second
     # every class was searched to its end once while warming; every copy
     # that was searched ended at a stored form or key
     info = canon.form_cache_info()
     assert (info.misses, info.forms) == (warm.misses, warm.forms)
     assert info.hits == warm.hits + 2 * searched
     assert info.aliases > warm.aliases and info.masks == sum(m for _, m in memo.entries.values())
+
+
+def first_key_tuples(rng):
+    """Tuples of two or three families over n = 9..64, each with members
+    through the top element (masks of 256 and more, decoded a byte at a
+    time), some with an empty side."""
+    cases = []
+    for n in (9, 12, 16, 17, 33, 64):
+        for _ in range(4):
+            sides = []
+            for _ in range(rng.randint(2, 3)):
+                k = rng.randint(max(2, n // 4), n // 2)
+                sides.append(top_bit_family(rng, n, k, 10 if n == 64 else rng.randint(3, 6)))
+            if rng.random() < 0.5:
+                sides[rng.randrange(len(sides))] = Family(n, rng.randint(1, n - 1), ())
+            cases.append(sides)
+    return cases
+
+
+def test_first_key_equals_the_reference_relabelling(memo, built):
+    # the key looked up before any search state is the input relabeled in
+    # the reference's first cells; the form equals the plain search and the
+    # reference, and a copy with the same first key builds no search
+    rng = random.Random(53)
+    empty = 0
+    for families in first_key_tuples(rng):
+        n = families[0].n
+        form = canonical_form_tuple(families)
+        assert form == canonical_form_reference(families), families
+        assert form == _reference_header(n, families) + plain_search(families).run()
+        key = reference_first_key(families)
+        assert memo.entries[key][0] == form, families
+        perm = same_first_key_perm(families)
+        copy = [relabel(f, perm) for f in families]
+        searches, first_hits = len(built), memo.first_hits
+        assert canonical_form_tuple(copy) == form, copy
+        discrete = len(reference_first_cells(families)) == n
+        assert (len(built), memo.first_hits) == (searches, first_hits + (not discrete)), copy
+        empty += any(not f.members for f in families)
+    assert empty >= 5 and memo.first_hits >= 20
+    assert canon.form_cache_info().first_hits == memo.first_hits
+
+
+def discrete_inputs(rng):
+    """Inputs whose first partition is discrete: a pair whose second side
+    tells apart the two elements of the first side's member, and random
+    4-uniform families over [9] with nine distinct degrees, alone, beside an
+    empty side, and first in a triple."""
+    sets = list(combinations(range(1, 10), 4))
+    found = []
+    while len(found) < 3:
+        f = Family.from_sets(9, 4, rng.sample(sets, rng.randint(2, len(sets) // 2)))
+        if len({sum(m >> e & 1 for m in f.members) for e in range(9)}) == 9:
+            found.append(f)
+    return [
+        [fam(3, 2, (1, 2)), fam(3, 1, (1,))],
+        [found[0]],
+        [Family(9, 2, ()), found[1]],
+        [found[2], Family(9, 3, ()), anchored_family(9, 2, mask_of([9]))],
+    ]
+
+
+def test_discrete_first_partition_is_its_own_form(memo, built):
+    # a discrete first partition is the only leaf: its key is its form, no
+    # search is built, and neither it nor a relabelled copy counts a first hit
+    rng = random.Random(59)
+    cases = discrete_inputs(rng)
+    for families in cases:
+        n = families[0].n
+        assert len(reference_first_cells(families)) == n
+        form = canonical_form_tuple(families)
+        assert form == canonical_form_reference(families) == reference_first_key(families), families
+        assert plain_search(families).nodes == 0
+        perm = shuffled(rng, n)
+        copy = [relabel(f, perm) for f in families]
+        assert canonical_form_tuple(copy) == form, copy
+    assert built == []
+    assert (memo.misses, memo.hits, memo.first_hits) == (len(cases), len(cases), 0)
+    assert any(m >= 256 for families in cases for f in families for m in f.members)
 
 
 def test_memo_entries_never_cross_headers(memo):
@@ -272,21 +393,22 @@ def test_memo_entries_never_cross_headers(memo):
     assert memo.info().forms == len(cases)
 
 
-def test_canonical_copy_ends_at_its_root(memo):
+def test_canonical_copy_ends_at_its_root(memo, built):
     # relabelled by its own canonical labelling, a family's first cells are
-    # runs of positions in order, so its first key is its form: a warm search
-    # stops at the root before any refinement, the plain one certifies
-    # symmetry
+    # runs of positions in order, so its first key is its form: with the form
+    # stored, the copy ends at its first key before any search state is
+    # built, while the plain search certifies symmetry
     f = construct_H(8, 3, 1, (2, 3, 4), (2, 3, 5))
-    first = _Canonicalizer(f.n, [f.members])
+    first = plain_search([f])
     form = canonical_form(f)
-    assert form == canon._header(f.n, [f]) + first.run()
-    rep = Family(f.n, f.k, first.best[0])
+    assert form == _reference_header(f.n, [f]) + first.run()
+    assert len(built) == 1
+    rep = Family(f.n, f.k, struct.unpack(f">{len(f.members)}Q", first.leaf))
     assert len(first_cells([rep])) < f.n  # not a leaf already
-    plain = _Canonicalizer(f.n, [rep.members])
-    warm = _Canonicalizer(f.n, [rep.members], memo, canon._header(f.n, [rep]))
-    assert warm.run() == warm.leaf == plain.run() == first.leaf
-    assert (warm.nodes, warm.leaves) == (0, 0)
+    plain = plain_search([rep])
+    assert canonical_form(rep) == form
+    assert len(built) == 1
+    assert plain.run() == first.leaf
     assert plain.leaves == first.leaves > 1
     assert (memo.hits, memo.first_hits) == (1, 1)
 
@@ -328,8 +450,8 @@ def test_pairs_of_other_shape_rejected_before_search():
         ((f, g), (smaller, g)),  # member counts differ
         ((g, f), (g, smaller)),
     ):
-        assert canon._header(6, first) != canon._header(6, second)
-        assert canonical_form_tuple(first) != canonical_form_tuple(second)
+        forms = canonical_form_tuple(first), canonical_form_tuple(second)
+        assert forms[0].partition(b":")[0] != forms[1].partition(b":")[0]
 
 
 def incidence_graph(family):
@@ -416,7 +538,7 @@ def test_degree_split_is_the_first_reference_round():
         ref = ReferenceCanonicalizer(n, masks)
         unit = (tuple(range(n)),)
         expected = _reference_round(unit, ref.fam_members, ref.elem_members, n)
-        assert _Canonicalizer(n, masks)._degree_cells() == expected, masks
+        assert first_cells(families) == expected, masks
         isolated += any(all(not m >> e & 1 for f in families for m in f.members) for e in range(n))
     assert isolated >= 30  # elements of degree 0 occur
 
@@ -461,9 +583,9 @@ def test_symmetric_forms_at_64_equal_plain_search(memo, families):
     # memo-less search is the oracle; the second copy has the first one's
     # first key, and the third is searched with that class already known
     rng = random.Random(47)
-    head = canon._header(64, families)
+    head = _reference_header(64, families)
     copy = [relabel(f, shuffled(rng, 64)) for f in families]
-    form = head + _Canonicalizer(64, [f.members for f in copy]).run()
+    form = head + plain_search(copy).run()
     perm = same_first_key_perm(copy)
     third = shuffled(rng, 64)
     for labelled in (copy, [relabel(f, perm) for f in copy], [relabel(f, third) for f in copy]):

@@ -3,11 +3,13 @@
 Every maximal (7,3,1) family is relabelled as `perfbench/workloads.prepare`
 does it (`random.Random(0)`, one shuffle of [1..7] per family, in
 enumeration order) and canonicalized with an empty form memo. The forms,
-the search nodes and leaves visited, and the memo's hits, misses and first
-key hits are fixed: a change to the refinement that keeps the bytes but
-alters the search tree, or stops searches from ending at their first key,
-shows here. `python tests/test_canon_golden.py` prints the values of the
-current code in the form of GOLDEN.
+the search nodes and leaves visited, the memo's hits, misses and first key
+hits, and the number of searches built (only inputs whose first key
+misses build one) are fixed: a change to the refinement that keeps the
+bytes but alters the search tree, or stops inputs from ending at their
+first key before any search state, shows here.
+`python tests/test_canon_golden.py` prints the values of the current code
+in the form of GOLDEN.
 """
 
 import hashlib
@@ -25,6 +27,7 @@ GOLDEN = {
     "hits": 6112,
     "misses": 15,
     "first_hits": 6071,
+    "searches": 56,
 }
 
 EXPECTED_JSON = Path(__file__).resolve().parent.parent / "perfbench" / "expected.json"
@@ -41,8 +44,9 @@ def iso_inputs():
 
 
 def measure() -> dict:
-    """Forms digest, node and leaf totals, and memo counts of one pass over
-    the inputs with an empty memo (the module's memo is restored after)."""
+    """Forms digest, node and leaf totals, memo counts and searches built in
+    one pass over the inputs with an empty memo (the module's memo is
+    restored after)."""
     searches = []
 
     class Counted(canon._Canonicalizer):
@@ -65,6 +69,7 @@ def measure() -> dict:
         "hits": memo.hits,
         "misses": memo.misses,
         "first_hits": memo.first_hits,
+        "searches": len(searches),
     }
 
 
