@@ -47,6 +47,7 @@ from .formulas import (
     eval_g,
     eval_h,
     eval_tau_bound,
+    hypotheses_hold,
     tilde_a,
     tilde_c1c2,
     tilde_g,
@@ -134,17 +135,12 @@ def _write(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _emit(payload: dict, out: str | None) -> None:
-    _write(_dumps(payload) + "\n", out)
-
-
-def _report(command: str, params: dict, results, verdict: bool) -> dict:
-    return {
-        "command": command,
-        "params": params,
-        "results": results,
-        "verdict": "pass" if verdict else "fail",
-    }
+def _report(args, params: dict, results, verdict: bool) -> int:
+    """Write the report of the command `args` ran to its --out, or to
+    stdout, and return its exit status: 0 on a pass, 1 on a failed check."""
+    report = {"command": args.command, "params": params, "results": results, "verdict": "pass" if verdict else "fail"}
+    _write(_dumps(report) + "\n", args.out)
+    return 0 if verdict else 1
 
 
 def _parse_ints(text: str) -> tuple[int, ...]:
@@ -244,21 +240,18 @@ def _cmd_verify_constructions(args) -> int:
     if not reports:
         raise ValueError(f"no pair of kinds {','.join(kinds)} exists at any grid point")
     ok = all(rep["pass"] for rep in reports)
-    _emit(_report("verify-constructions", {"grid": args.grid or "default", "kinds": kinds}, reports, ok), args.out)
-    return 0 if ok else 1
+    return _report(args, {"grid": args.grid or "default", "kinds": kinds}, reports, ok)
 
 
 def _cmd_enumerate(args) -> int:
     fams = enumerate_maximal_t_intersecting(args.n, args.k, args.t)
     if args.json:
-        payload = _report(
-            "enumerate-maximal",
+        return _report(
+            args,
             {"n": args.n, "k": args.k, "t": args.t},
             {"count": len(fams), "families": [_family_json(f) for f in fams]},
             True,
         )
-        _emit(payload, args.out)
-        return 0
     _write("\n".join(family_to_text(f) for f in fams), args.out)
     sys.stderr.write(f"{len(fams)} maximal families\n")
     return 0
@@ -266,8 +259,8 @@ def _cmd_enumerate(args) -> int:
 
 def _cmd_search(args) -> int:
     res = extremal_product_search(args.n, args.k1, args.k2, args.t, args.min_tau)
-    payload = _report(
-        "search",
+    return _report(
+        args,
         {"n": args.n, "k1": args.k1, "k2": args.k2, "t": args.t, "min_tau": args.min_tau},
         {
             "best_product": str(res.best_product),
@@ -280,8 +273,6 @@ def _cmd_search(args) -> int:
         },
         True,
     )
-    _emit(payload, args.out)
-    return 0
 
 
 def _cmd_classify(args) -> int:
@@ -298,8 +289,8 @@ def _cmd_classify(args) -> int:
         match = classify_fact_2_1(fam, args.t)
     else:
         match = classify_pair_theorem_1_1(fam, partner, args.t)
-    payload = _report(
-        "classify",
+    return _report(
+        args,
         {"in": args.infile, "theorem": args.theorem, "t": args.t},
         {
             "template": match.template,
@@ -308,14 +299,12 @@ def _cmd_classify(args) -> int:
         },
         match.matched,
     )
-    _emit(payload, args.out)
-    return 0 if match.matched else 1
 
 
 def _cmd_classify_all(args) -> int:
     total, found, counts = count_theorem_1_2(args.n, args.k, args.t)
-    payload = _report(
-        "classify-all",
+    return _report(
+        args,
         {"n": args.n, "k": args.k, "t": args.t},
         {
             "maximal_families": total,
@@ -328,8 +317,6 @@ def _cmd_classify_all(args) -> int:
         },
         True,
     )
-    _emit(payload, args.out)
-    return 0
 
 
 def _cmd_audit(args) -> int:
@@ -348,8 +335,8 @@ def _cmd_audit(args) -> int:
         csv.writer(buf).writerows(rows)
         _write(buf.getvalue(), args.out)
         return 0 if ok else 1
-    payload = _report(
-        "audit",
+    return _report(
+        args,
         {"lemma": args.lemma, "grid": args.grid or "default"},
         [
             {
@@ -365,8 +352,6 @@ def _cmd_audit(args) -> int:
         ],
         ok,
     )
-    _emit(payload, args.out)
-    return 0 if ok else 1
 
 
 _FORMULAS = {
@@ -419,7 +404,7 @@ def _cmd_evaluate(args) -> int:
 
 
 def _cmd_threshold(args) -> int:
-    if not (args.t >= 1 and args.k >= args.t + 1 and args.l >= args.t + 1):  # the rule of formulas._glob_ok
+    if not hypotheses_hold(args.t, args.k, args.l):
         raise ValueError(f"the threshold needs t >= 1 and k, l >= t+1, got k={args.k} l={args.l} t={args.t}")
     sys.stdout.write(f"{n_threshold(args.k, args.l, args.t)}\n")
     return 0
@@ -429,8 +414,8 @@ def _cmd_leading_term(args) -> int:
     n_seq = _parse_ints(args.n_seq)
     tol = Fraction(args.tol).limit_denominator(10**9)
     rep = leading_constant_check(args.pair, args.k, args.l, args.t, n_seq, tol=tol)
-    payload = _report(
-        "leading-term",
+    return _report(
+        args,
         {"pair": args.pair, "k": args.k, "l": args.l, "t": args.t, "n_seq": list(n_seq)},
         {
             "constant": rep["constant"],
@@ -439,8 +424,6 @@ def _cmd_leading_term(args) -> int:
         },
         rep["pass"],
     )
-    _emit(payload, args.out)
-    return 0 if rep["pass"] else 1
 
 
 def build_parser(only: Container[str] | None = None) -> argparse.ArgumentParser:

@@ -256,8 +256,8 @@ def construction_pair(pair_kind: str, n: int, k: int, l: int, t: int) -> tuple[C
         X = tuple(range(t + 1, k + 2))
         Y = tuple(range(t + 1, l + 2))
         return (
-            ConstructionSpec("H", n, k, t, l=l, X=X, Y=Y),
-            ConstructionSpec("H", n, l, t, l=k, X=Y, Y=X),
+            ConstructionSpec("H", n, k, t, X=X, Y=Y),
+            ConstructionSpec("H", n, l, t, X=Y, Y=X),
         )
     if pair_kind == "DD":
         T, xs = default_D_anchors(t)

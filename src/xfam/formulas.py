@@ -145,8 +145,13 @@ def _unmet(params: dict, note: str) -> AuditPoint:
     return AuditPoint(params, "precondition-unmet", note=note)
 
 
+def hypotheses_hold(t: int, k: int, l: int) -> bool:
+    """The paper's hypotheses on (t, k, l): t a positive integer and k, l >= t+1."""
+    return t >= 1 and k >= t + 1 and l >= t + 1
+
+
 def _glob_ok(t: int, k: int, l: int, n: int) -> bool:
-    return k >= t + 1 and l >= t + 1 and n >= n_threshold(k, l, t)
+    return hypotheses_hold(t, k, l) and n >= n_threshold(k, l, t)
 
 
 def _audit_eq9(t: int, k: int, l: int, n: int) -> list[AuditPoint]:
@@ -409,7 +414,7 @@ def audit_lemma(lemma: str, grid: Sequence[tuple[int, int, int, int]] | None = N
     for t, k, l, n in sorted(pts):
         params = {"t": t, "k": k, "l": l, "n": n}
         if not _glob_ok(t, k, l, n):
-            report.points.append(_unmet(params, "below the global n threshold"))
+            report.points.append(_unmet(params, "below the global n threshold" if t >= 1 else "needs t >= 1"))
             continue
         report.points.extend(fn(t, k, l, n))
     return report
@@ -446,6 +451,8 @@ def leading_constant_check(
     """Normalized size product along n_sequence, compared with the limit
     constant; passes when the relative gap at the largest n is within tol."""
     c = leading_constant(pair_kind, k, l, t)
+    if t < 1:
+        raise ValueError(f"need t >= 1, got t={t}")
     if pair_kind == "BB" and t != 1:
         raise ValueError("the three-interval pair only exists at t = 1")
     if min(k, l) < t + 2:

@@ -17,9 +17,11 @@ from hypothesis import example, given, settings, strategies as st
 
 import xfam.classify
 import xfam.cli
+import xfam.constructions
 import xfam.core
+import xfam.formulas
 from xfam import Family, covering_number, is_cross_t_intersecting, is_maximal_pair, verify_grid
-from xfam.cli import _dumps, _report, main
+from xfam.cli import _dumps, main
 from xfam.constructions import PAIR_KINDS, default_grid
 
 
@@ -171,6 +173,47 @@ def test_leading_term(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["results"]["constant"] == 9
+    # t is a positive integer: there is no leading term to check at t = 0
+    argv = ("leading-term", "--pair", "AA", "--k", "2", "--l", "2", "--t", "0", "--n-seq", "100,1000,100000")
+    assert run(capsys, *argv) == (2, "", "error: need t >= 1, got t=0\n")
+
+
+def test_audit_scores_no_point_with_t_below_1(capsys):
+    # a point with t = 0 is precondition-unmet and says why, even at an n at
+    # or past the threshold the formula gives there (18 at t = 0, k = l = 1)
+    code, out, _ = run(capsys, "audit", "--lemma", "4.4ii", "--grid", "t=0..1;k=t+1;l=t+1;n=18,259")
+    assert code == 0
+    (report,) = json.loads(out)["results"]
+    assert report["checked"] == 1
+    assert [(p["params"]["t"], p["params"]["n"], p["verdict"], p["note"]) for p in report["points"]] == [
+        (0, 18, "precondition-unmet", "needs t >= 1"),
+        (0, 259, "precondition-unmet", "needs t >= 1"),
+        (1, 18, "precondition-unmet", "below the global n threshold"),
+        (1, 259, "holds", ""),
+    ]
+
+
+def test_a_failed_check_exits_1_with_a_fail_verdict(capsys, monkeypatch, tmp_path):
+    # a maximal pair with covering numbers 2 that no Theorem 1.1 template
+    # matches: a witness of `search --n 5 --k1 2 --k2 3 --t 1 --min-tau 2`
+    first, second = tmp_path / "first.txt", tmp_path / "second.txt"
+    first.write_text("# n=5 k=2\n1 2\n1 3\n2 3\n1 4\n2 5\n")
+    second.write_text("# n=5 k=3\n1 2 3\n1 2 4\n2 3 4\n1 2 5\n1 3 5\n")
+    # one audit check and one construction size check made to fail
+    def fails(t, k, l, n):
+        return [xfam.formulas._point({"t": t, "k": k, "l": l, "n": n}, False, 0, 1)]
+
+    monkeypatch.setitem(xfam.formulas._AUDITORS, "eq9", fails)
+    monkeypatch.setattr(xfam.constructions.ConstructionSpec, "closed_form", lambda spec: -1)
+    for argv in (
+        ("leading-term", "--pair", "AA", "--k", "3", "--l", "3", "--t", "1", "--n-seq", "10"),
+        ("classify", "--in", str(first), "--in2", str(second), "--theorem", "1.1", "--t", "1"),
+        ("audit", "--lemma", "eq9", "--grid", "t=1;k=2;l=2;n=259"),
+        ("verify-constructions", "--kinds", "AA", "--grid", "t=1;k=2;l=2;n=5"),
+    ):
+        code, out, _ = run(capsys, *argv)
+        report = json.loads(out)
+        assert (code, report["command"], report["verdict"]) == (1, argv[0], "fail"), argv
 
 
 def test_bad_construct_args(capsys):
@@ -409,6 +452,8 @@ def test_empty_checks_are_usage_errors(capsys):
         ("audit", "--lemma", "all", "--grid", "t=1;k=2;l=2;n=3"),
         ("audit", "--lemma", "4.7ii", "--grid", "t=1;k=2,3;l=2,3;n=259,600"),
         ("audit", "--lemma", "4.7ii", "--grid", "t=1;k=2,3;l=2,3;n=259,600", "--format", "csv"),
+        # t = 0 lies outside the paper, whatever n is
+        ("audit", "--lemma", "4.4ii", "--grid", "t=0;k=1;l=1;n=18"),
     ):
         code, out, err = run(capsys, *argv)
         assert code == 2 and out == "" and err.startswith("error: ") and "Traceback" not in err, argv
@@ -568,7 +613,12 @@ def test_report_writer_holds_the_text_about_twice():
     # pieces in bounded chunks keeps the peak under three times the text
     # (a list of every piece held about seven times as much)
     reports = verify_grid(PAIR_KINDS, default_grid(), check_maximal=True)
-    payload = _report("verify-constructions", {"grid": "default", "kinds": list(PAIR_KINDS)}, reports, True)
+    payload = {
+        "command": "verify-constructions",
+        "params": {"grid": "default", "kinds": list(PAIR_KINDS)},
+        "results": reports,
+        "verdict": "pass",
+    }
     tracemalloc.start()
     try:
         text = _dumps(payload)

@@ -8,6 +8,7 @@ example runs in milliseconds."""
 
 import contextlib
 import io
+import json
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -149,24 +150,38 @@ def family_file(tmp_path_factory):
 
 
 def run_cli(argv):
-    """Exit code and stderr of one in-process CLI run; any exception other
-    than argparse's SystemExit propagates (it would be a traceback)."""
+    """Exit code, stdout and stderr of one in-process CLI run; any exception
+    other than argparse's SystemExit propagates (it would be a traceback)."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
             code = main(argv)
         except SystemExit as exc:
             code = exc.code
-    return code, err.getvalue()
+    return code, out.getvalue(), err.getvalue()
+
+
+def json_report(text):
+    """The report `text` holds, or None when it holds no JSON report."""
+    try:
+        value = json.loads(text)
+    except ValueError:
+        return None
+    return value if isinstance(value, dict) and "verdict" in value else None
 
 
 def test_cli_never_crashes(family_file):
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
     @given(argv_strategy(family_file))
     def check(argv):
-        code, err = run_cli(argv)
+        code, out, err = run_cli(argv)
         assert code in (0, 1, 2), (argv, code)
         assert "Traceback" not in err, argv
+        # a report names the command that wrote it, and its verdict is its status
+        report = json_report(out)
+        if report is not None:
+            assert report["command"] == argv[0], argv
+            assert code == {"pass": 0, "fail": 1}[report["verdict"]], (argv, code)
 
     check()
 
@@ -175,6 +190,6 @@ def test_cli_never_crashes(family_file):
 def test_bad_header_names_its_line(tmp_path, header):
     path = tmp_path / "fam.txt"
     path.write_text(f"{header}\n1 2\n")
-    code, err = run_cli(["classify", "--in", str(path), "--theorem", "1.2", "--t", "1"])
+    code, _, err = run_cli(["classify", "--in", str(path), "--theorem", "1.2", "--t", "1"])
     assert code == 2 and err.startswith(f"error: line 1 ({header!r}): "), err
     assert "must be an integer in 0..64" in err
